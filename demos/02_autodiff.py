@@ -19,13 +19,15 @@ softmax = np.exp(x.numpy()) / np.exp(x.numpy()).sum()
 print("grad of logsumexp:", np.round(x.grad, 6))
 print("softmax          :", np.round(softmax, 6))
 
-# a biaffine score: bilinear + linear + bias
-u = Tensor(np.array([1.0, 0.0]))
-v = Tensor(np.array([0.0, 1.0]))
-w1 = Tensor(np.array([[0.0, 1.0], [0.0, 0.0]]))
-w2 = Tensor(np.array([2.0, 3.0]))
+# a biaffine score, u^T W1 v + (u+v)^T w2 + b, as the one-channel case of
+# the all-pairs biaffine features the model uses for arcs and relations
+u = Tensor(np.array([[[1.0, 0.0]]]))                      # (batch, n, d)
+v = Tensor(np.array([[[0.0, 1.0]]]))                      # (batch, m, d)
+w1 = Tensor(np.array([[[0.0, 1.0]], [[0.0, 0.0]]]))       # (d, channels, d)
+w2 = Tensor(np.array([[2.0], [3.0]]))                     # (d, channels)
+b = Tensor(np.array([0.5]))                               # (channels,)
 print("\nbiaffine([1,0],[0,1]) with unit corner + [2,3] linear + 0.5 bias:",
-      T.biaffine(u, v, w1, w2, 0.5).item())
+      T.biaffine_features(u, v, w1, w2, b).numpy()[0, 0, 0, 0])
 
 # finite differences vs the tape on a two-layer rectifier network
 rng = np.random.default_rng(1)

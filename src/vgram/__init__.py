@@ -20,7 +20,7 @@ from vgram.chart import (
     DmvScores,
     arc_posteriors,
     enumerate_projective_trees,
-    inside,
+    log_partition,
     score_tree,
     viterbi,
 )

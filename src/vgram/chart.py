@@ -1,4 +1,4 @@
-"""Semiring chart parser for projective dependency trees with valence.
+"""Valence-grammar chart for projective dependency trees.
 
 The generative story: ROOT picks exactly one token (``root`` scores),
 every head emits dependents outward in each direction, paying a
@@ -7,16 +7,27 @@ valence distinguishes the first emission in a direction (adjacent) from
 later ones (non-adjacent). A tree's score is the sum of its root,
 attach, and stop/continue terms.
 
-The dynamic program uses a split-head decomposition: each head owns a
-left and a right cone that grow independently, so the full recursion
-stays O(n^3) with a constant factor for the two valence states. Cells:
+One span-length recursion, :func:`span_recursion`, serves every chart
+computation. It is parametrised by a :class:`Semiring`: log-sum-exp on
+tape tensors gives the log partition and, through an explicit outside
+pass, the arc posteriors (:mod:`vgram.dmv_graph`); max with argmax
+backpointers on plain arrays gives the Viterbi tree (:func:`viterbi`).
 
-  ro[v][i][j]  head i, right cone over i..j, v = min(#right deps, 1), no stop yet
-  lo[v][i][j]  head j, left cone over i..j
-  rc[i][j]     right cone closed by its STOP term (lc mirrors)
-  ir[i][j]     arc i->j just built: paid CONTINUE + attach, dependent's
-               left side closed; the dependent's right side is attached
-               when the item extends the head's cone (il mirrors)
+The recursion uses a split-head decomposition: each head owns a left
+and a right cone that grow independently, so it stays O(n^3). Each
+table holds one row per span length L, indexed by span start i:
+
+  rc[L][i]   right cone of head i over i..i+L, closed by its STOP term
+             (lc mirrors: left cone of head i+L)
+  roc[L][i]  open right cone folded with the head's next CONTINUE term;
+             valence is adjacent at L = 0, non-adjacent beyond (loc mirrors)
+  ir[L][i]   arc i -> i+L just built: CONTINUE + attach paid, dependent's
+             left side closed; the dependent's right side is attached
+             when the item extends the head's cone (il: arc i+L -> i)
+
+Rows are stored back to back in one flat array per table, so each
+merged table takes one gather per operand table and one semiring merge
+per span length.
 
 Everything is log-space double precision. Impossible items carry a
 large negative sentinel rather than -inf so sums never produce NaN.
@@ -24,11 +35,12 @@ large negative sentinel rather than -inf so sums never produce NaN.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
+
+from vgram.tensor import Tensor
 
 NEG = -1.0e30
 _IMPOSSIBLE = -1.0e25
@@ -36,17 +48,6 @@ LEFT, RIGHT = 0, 1
 ADJ, NONADJ = 0, 1
 
 _ENUM_CAP = 8
-
-
-def _lse(values) -> float:
-    m = max(values)
-    if m <= _IMPOSSIBLE:
-        return NEG
-    acc = 0.0
-    for v in values:
-        if v > _IMPOSSIBLE:
-            acc += math.exp(v - m)
-    return m + math.log(acc)
 
 
 @dataclass(frozen=True)
@@ -119,342 +120,156 @@ def score_tree(scores: DmvScores, heads: Sequence[int]) -> float:
     return total
 
 
-@dataclass
-class Chart:
-    """Inside tables plus the log partition; backpointers only for Viterbi."""
+@dataclass(frozen=True)
+class Semiring:
+    """How :func:`span_recursion` joins candidates and stores rows.
 
-    n: int
-    log_partition: float
-    tables: dict = field(default_factory=dict)
-    backpointers: Optional[dict] = None
-
-
-def _grids(n: int):
-    return [[[NEG] * (n + 1) for _ in range(n + 1)] for _ in range(2)], \
-           [[[NEG] * (n + 1) for _ in range(n + 1)] for _ in range(2)], \
-           [[NEG] * (n + 1) for _ in range(n + 1)], \
-           [[NEG] * (n + 1) for _ in range(n + 1)], \
-           [[NEG] * (n + 1) for _ in range(n + 1)], \
-           [[NEG] * (n + 1) for _ in range(n + 1)]
-
-
-def inside(scores: DmvScores, n: Optional[int] = None) -> tuple[float, Chart]:
-    """Log-sum over all single-root projective trees.
-
-    Matches brute-force enumeration over :func:`enumerate_projective_trees`
-    within 1e-9 for all n the enumerator supports.
+    ``merge`` reduces axis 1, (B, K, ...) -> (B, ...), and returns the
+    reduced values with the index of the winning candidate (None when
+    the semiring keeps no backpointers). ``cat`` joins rows along axis 1.
     """
-    if n is None:
-        n = scores.n
+
+    merge: Callable
+    cat: Callable
+
+
+MAX = Semiring(merge=lambda x: (x.max(axis=1), x.argmax(axis=1)),
+               cat=lambda parts: np.concatenate(parts, axis=1))
+
+
+@dataclass
+class SpanTables:
+    """What one run of :func:`span_recursion` leaves behind."""
+
+    rows: dict[str, list]   # table name -> rows by span length, (B, n - L) each
+    back: dict[str, list]   # "ir", "il", "ro", "lo" -> winner index by span length
+    root_terms: object      # (B, n): root r plus both of its closed cones
+    total: object           # (B,): root_terms merged
+    root_arg: object        # (B,) winning root index - 1, or None
+
+
+def _gathers(first: np.ndarray, length: int):
+    """Flat candidate indices, (length, n - length) each, for one span length.
+
+    ``first[L]`` is where row L starts in a table holding rows 0, 1, ...
+    Candidate k of start i: ``near`` reads row k at start i, ``far`` row
+    length-1-k at start i+k+1; ``arc_r`` reads ir row k+1 at start i and
+    ``arc_l`` il row length-k at start i+k (both tables start at row 1).
+    """
+    n = len(first)
+    k = np.arange(length)[:, None]
+    i = np.arange(n - length)
+    return (first[:length, None] + i, first[length - 1::-1, None] + (k + 1 + i),
+            first[1:length + 1, None] + (i - n), first[length:0:-1, None] + (k + i - n))
+
+
+def span_recursion(sr: Semiring, attach, stop, cont, root) -> SpanTables:
+    """Fill every chart table, shortest spans first, under semiring ``sr``.
+
+    The score tables are those of :class:`DmvScores` with a leading batch
+    axis: attach (B, n+1, n+1), stop/cont (B, n+1, 2, 2), root (B, n+1);
+    all tape Tensors or all ndarrays. Candidates are laid out in a fixed
+    order: ascending split point for arcs, ascending dependent position
+    for cone extensions, ascending root index.
+    """
+    n = root.shape[1] - 1
     if n < 1:
         raise ValueError("need at least one token")
-    if scores.n != n:
-        raise ValueError(f"scores dimensioned for n={scores.n}, asked for n={n}")
-    att = scores.attach.tolist()
-    stp = scores.stop.tolist()
-    cnt = scores.cont.tolist()
-    rro, llo, rc, lc, ir, il = _grids(n)
+    first = np.concatenate([[0], np.cumsum(np.arange(n, 1, -1))])
+    rows = {"rc": [stop[:, 1:, RIGHT, ADJ]], "lc": [stop[:, 1:, LEFT, ADJ]],
+            "roc": [cont[:, 1:, RIGHT, ADJ]], "loc": [cont[:, 1:, LEFT, ADJ]],
+            "ir": [None], "il": [None]}
+    flat = {name: r[0] for name, r in rows.items() if r[0] is not None}
+    back: dict[str, list] = {name: [None] for name in ("ir", "il", "ro", "lo")}
 
-    for i in range(1, n + 1):
-        rro[ADJ][i][i] = 0.0
-        llo[ADJ][i][i] = 0.0
-        rc[i][i] = stp[i][RIGHT][ADJ]
-        lc[i][i] = stp[i][LEFT][ADJ]
+    def merge(name, cands):
+        value, arg = sr.merge(cands)
+        back[name].append(arg)
+        return value
 
-    for span in range(1, n):
-        for i in range(1, n + 1 - span):
-            j = i + span
-            # arc i -> j
-            acc = []
-            for k in range(i, j):
-                closed = lc[k + 1][j]
-                if closed <= _IMPOSSIBLE:
-                    continue
-                for v in (ADJ, NONADJ):
-                    open_cone = rro[v][i][k]
-                    if open_cone > _IMPOSSIBLE:
-                        acc.append(open_cone + cnt[i][RIGHT][v] + closed)
-            ir[i][j] = _lse(acc) + att[i][j] if acc else NEG
-            # arc j -> i
-            acc = []
-            for k in range(i + 1, j + 1):
-                closed = rc[i][k - 1]
-                if closed <= _IMPOSSIBLE:
-                    continue
-                for v in (ADJ, NONADJ):
-                    open_cone = llo[v][k][j]
-                    if open_cone > _IMPOSSIBLE:
-                        acc.append(open_cone + cnt[j][LEFT][v] + closed)
-            il[i][j] = _lse(acc) + att[j][i] if acc else NEG
-            # extend head cones with the new dependent's remaining half
-            acc = [ir[i][m] + rc[m][j] for m in range(i + 1, j + 1)
-                   if ir[i][m] > _IMPOSSIBLE and rc[m][j] > _IMPOSSIBLE]
-            rro[NONADJ][i][j] = _lse(acc) if acc else NEG
-            acc = [il[m][j] + lc[i][m] for m in range(i, j)
-                   if il[m][j] > _IMPOSSIBLE and lc[i][m] > _IMPOSSIBLE]
-            llo[NONADJ][i][j] = _lse(acc) if acc else NEG
-            rc[i][j] = rro[NONADJ][i][j] + stp[i][RIGHT][NONADJ]
-            lc[i][j] = llo[NONADJ][i][j] + stp[j][LEFT][NONADJ]
+    def push(name, row):
+        rows[name].append(row)
+        flat[name] = sr.cat([flat[name], row]) if name in flat else row
 
-    rt = scores.root.tolist()
-    terms = [rt[r] + lc[1][r] + rc[r][n] for r in range(1, n + 1)
-             if lc[1][r] > _IMPOSSIBLE and rc[r][n] > _IMPOSSIBLE]
-    log_z = _lse(terms) if terms else NEG
-    chart = Chart(n=n, log_partition=log_z,
-                  tables={"ro": rro, "lo": llo, "rc": rc, "lc": lc, "ir": ir, "il": il})
-    return log_z, chart
+    for length in range(1, n):
+        width = n - length
+        near, far, arc_r, arc_l = _gathers(first, length)
+        starts = np.arange(1, width + 1)
+        push("ir", merge("ir", flat["roc"][:, near] + flat["lc"][:, far])
+             + attach[:, starts, starts + length])
+        push("il", merge("il", flat["rc"][:, near] + flat["loc"][:, far])
+             + attach[:, starts + length, starts])
+        ro = merge("ro", flat["ir"][:, arc_r] + flat["rc"][:, far])
+        lo = merge("lo", flat["il"][:, arc_l] + flat["lc"][:, near])
+        push("rc", ro + stop[:, 1:width + 1, RIGHT, NONADJ])
+        push("lc", lo + stop[:, length + 1:, LEFT, NONADJ])
+        push("roc", ro + cont[:, 1:width + 1, RIGHT, NONADJ])
+        push("loc", lo + cont[:, length + 1:, LEFT, NONADJ])
+
+    root_terms = (root[:, 1:] + flat["lc"][:, first]) \
+        + flat["rc"][:, first[::-1] + np.arange(n)]
+    total, root_arg = sr.merge(root_terms)
+    return SpanTables(rows=rows, back=back, root_terms=root_terms,
+                      total=total, root_arg=root_arg)
 
 
-def arc_posteriors(scores: DmvScores, n: Optional[int] = None,
-                   chart: Optional[Chart] = None) -> np.ndarray:
+def _batch_of_one(scores: DmvScores, wrap=np.asarray) -> tuple:
+    return tuple(wrap(a[None]) for a in
+                 (scores.attach, scores.stop, scores.cont, scores.root))
+
+
+def log_partition(scores: DmvScores) -> float:
+    """Log-sum over all single-root projective trees (no gradients)."""
+    from vgram.dmv_graph import inside_outside   # it builds on this module
+    out = inside_outside(*_batch_of_one(scores, Tensor), need_posteriors=False)
+    return float(out.log_partition.numpy()[0])
+
+
+def arc_posteriors(scores: DmvScores) -> np.ndarray:
     """Marginal arc probabilities P[h][d] under the chart distribution.
 
-    Row 0 holds ROOT-arc posteriors. Computed as the adjoint of the
-    inside recursion, i.e. the derivative of the log partition with
-    respect to each attach/root score; columns sum to 1 over heads.
+    Row 0 holds ROOT-arc posteriors; columns sum to 1 over heads. This
+    is the explicit outside pass of :func:`vgram.dmv_graph.inside_outside`
+    on one sentence, without gradients.
     """
-    if n is None:
-        n = scores.n
-    if chart is None:
-        _, chart = inside(scores, n)
-    grads = inside_adjoint(scores, chart)
-    post = np.zeros((n + 1, n + 1))
-    post[1:, 1:] = grads["attach"][1:, 1:]
-    post[0, 1:] = grads["root"][1:]
-    return post
+    from vgram.dmv_graph import inside_outside
+    return inside_outside(*_batch_of_one(scores, Tensor)).posteriors.numpy()[0]
 
 
-def inside_adjoint(scores: DmvScores, chart: Chart) -> dict[str, np.ndarray]:
-    """d log_partition / d score for every score table.
+def viterbi(scores: DmvScores) -> tuple[list[int], float]:
+    """Best tree and its score: the max semiring plus a backtrace.
 
-    The returned attach/root gradients are exactly the arc posteriors;
-    stop/cont gradients are expected decision counts. This is the chart
-    half of the training-time gradient cross-check.
+    Ties go to the first candidate in :func:`span_recursion`'s order,
+    so results are deterministic: the smaller split point, then the
+    leftmost dependent (the nearer one in a right cone, the farther one
+    in a left cone), then the smaller root index.
     """
-    n = chart.n
-    log_z = chart.log_partition
-    t = chart.tables
-    rro, llo, rc, lc, ir, il = t["ro"], t["lo"], t["rc"], t["lc"], t["ir"], t["il"]
-    att = scores.attach.tolist()
-    stp = scores.stop.tolist()
-    cnt = scores.cont.tolist()
-    rt = scores.root.tolist()
-
-    g_ro = [[[0.0] * (n + 1) for _ in range(n + 1)] for _ in range(2)]
-    g_lo = [[[0.0] * (n + 1) for _ in range(n + 1)] for _ in range(2)]
-    g_rc = [[0.0] * (n + 1) for _ in range(n + 1)]
-    g_lc = [[0.0] * (n + 1) for _ in range(n + 1)]
-    g_ir = [[0.0] * (n + 1) for _ in range(n + 1)]
-    g_il = [[0.0] * (n + 1) for _ in range(n + 1)]
-    g_att = np.zeros((n + 1, n + 1))
-    g_stop = np.zeros((n + 1, 2, 2))
-    g_cont = np.zeros((n + 1, 2, 2))
-    g_root = np.zeros(n + 1)
-
-    if log_z <= _IMPOSSIBLE:
-        return {"attach": g_att, "stop": g_stop, "cont": g_cont, "root": g_root}
-
-    for r in range(1, n + 1):
-        if lc[1][r] <= _IMPOSSIBLE or rc[r][n] <= _IMPOSSIBLE:
-            continue
-        w = math.exp(rt[r] + lc[1][r] + rc[r][n] - log_z)
-        g_root[r] += w
-        g_lc[1][r] += w
-        g_rc[r][n] += w
-
-    for span in range(n - 1, -1, -1):
-        for i in range(1, n + 1 - span):
-            j = i + span
-            # closed cones distribute into open cones + their stop terms
-            g = g_rc[i][j]
-            if g > 0.0 and rc[i][j] > _IMPOSSIBLE:
-                for v in (ADJ, NONADJ):
-                    if rro[v][i][j] > _IMPOSSIBLE:
-                        w = g * math.exp(rro[v][i][j] + stp[i][RIGHT][v] - rc[i][j])
-                        g_ro[v][i][j] += w
-                        g_stop[i][RIGHT][v] += w
-            g = g_lc[i][j]
-            if g > 0.0 and lc[i][j] > _IMPOSSIBLE:
-                for v in (ADJ, NONADJ):
-                    if llo[v][i][j] > _IMPOSSIBLE:
-                        w = g * math.exp(llo[v][i][j] + stp[j][LEFT][v] - lc[i][j])
-                        g_lo[v][i][j] += w
-                        g_stop[j][LEFT][v] += w
-            if span == 0:
-                continue
-            # cone extensions distribute into arc items + dependent halves
-            g = g_ro[NONADJ][i][j]
-            if g > 0.0 and rro[NONADJ][i][j] > _IMPOSSIBLE:
-                for m in range(i + 1, j + 1):
-                    if ir[i][m] > _IMPOSSIBLE and rc[m][j] > _IMPOSSIBLE:
-                        w = g * math.exp(ir[i][m] + rc[m][j] - rro[NONADJ][i][j])
-                        g_ir[i][m] += w
-                        g_rc[m][j] += w
-            g = g_lo[NONADJ][i][j]
-            if g > 0.0 and llo[NONADJ][i][j] > _IMPOSSIBLE:
-                for m in range(i, j):
-                    if il[m][j] > _IMPOSSIBLE and lc[i][m] > _IMPOSSIBLE:
-                        w = g * math.exp(il[m][j] + lc[i][m] - llo[NONADJ][i][j])
-                        g_il[m][j] += w
-                        g_lc[i][m] += w
-            # arc items distribute into head cones, continue terms, attach
-            g = g_ir[i][j]
-            if g > 0.0 and ir[i][j] > _IMPOSSIBLE:
-                g_att[i][j] += g
-                for k in range(i, j):
-                    closed = lc[k + 1][j]
-                    if closed <= _IMPOSSIBLE:
-                        continue
-                    for v in (ADJ, NONADJ):
-                        if rro[v][i][k] > _IMPOSSIBLE:
-                            w = g * math.exp(rro[v][i][k] + cnt[i][RIGHT][v]
-                                             + closed + att[i][j] - ir[i][j])
-                            g_ro[v][i][k] += w
-                            g_cont[i][RIGHT][v] += w
-                            g_lc[k + 1][j] += w
-            g = g_il[i][j]
-            if g > 0.0 and il[i][j] > _IMPOSSIBLE:
-                g_att[j][i] += g
-                for k in range(i + 1, j + 1):
-                    closed = rc[i][k - 1]
-                    if closed <= _IMPOSSIBLE:
-                        continue
-                    for v in (ADJ, NONADJ):
-                        if llo[v][k][j] > _IMPOSSIBLE:
-                            w = g * math.exp(llo[v][k][j] + cnt[j][LEFT][v]
-                                             + closed + att[j][i] - il[i][j])
-                            g_lo[v][k][j] += w
-                            g_cont[j][LEFT][v] += w
-                            g_rc[i][k - 1] += w
-
-    return {"attach": g_att, "stop": g_stop, "cont": g_cont, "root": g_root}
-
-
-def viterbi(scores: DmvScores, n: Optional[int] = None) -> tuple[list[int], float]:
-    """Best tree and its score under the max semiring.
-
-    Ties are broken by a fixed candidate order (smaller split point,
-    adjacent valence, nearer dependent, smaller root index), so results
-    are deterministic and reproducible.
-    """
-    if n is None:
-        n = scores.n
-    if n < 1:
-        raise ValueError("need at least one token")
-    if scores.n != n:
-        raise ValueError(f"scores dimensioned for n={scores.n}, asked for n={n}")
-    att = scores.attach.tolist()
-    stp = scores.stop.tolist()
-    cnt = scores.cont.tolist()
-    rro, llo, rc, lc, ir, il = _grids(n)
-    bp_ir = [[None] * (n + 1) for _ in range(n + 1)]
-    bp_il = [[None] * (n + 1) for _ in range(n + 1)]
-    bp_ro = [[None] * (n + 1) for _ in range(n + 1)]
-    bp_lo = [[None] * (n + 1) for _ in range(n + 1)]
-
-    for i in range(1, n + 1):
-        rro[ADJ][i][i] = 0.0
-        llo[ADJ][i][i] = 0.0
-        rc[i][i] = stp[i][RIGHT][ADJ]
-        lc[i][i] = stp[i][LEFT][ADJ]
-
-    for span in range(1, n):
-        for i in range(1, n + 1 - span):
-            j = i + span
-            best, arg = NEG, None
-            for k in range(i, j):
-                closed = lc[k + 1][j]
-                if closed <= _IMPOSSIBLE:
-                    continue
-                for v in (ADJ, NONADJ):
-                    if rro[v][i][k] <= _IMPOSSIBLE:
-                        continue
-                    cand = rro[v][i][k] + cnt[i][RIGHT][v] + closed
-                    if cand > best:
-                        best, arg = cand, (k, v)
-            if arg is not None:
-                ir[i][j] = best + att[i][j]
-                bp_ir[i][j] = arg
-            best, arg = NEG, None
-            for k in range(i + 1, j + 1):
-                closed = rc[i][k - 1]
-                if closed <= _IMPOSSIBLE:
-                    continue
-                for v in (ADJ, NONADJ):
-                    if llo[v][k][j] <= _IMPOSSIBLE:
-                        continue
-                    cand = llo[v][k][j] + cnt[j][LEFT][v] + closed
-                    if cand > best:
-                        best, arg = cand, (k, v)
-            if arg is not None:
-                il[i][j] = best + att[j][i]
-                bp_il[i][j] = arg
-            best, arg = NEG, None
-            for m in range(i + 1, j + 1):
-                if ir[i][m] <= _IMPOSSIBLE or rc[m][j] <= _IMPOSSIBLE:
-                    continue
-                cand = ir[i][m] + rc[m][j]
-                if cand > best:
-                    best, arg = cand, m
-            if arg is not None:
-                rro[NONADJ][i][j] = best
-                bp_ro[i][j] = arg
-            best, arg = NEG, None
-            for m in range(i, j):
-                if il[m][j] <= _IMPOSSIBLE or lc[i][m] <= _IMPOSSIBLE:
-                    continue
-                cand = il[m][j] + lc[i][m]
-                if cand > best:
-                    best, arg = cand, m
-            if arg is not None:
-                llo[NONADJ][i][j] = best
-                bp_lo[i][j] = arg
-            rc[i][j] = rro[NONADJ][i][j] + stp[i][RIGHT][NONADJ]
-            lc[i][j] = llo[NONADJ][i][j] + stp[j][LEFT][NONADJ]
-
-    rt = scores.root.tolist()
-    best, best_r = NEG, None
-    for r in range(1, n + 1):
-        if lc[1][r] <= _IMPOSSIBLE or rc[r][n] <= _IMPOSSIBLE:
-            continue
-        cand = rt[r] + lc[1][r] + rc[r][n]
-        if cand > best:
-            best, best_r = cand, r
-    if best_r is None:
+    n = scores.n
+    tables = span_recursion(MAX, *_batch_of_one(scores))
+    best = float(tables.total[0])
+    if best <= _IMPOSSIBLE:
         raise ValueError("no valid tree under the given scores")
-
+    back = {name: [None] + [arg[0].tolist() for arg in args[1:]]
+            for name, args in tables.back.items()}
     heads = [0] * (n + 1)
-
-    def expand_rc(i, j):
-        if i != j:
-            expand_ro(i, j)
-
-    def expand_lc(i, j):
-        if i != j:
-            expand_lo(i, j)
-
-    def expand_ro(i, j):
-        m = bp_ro[i][j]
-        heads[m] = i
-        k, _ = bp_ir[i][m]
-        # the head's earlier right cone spans i..k; base cone when k == i
-        if k > i:
-            expand_ro(i, k)
-        expand_lc(k + 1, m)
-        expand_rc(m, j)
-
-    def expand_lo(i, j):
-        m = bp_lo[i][j]
-        heads[m] = j
-        k, _ = bp_il[m][j]
-        if k < j:
-            expand_lo(k, j)
-        expand_rc(m, k - 1)
-        expand_lc(i, m)
-
-    heads[best_r] = 0
-    expand_lc(1, best_r)
-    expand_rc(best_r, n)
+    r = int(tables.root_arg[0]) + 1
+    cones = [(LEFT, 1, r), (RIGHT, r, n)]
+    while cones:
+        side, i, j = cones.pop()
+        if i == j:
+            continue
+        # the cone's outermost dependent m split it into the head's
+        # shorter cone and m's two halves, each expanded in turn
+        if side == RIGHT:    # head i: cone i..k, halves k+1..m and m..j
+            m = i + 1 + back["ro"][j - i][i - 1]
+            k = i + back["ir"][m - i][i - 1]
+            heads[m] = i
+            cones += [(RIGHT, i, k), (LEFT, k + 1, m), (RIGHT, m, j)]
+        else:                # head j: cone k..j, halves m..k-1 and i..m
+            m = i + back["lo"][j - i][i - 1]
+            k = m + 1 + back["il"][j - m][m - 1]
+            heads[m] = j
+            cones += [(LEFT, k, j), (RIGHT, m, k - 1), (LEFT, i, m)]
     return heads[1:], best
 
 

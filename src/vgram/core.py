@@ -120,9 +120,6 @@ class DependencyTree:
     def root(self) -> int:
         return self.heads.index(0) + 1
 
-    def children(self, h: int) -> list[int]:
-        return [d + 1 for d, head in enumerate(self.heads) if head == h]
-
 
 @dataclass(frozen=True)
 class Instances:
@@ -276,12 +273,6 @@ class SceneGraph:
         if isinstance(n, SGRelationship):
             return NodeType.RELATIONSHIP
         return None
-
-    def dummy_feature(self) -> np.ndarray:
-        feats = [o.feature for o in self.objects if o.feature is not None]
-        if not feats:
-            raise ValueError(f"{self.image_id}: no object features for dummy node")
-        return np.mean(np.stack(feats), axis=0)
 
     def adjacent(self, a: str, b: str) -> bool:
         """Structural adjacency between two nodes.

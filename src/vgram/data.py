@@ -117,6 +117,9 @@ def load_corpus(path: str) -> tuple[list[Sentence], list[str]]:
             if p not in tag_id:
                 raise DataError(f"{path}:{lineno}: tag {p!r} not in tagset")
         lemmas = rec.get("lemmas", [w.lower() for w in words])
+        if len(lemmas) != len(words):
+            raise DataError(f"{path}:{lineno}: {len(lemmas)} lemmas for "
+                            f"{len(words)} tokens")
         tokens = tuple(Token(i + 1, w, tag_id[p], lemma)
                        for i, (w, p, lemma) in enumerate(zip(words, pos, lemmas)))
         heads = rec.get("heads")
@@ -300,7 +303,8 @@ def load_alignments(path: str) -> dict[str, VLAlignment]:
         sid = str(_require(rec, "sentence_id", path, lineno))
         if sid in out:
             raise DataError(f"{path}:{lineno}: duplicate sentence id {sid!r}")
-        zero = {int(e["t"]): str(e["node"]) for e in rec.get("zero", [])}
+        zero = {int(_require(e, "t", path, lineno)): str(_require(e, "node", path, lineno))
+                for e in rec.get("zero", [])}
         first = {}
         for e in rec.get("first", []):
             arc = tuple(int(x) for x in _require(e, "arc", path, lineno))
@@ -309,8 +313,8 @@ def load_alignments(path: str) -> dict[str, VLAlignment]:
                 endpoints=tuple(str(x) for x in e.get("endpoints", (None, None))))
         second = {}
         for e in rec.get("second", []):
-            second[tuple(int(x) for x in e["tokens"])] = tuple(
-                str(x) for x in e["nodes"])
+            second[tuple(int(x) for x in _require(e, "tokens", path, lineno))] = tuple(
+                str(x) for x in _require(e, "nodes", path, lineno))
         out[sid] = VLAlignment(sentence_id=sid, zero=zero, first=first,
                                second=second, meta=rec.get("meta", {}))
     return out

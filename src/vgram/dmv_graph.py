@@ -1,16 +1,17 @@
 """Batched, differentiable inside/outside over the valence chart.
 
-Same recursion as :mod:`vgram.chart`, rebuilt from tape ops so the
-training loss can backpropagate through the log partition, and with an
-explicit outside pass so arc posteriors are first-class differentiable
-values (the contrastive loss multiplies matching scores by posteriors,
-and that path needs gradients too).
+The inside pass is :func:`vgram.chart.span_recursion` run on tape ops
+in the log-sum-exp semiring, so the training loss can backpropagate
+through the log partition. An explicit outside pass over the same
+tables makes arc posteriors first-class differentiable values (the
+contrastive loss multiplies matching scores by posteriors, and that
+path needs gradients too).
 
 All sentences in a batch must share one length; the trainer groups by
-length before calling in here. Diagonal storage: the table for span
-length L is a (batch, n - L) tensor indexed by span start minus one.
-Closed cones of length zero are parameter leaves (their outside values
-are never needed because only arc and root marginals are consumed).
+length before calling in here. Each table row for span length L is a
+(batch, n - L) tensor indexed by span start minus one. Closed cones of
+length zero are parameter leaves (their outside values are never needed
+because only arc and root marginals are consumed).
 """
 
 from __future__ import annotations
@@ -21,8 +22,11 @@ from typing import Optional
 import numpy as np
 
 import vgram.tensor as T
-from vgram.chart import ADJ, LEFT, NEG, NONADJ, RIGHT
+from vgram.chart import LEFT, NEG, NONADJ, RIGHT, Semiring, span_recursion
 from vgram.tensor import Tensor
+
+LOG = Semiring(merge=lambda x: (T.logsumexp(x, axis=1), None),
+               cat=lambda parts: T.concat(parts, axis=1))
 
 
 @dataclass
@@ -65,57 +69,24 @@ def inside_outside(attach: Tensor, stop: Tensor, cont: Tensor, root: Tensor,
     indexed [head][direction][valence]; ``root`` is (B, n+1). Row and
     column 0 of ``attach`` are ignored; ROOT arcs ride on ``root``.
     """
-    batch, rows, _ = attach.shape
-    n = rows - 1
+    batch, n = root.shape[0], root.shape[1] - 1
+    tables = span_recursion(LOG, attach, stop, cont, root)
+    root_terms, log_z = tables.root_terms, tables.total
+    if not need_posteriors:
+        return BatchCharts(log_partition=log_z, posteriors=None, n=n)
 
-    stop_r_adj = stop[:, 1:, RIGHT, ADJ]
-    stop_l_adj = stop[:, 1:, LEFT, ADJ]
+    rc, lc, roc, loc, ir, il = (tables.rows[name] for name in
+                                ("rc", "lc", "roc", "loc", "ir", "il"))
     stop_r_non = stop[:, 1:, RIGHT, NONADJ]
     stop_l_non = stop[:, 1:, LEFT, NONADJ]
     cont_r_non = cont[:, 1:, RIGHT, NONADJ]
     cont_l_non = cont[:, 1:, LEFT, NONADJ]
-
     att_r: list[Optional[Tensor]] = [None]
     att_l: list[Optional[Tensor]] = [None]
     for length in range(1, n):
         starts = np.arange(1, n - length + 1)
         att_r.append(attach[:, starts, starts + length])
         att_l.append(attach[:, starts + length, starts])
-
-    # Inside sweep. roc/loc fold a head cone with its CONTINUE term;
-    # index s is the cone length, positions index the cone start (roc)
-    # or are offset so the head sits at start+s (loc).
-    rc = [stop_r_adj]
-    lc = [stop_l_adj]
-    roc = [cont[:, 1:, RIGHT, ADJ]]
-    loc = [cont[:, 1:, LEFT, ADJ]]
-    ro1: list[Optional[Tensor]] = [None]
-    lo1: list[Optional[Tensor]] = [None]
-    ir: list[Optional[Tensor]] = [None]
-    il: list[Optional[Tensor]] = [None]
-
-    for length in range(1, n):
-        width = n - length
-        ir.append(_merge([roc[s][:, :width] + lc[length - 1 - s][:, s + 1:s + 1 + width]
-                          for s in range(length)]) + att_r[length])
-        il.append(_merge([rc[s][:, :width] + loc[length - 1 - s][:, s + 1:s + 1 + width]
-                          for s in range(length)]) + att_l[length])
-        ro1.append(_merge([ir[t][:, :width] + rc[length - t][:, t:t + width]
-                           for t in range(1, length + 1)]))
-        lo1.append(_merge([il[t][:, length - t:length - t + width] + lc[length - t][:, :width]
-                           for t in range(1, length + 1)]))
-        rc.append(ro1[length] + stop_r_non[:, :width])
-        lc.append(lo1[length] + stop_l_non[:, length:])
-        roc.append(ro1[length] + cont_r_non[:, :width])
-        loc.append(lo1[length] + cont_l_non[:, length:])
-
-    root_terms = T.concat(
-        [root[:, r:r + 1] + lc[r - 1][:, 0:1] + rc[n - r][:, r - 1:r]
-         for r in range(1, n + 1)], axis=1)
-    log_z = T.logsumexp(root_terms, axis=1)
-
-    if not need_posteriors:
-        return BatchCharts(log_partition=log_z, posteriors=None, n=n)
 
     # Outside sweep, lengths descending. Each contribution list holds
     # full-width diagonals; a list is merged when the sweep reaches its
@@ -195,8 +166,3 @@ def inside_outside(attach: Tensor, stop: Tensor, cont: Tensor, root: Tensor,
     posteriors = T.put_at(flat, key, (batch, n + 1, n + 1))
     return BatchCharts(log_partition=log_z, posteriors=posteriors, n=n)
 
-
-def scores_to_tensors(scores) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-    """Lift one sentence's DmvScores into batch-of-one graph inputs."""
-    return (Tensor(scores.attach[None]), Tensor(scores.stop[None]),
-            Tensor(scores.cont[None]), Tensor(scores.root[None]))

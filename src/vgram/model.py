@@ -552,22 +552,6 @@ class Model:
 
     # -- losses ------------------------------------------------------------
 
-    def mle_loss(self, batch: SentenceBatch) -> Tensor:
-        """Negative mean conditional log-likelihood with the tree
-        marginalized by the inside pass."""
-        if not batch.sentence_ids:
-            raise ValueError("empty batch")
-        _, summary = self.encode(batch.word_ids, batch.tag_ids, batch.node_sets)
-        charts = self.charts(batch.tag_ids, summary, need_posteriors=False)
-        return T.mul(T.tmean(charts.log_partition), -1.0)
-
-    def contrastive_loss(self, batch: SentenceBatch) -> Tensor:
-        if len(batch.sentence_ids) < 2:
-            raise ValueError("contrastive loss needs batch size >= 2")
-        contexts, summary = self.encode(batch.word_ids, batch.tag_ids, batch.node_sets)
-        charts = self.charts(batch.tag_ids, summary, need_posteriors=True)
-        return self._contrastive_from(batch, contexts, charts)
-
     def _contrastive_from(self, batch: SentenceBatch, contexts: Tensor,
                           charts: BatchCharts) -> Tensor:
         bsz, n = batch.tag_ids.shape

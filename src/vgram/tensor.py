@@ -477,23 +477,6 @@ def attention(query: Tensor, keys: Tensor, values: Tensor,
     return matmul(weights, values)
 
 
-def biaffine(u: Tensor, v: Tensor, w1: Tensor, w2: Tensor, b) -> Tensor:
-    """u^T W1 v + (u+v)^T W2 + b for single vectors u, v."""
-    bil = matmul(reshape(u, (1, -1)), matmul(w1, reshape(v, (-1, 1))))
-    lin = matmul(reshape(add(u, v), (1, -1)), reshape(w2, (-1, 1)))
-    out = add(add(bil, lin), as_tensor(b))
-    return reshape(out, ())
-
-
-def biaffine_table(us: Tensor, vs: Tensor, w1: Tensor, w2: Tensor, b) -> Tensor:
-    """All-pairs scalar biaffine scores: (..., n, d) x (..., m, d) -> (..., n, m)."""
-    bil = matmul(matmul(us, w1), swapaxes(vs, -1, -2))
-    lu = matmul(us, reshape(w2, (-1, 1)))
-    lv = matmul(vs, reshape(w2, (-1, 1)))
-    lin = add(lu, swapaxes(lv, -1, -2))
-    return add(add(bil, lin), as_tensor(b))
-
-
 def biaffine_features(us: Tensor, vs: Tensor, w1: Tensor, w2: Tensor,
                       b: Tensor) -> Tensor:
     """Vector-valued biaffine over all ordered pairs.
@@ -578,13 +561,18 @@ class ParameterStore:
         return norm
 
     def load_values(self, values: dict[str, np.ndarray]) -> None:
+        """Replace every parameter's value, or none of them on a mismatch."""
+        missing = [name for name in self._params if name not in values]
+        unknown = [name for name in values if name not in self._params]
+        if missing or unknown:
+            raise ValueError(f"checkpoint parameters do not match the model: "
+                             f"missing {missing}, unknown {unknown}")
         for name, arr in values.items():
-            if name not in self._params:
-                raise KeyError(f"unknown parameter {name}")
-            t = self._params[name]
-            if t.shape != arr.shape:
-                raise ValueError(f"shape mismatch for {name}: {t.shape} vs {arr.shape}")
-            t.data = arr.astype(np.float64)
+            if self._params[name].shape != arr.shape:
+                raise ValueError(f"shape mismatch for {name}: "
+                                 f"{self._params[name].shape} vs {arr.shape}")
+        for name, arr in values.items():
+            self._params[name].data = arr.astype(np.float64)
 
 
 def adam_step(store: ParameterStore, lr: float = 1e-3, beta1: float = 0.9,
@@ -636,21 +624,31 @@ def save_checkpoint(path: str, store: ParameterStore, config_digest: str = "") -
 
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], str]:
     with open(path, "rb") as f:
-        if f.read(4) != _MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file")
-        (version,) = struct.unpack("<I", f.read(4))
-        if version != _VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        (dlen,) = struct.unpack("<H", f.read(2))
-        digest = f.read(dlen).decode("utf-8")
-        (count,) = struct.unpack("<I", f.read(4))
-        params: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (nlen,) = struct.unpack("<H", f.read(2))
-            name = f.read(nlen).decode("utf-8")
-            (ndim,) = struct.unpack("<B", f.read(1))
-            shape = tuple(struct.unpack("<I", f.read(4))[0] for _ in range(ndim))
-            nbytes = 4 * int(np.prod(shape)) if shape else 4
-            data = np.frombuffer(f.read(nbytes), dtype="<f4").reshape(shape)
-            params[name] = data.astype(np.float64)
+        raw = f.read()
+    pos = 0
+
+    def take(nbytes: int) -> bytes:
+        nonlocal pos
+        if pos + nbytes > len(raw):
+            raise ValueError(f"{path}: truncated checkpoint")
+        pos += nbytes
+        return raw[pos - nbytes:pos]
+
+    def unpack(fmt: str) -> int:
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))[0]
+
+    if take(4) != _MAGIC:
+        raise ValueError(f"{path}: not a checkpoint file")
+    version = unpack("<I")
+    if version != _VERSION:
+        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+    digest = take(unpack("<H")).decode("utf-8")
+    params: dict[str, np.ndarray] = {}
+    for _ in range(unpack("<I")):
+        name = take(unpack("<H")).decode("utf-8")
+        shape = tuple(unpack("<I") for _ in range(unpack("<B")))
+        data = np.frombuffer(take(4 * math.prod(shape)), dtype="<f4").reshape(shape)
+        params[name] = data.astype(np.float64)
+    if pos != len(raw):
+        raise ValueError(f"{path}: {len(raw) - pos} trailing bytes after the last parameter")
     return params, digest

@@ -1,20 +1,24 @@
 import math
-import time
 
 import numpy as np
 import pytest
 
 from vgram.chart import (
+    MAX,
+    NEG,
     DmvScores,
+    Semiring,
     arc_posteriors,
     enumerate_projective_trees,
-    inside,
-    inside_adjoint,
+    log_partition,
     random_scores,
     score_tree,
+    span_recursion,
     viterbi,
 )
 from vgram.core import validate_tree
+from vgram.dmv_graph import inside_outside
+from vgram.tensor import Tensor
 
 TREE_COUNTS = {1: 1, 2: 2, 3: 7, 4: 30}
 
@@ -67,22 +71,22 @@ class TestEnumerator:
 
 class TestInside:
     def test_single_token_zero_scores(self):
-        logz, _ = inside(zero_scores(1))
+        logz = log_partition(zero_scores(1))
         assert logz == pytest.approx(0.0, abs=1e-12)
 
     def test_n3_counts_trees(self):
-        logz, _ = inside(zero_scores(3))
+        logz = log_partition(zero_scores(3))
         assert logz == pytest.approx(math.log(7), abs=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_zero_scores_count_trees(self, n):
-        logz, _ = inside(zero_scores(n))
+        logz = log_partition(zero_scores(n))
         assert logz == pytest.approx(math.log(TREE_COUNTS[n]), abs=1e-12)
 
     def test_weighted_two_token_example(self):
         s = zero_scores(2)
         s.attach[1][2] = math.log(2.0)
-        logz, _ = inside(s)
+        logz = log_partition(s)
         assert logz == pytest.approx(math.log(3.0), abs=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -90,23 +94,24 @@ class TestInside:
         rng = np.random.default_rng(100 + n)
         for _ in range(25):
             s = random_scores(n, rng)
-            logz, _ = inside(s)
+            logz = log_partition(s)
             assert logz == pytest.approx(brute_logz(s, n), abs=1e-9)
 
     def test_dimension_mismatch(self):
+        s = zero_scores(3)
         with pytest.raises(ValueError):
-            inside(zero_scores(3), n=4)
+            DmvScores(attach=np.zeros((5, 5)), stop=s.stop, cont=s.cont, root=s.root)
 
     def test_per_dependent_shift_moves_partition(self):
         rng = np.random.default_rng(7)
         s = random_scores(4, rng)
-        logz, _ = inside(s)
+        logz = log_partition(s)
         kappa = 0.37
         shifted = DmvScores(attach=s.attach.copy(), stop=s.stop, cont=s.cont,
                             root=s.root.copy())
         shifted.attach[:, 2] += kappa
         shifted.root[2] += kappa
-        logz2, _ = inside(shifted)
+        logz2 = log_partition(shifted)
         assert logz2 == pytest.approx(logz + kappa, abs=1e-9)
         assert viterbi(shifted)[0] == viterbi(s)[0]
 
@@ -132,6 +137,23 @@ class TestViterbi:
         assert heads1 == heads2
         assert validate_tree(heads1) is None
         assert score1 == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n,chain,fan", [(3, [0, 1, 2], [3, 3, 0]),
+                                             (4, [0, 1, 2, 3], [4, 4, 4, 0])])
+    def test_tie_order_is_leftmost_candidate(self, n, chain, fan):
+        # every tree scores 0: the smallest root wins, and each cone takes
+        # its leftmost dependent, the nearer one in a right cone (a chain)
+        # and the farther one in a left cone (a fan under the last token)
+        assert viterbi(zero_scores(n))[0] == chain
+        last_root = zero_scores(n)
+        last_root.root[:n] = NEG
+        assert viterbi(last_root)[0] == fan
+
+    def test_no_valid_tree(self):
+        s = zero_scores(3)
+        s.root[:] = NEG
+        with pytest.raises(ValueError, match="no valid tree"):
+            viterbi(s)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_oracle_equivalence(self, n):
@@ -181,12 +203,16 @@ class TestPosteriors:
             sums = post[:, 1:].sum(axis=0)
             assert np.allclose(sums, 1.0, atol=1e-9)
 
-    def test_stop_cont_adjoints_are_expected_counts(self, ):
+    def test_stop_cont_adjoints_are_expected_counts(self):
+        # the tape gradient of the log partition w.r.t. each stop/continue
+        # score is the expected number of times the tree pays it
         n = 4
         rng = np.random.default_rng(11)
         s = random_scores(n, rng)
-        _, chart = inside(s)
-        grads = inside_adjoint(s, chart)
+        leaves = [Tensor(a[None], requires_grad=True)
+                  for a in (s.attach, s.stop, s.cont, s.root)]
+        inside_outside(*leaves, need_posteriors=False).log_partition.sum().backward()
+        grads = {"stop": leaves[1].grad[0], "cont": leaves[2].grad[0]}
         trees = enumerate_projective_trees(n)
         logs = np.array([score_tree(s, t) for t in trees])
         w = np.exp(logs - np.logaddexp.reduce(logs))
@@ -211,23 +237,20 @@ class TestPosteriors:
         assert np.allclose(grads["cont"], exp_cont, atol=1e-9)
 
 
-def test_runtime_grows_cubically():
-    rng = np.random.default_rng(0)
-    s20 = random_scores(20, rng)
-    s40 = random_scores(40, rng)
-    inside(s20)  # warm caches before timing
-    inside(s40)
+def test_one_merge_per_table_per_span_length():
+    # the recursion is vectorised over starts and split points: span
+    # length L costs exactly one (1, L, n - L) merge for each of the four
+    # merged tables (arcs ir/il, cone extensions ro/lo), and the root
+    # adds one (1, n) merge
+    for n in (1, 2, 7, 30):
+        shapes = []
 
-    def timed(s):
-        t0 = time.perf_counter()
-        inside(s)
-        return time.perf_counter() - t0
+        def counting_merge(x):
+            shapes.append(x.shape)
+            return MAX.merge(x)
 
-    # interleave the two sizes and keep per-size minima, so transient
-    # background load must hit every round to skew the ratio
-    t20s, t40s = [], []
-    for _ in range(9):
-        t20s.append(timed(s20))
-        t40s.append(timed(s40))
-    ratio = min(t40s) / min(t20s)
-    assert 6.0 <= ratio <= 10.0, (min(t20s), min(t40s), ratio)
+        s = random_scores(n, np.random.default_rng(n))
+        span_recursion(Semiring(merge=counting_merge, cat=MAX.cat),
+                       s.attach[None], s.stop[None], s.cont[None], s.root[None])
+        expected = [(1, length, n - length) for length in range(1, n) for _ in range(4)]
+        assert shapes == expected + [(1, n)]

@@ -79,6 +79,25 @@ def test_align_and_eval_roundtrip(dataset, tmp_path):
     assert values["first_aa"] == 1.0
 
 
+@pytest.mark.parametrize("record", [
+    {"sentence_id": "s", "zero": [{"node": "o1"}]},
+    {"sentence_id": "s", "zero": [{"t": 1}]},
+    {"sentence_id": "s", "second": [{"nodes": ["a", "b", "c"]}]},
+    {"sentence_id": "s", "second": [{"tokens": [1, 2, 3]}]},
+])
+def test_alignment_missing_key_is_data_error(dataset, tmp_path, capsys, record):
+    bad = tmp_path / "bad_align.jsonl"
+    bad.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    rc = main(["eval", "--gold-corpus", str(dataset / "corpus.test.jsonl"),
+               "--pred-align", str(bad),
+               "--gold-align", str(dataset / "alignments.jsonl"),
+               "--scene-graphs", str(dataset / "scene_graphs.jsonl")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"{bad}:1: missing field" in err
+    assert "Traceback" not in err
+
+
 def test_eval_pred_equals_gold_is_perfect(dataset, capsys):
     rc = main(["eval", "--gold-corpus", str(dataset / "corpus.test.jsonl"),
                "--pred-trees", str(dataset / "corpus.test.jsonl")])

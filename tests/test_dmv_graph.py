@@ -2,9 +2,27 @@ import numpy as np
 import pytest
 
 import vgram.tensor as T
-from vgram.chart import arc_posteriors, inside, random_scores
-from vgram.dmv_graph import inside_outside, scores_to_tensors
+from vgram.chart import enumerate_projective_trees, random_scores, score_tree
+from vgram.dmv_graph import inside_outside
 from vgram.tensor import Tensor
+
+
+def lift(s):
+    """One sentence's score tables as batch-of-one graph inputs."""
+    return tuple(Tensor(a[None]) for a in (s.attach, s.stop, s.cont, s.root))
+
+
+def enumerated(s):
+    """Log partition and arc posteriors by brute-force enumeration."""
+    n = s.n
+    trees = enumerate_projective_trees(n)
+    logs = np.array([score_tree(s, t) for t in trees])
+    log_z = np.logaddexp.reduce(logs)
+    post = np.zeros((n + 1, n + 1))
+    for weight, heads in zip(np.exp(logs - log_z), trees):
+        for d, h in enumerate(heads, start=1):
+            post[h][d] += weight
+    return log_z, post
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -12,8 +30,8 @@ def test_log_partition_matches_reference_chart(n):
     rng = np.random.default_rng(500 + n)
     for _ in range(10):
         s = random_scores(n, rng)
-        ref, _ = inside(s)
-        out = inside_outside(*scores_to_tensors(s), need_posteriors=False)
+        ref, _ = enumerated(s)
+        out = inside_outside(*lift(s), need_posteriors=False)
         assert out.log_partition.numpy()[0] == pytest.approx(ref, abs=1e-9)
 
 
@@ -22,8 +40,8 @@ def test_posteriors_match_reference_chart(n):
     rng = np.random.default_rng(600 + n)
     for _ in range(10):
         s = random_scores(n, rng)
-        ref = arc_posteriors(s)
-        out = inside_outside(*scores_to_tensors(s))
+        _, ref = enumerated(s)
+        out = inside_outside(*lift(s))
         np.testing.assert_allclose(out.posteriors.numpy()[0], ref, atol=1e-9)
 
 
@@ -37,23 +55,26 @@ def test_batched_matches_per_sentence():
     root = Tensor(np.stack([s.root for s in scores]))
     out = inside_outside(attach, stop, cont, root)
     for b, s in enumerate(scores):
-        ref_z, _ = inside(s)
-        assert out.log_partition.numpy()[b] == pytest.approx(ref_z, abs=1e-9)
-        np.testing.assert_allclose(out.posteriors.numpy()[b], arc_posteriors(s),
-                                   atol=1e-9)
+        one = inside_outside(*lift(s))
+        assert out.log_partition.numpy()[b] == pytest.approx(
+            one.log_partition.numpy()[0], abs=1e-12)
+        np.testing.assert_allclose(out.posteriors.numpy()[b], one.posteriors.numpy()[0],
+                                   atol=1e-12)
 
 
 def test_gradient_of_log_partition_is_posterior():
-    # dual route: tape gradient of inside vs explicit outside vs scalar adjoint
+    # dual route: tape gradient of the inside pass vs the explicit outside,
+    # both checked against enumeration
     rng = np.random.default_rng(88)
     n = 5
     s = random_scores(n, rng)
-    attach, stop, cont, root = scores_to_tensors(s)
+    attach, stop, cont, root = lift(s)
     attach.requires_grad = True
     root.requires_grad = True
     out = inside_outside(attach, stop, cont, root, need_posteriors=False)
     out.log_partition.sum().backward()
-    ref = arc_posteriors(s)
+    ref = inside_outside(*lift(s)).posteriors.numpy()[0]
+    np.testing.assert_allclose(ref, enumerated(s)[1], atol=1e-9)
     np.testing.assert_allclose(attach.grad[0][1:, 1:], ref[1:, 1:], atol=1e-9)
     np.testing.assert_allclose(root.grad[0][1:], ref[0][1:], atol=1e-9)
 
@@ -62,7 +83,7 @@ def test_posterior_columns_sum_to_one():
     rng = np.random.default_rng(99)
     for n in (2, 4, 6):
         s = random_scores(n, rng)
-        post = inside_outside(*scores_to_tensors(s)).posteriors.numpy()[0]
+        post = inside_outside(*lift(s)).posteriors.numpy()[0]
         np.testing.assert_allclose(post[:, 1:].sum(axis=0), 1.0, atol=1e-9)
 
 

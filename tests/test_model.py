@@ -147,6 +147,14 @@ class TestDecoder:
             model.decoder_scores(np.array([[7]]), summary)
 
 
+def mle(model, batch) -> float:
+    return model.total_loss(batch, lambda_cl=0.0)[0].item()
+
+
+def contrastive(model, batch) -> float:
+    return model.total_loss(batch, lambda_cl=1.0)[0].item()
+
+
 class TestLosses:
     def test_single_token_mle_is_root_plus_stops(self):
         model, _, vectors = make_model(identity=False, seed=4)
@@ -154,43 +162,38 @@ class TestLosses:
         _, summary = model.encode(batch.word_ids, batch.tag_ids, batch.node_sets)
         scores = model.sentence_scores([1], summary)
         expected = -(scores.root[1] + scores.stop[1, 0, 0] + scores.stop[1, 1, 0])
-        assert model.mle_loss(batch).item() == pytest.approx(expected, abs=1e-9)
+        assert mle(model, batch) == pytest.approx(expected, abs=1e-9)
 
     def test_mle_matches_reference_chart(self):
         model, _, vectors = make_model(identity=False, seed=5)
         batch = toy_batch(model, vectors, [([0, 1, 2], [0, 1, 2])])
         _, summary = model.encode(batch.word_ids, batch.tag_ids, batch.node_sets)
         scores = model.sentence_scores([0, 1, 2], summary)
-        ref, _ = chart.inside(scores)
-        assert model.mle_loss(batch).item() == pytest.approx(-ref, abs=1e-9)
+        ref = np.logaddexp.reduce([chart.score_tree(scores, t)
+                                   for t in chart.enumerate_projective_trees(3)])
+        assert mle(model, batch) == pytest.approx(-ref, abs=1e-9)
 
     def test_mle_nonnegative(self):
         model, _, vectors = make_model(identity=False, seed=6)
         batch = toy_batch(model, vectors, [([0, 1], [0, 1]), ([2, 3], [1, 2])])
-        assert model.mle_loss(batch).item() >= 0.0
+        assert mle(model, batch) >= 0.0
 
     def test_contrastive_symmetric_batch(self):
         # identical node sets for both images: every context scores the
         # two images equally, so each term is ln 2
         model, _, vectors = make_model(identity=True)
         batch = toy_batch(model, vectors, [([0, 1], [0, 1]), ([0, 1], [0, 1])])
-        loss = model.contrastive_loss(batch)
+        loss = contrastive(model, batch)
         n = 2
         contexts = n + n * (n - 1)  # no second order below length 3
-        assert loss.item() == pytest.approx(contexts * math.log(2.0), rel=1e-9)
-
-    def test_contrastive_batch_of_one_rejected(self):
-        model, _, vectors = make_model()
-        batch = toy_batch(model, vectors, [([0, 1], [0, 1])])
-        with pytest.raises(ValueError, match="batch size"):
-            model.contrastive_loss(batch)
+        assert loss == pytest.approx(contexts * math.log(2.0), rel=1e-9)
 
     def test_negative_permutation_invariance(self):
         model, _, vectors = make_model(identity=False, seed=7)
         sents = [([0, 1], [0, 1]), ([2, 3], [1, 2]), ([4, 5], [2, 0])]
-        base = model.contrastive_loss(toy_batch(model, vectors, sents)).item()
+        base = contrastive(model, toy_batch(model, vectors, sents))
         perm = [sents[0], sents[2], sents[1]]
-        swapped = model.contrastive_loss(toy_batch(model, vectors, perm)).item()
+        swapped = contrastive(model, toy_batch(model, vectors, perm))
         assert base == pytest.approx(swapped, rel=1e-9)
 
     def test_total_loss_blend(self):

@@ -137,31 +137,39 @@ class TestComposedNetwork:
         check_grads(loss, [x, w1, b1, w2, b2, w3, b3], rtol=1e-5, atol=1e-7)
 
 
+def scalar_biaffine(us, vs, w1, w2, b) -> np.ndarray:
+    """All-pairs u^T W1 v + (u+v)^T w2 + b through one output channel of
+    biaffine_features: (n, d) x (m, d) -> (n, m)."""
+    us, vs, w1, w2 = (np.asarray(a, dtype=float) for a in (us, vs, w1, w2))
+    d = w1.shape[0]
+    feats = T.biaffine_features(Tensor(us[None]), Tensor(vs[None]),
+                                Tensor(w1.reshape(d, 1, d)), Tensor(w2.reshape(d, 1)),
+                                Tensor([b]))
+    return feats.numpy()[0, :, :, 0]
+
+
 class TestBiaffine:
     def test_worked_example(self):
-        u = Tensor([1.0, 0.0])
-        v = Tensor([0.0, 1.0])
-        w1 = Tensor([[0.0, 1.0], [0.0, 0.0]])
-        w2 = Tensor([2.0, 3.0])
-        out = T.biaffine(u, v, w1, w2, 0.5)
-        assert out.item() == pytest.approx(6.5)
+        out = scalar_biaffine([[1.0, 0.0]], [[0.0, 1.0]], [[0.0, 1.0], [0.0, 0.0]],
+                              [2.0, 3.0], 0.5)
+        assert out[0, 0] == pytest.approx(6.5)
 
     def test_constant_when_weights_zero(self):
         rng = np.random.default_rng(0)
         for _ in range(3):
-            u, v = Tensor(rng.normal(size=4)), Tensor(rng.normal(size=4))
-            out = T.biaffine(u, v, Tensor(np.zeros((4, 4))), Tensor(np.zeros(4)), 0.7)
-            assert out.item() == pytest.approx(0.7)
+            out = scalar_biaffine(rng.normal(size=(1, 4)), rng.normal(size=(1, 4)),
+                                  np.zeros((4, 4)), np.zeros(4), 0.7)
+            assert out[0, 0] == pytest.approx(0.7)
 
     def test_table_matches_scalar_loops(self):
         rng = np.random.default_rng(9)
         us, vs = rng.normal(size=(3, 4)), rng.normal(size=(5, 4))
         w1, w2, b = rng.normal(size=(4, 4)), rng.normal(size=4), 0.3
-        table = T.biaffine_table(Tensor(us), Tensor(vs), Tensor(w1), Tensor(w2), b)
+        table = scalar_biaffine(us, vs, w1, w2, b)
         for i in range(3):
             for j in range(5):
                 ref = us[i] @ w1 @ vs[j] + (us[i] + vs[j]) @ w2 + b
-                assert table.numpy()[i, j] == pytest.approx(ref)
+                assert table[i, j] == pytest.approx(ref)
 
     def test_features_match_scalar_loops(self):
         rng = np.random.default_rng(10)
@@ -286,6 +294,45 @@ class TestCheckpoint:
             f.write(b"nope")
         with pytest.raises(ValueError):
             T.load_checkpoint(path)
+
+    @staticmethod
+    def _saved(tmp_path):
+        store = ParameterStore()
+        rng = np.random.default_rng(1)
+        store.get("a", (2, 3), lambda s: rng.normal(size=s))
+        store.get("b", (4,), lambda s: rng.normal(size=s))
+        path = os.path.join(tmp_path, "ckpt.bin")
+        T.save_checkpoint(path, store, "d")
+        with open(path, "rb") as f:
+            return path, f.read()
+
+    def test_truncated_file_rejected(self, tmp_path):
+        path, raw = self._saved(tmp_path)
+        for cut in (6, len(raw) // 2, len(raw) - 1):
+            with open(path, "wb") as f:
+                f.write(raw[:cut])
+            with pytest.raises(ValueError, match=f"{path}: truncated"):
+                T.load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path, raw = self._saved(tmp_path)
+        with open(path, "wb") as f:
+            f.write(raw + b"\0")
+        with pytest.raises(ValueError, match=f"{path}: 1 trailing bytes"):
+            T.load_checkpoint(path)
+
+    @pytest.mark.parametrize("values,message", [
+        ({"a": np.zeros((2, 3))}, "missing"),
+        ({"a": np.zeros((2, 3)), "b": np.zeros(4), "c": np.zeros(1)}, "unknown"),
+        ({"a": np.zeros((2, 3)), "b": np.zeros(5)}, "shape mismatch for b"),
+    ])
+    def test_load_values_all_or_nothing(self, values, message):
+        store = ParameterStore()
+        store.get("a", (2, 3), lambda s: np.ones(s))
+        store.get("b", (4,), lambda s: np.ones(s))
+        with pytest.raises(ValueError, match=message):
+            store.load_values(values)
+        assert (store["a"].data == 1.0).all() and (store["b"].data == 1.0).all()
 
     def test_determinism(self, tmp_path):
         paths = []
