@@ -67,15 +67,29 @@ def _read_lines(path: str) -> Iterable[tuple[int, dict]]:
             if not line:
                 continue
             try:
-                yield lineno, json.loads(line)
+                rec = json.loads(line)
             except json.JSONDecodeError as e:
                 raise DataError(f"{path}:{lineno}: bad JSON ({e})") from None
+            yield lineno, _object(rec, path, lineno)
+
+
+def _object(rec, path: str, lineno: int) -> dict:
+    if not isinstance(rec, dict):
+        raise DataError(f"{path}:{lineno}: expected a JSON object")
+    return rec
 
 
 def _require(rec: dict, key: str, path: str, lineno: int):
-    if key not in rec:
+    if key not in _object(rec, path, lineno):
         raise DataError(f"{path}:{lineno}: missing field {key!r}")
     return rec[key]
+
+
+def _strings(rec: dict, key: str, path: str, lineno: int) -> list[str]:
+    value = _require(rec, key, path, lineno)
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise DataError(f"{path}:{lineno}: {key!r} must be a list of strings")
+    return value
 
 
 # -- corpus ------------------------------------------------------------
@@ -94,13 +108,13 @@ def load_corpus(path: str) -> tuple[list[Sentence], list[str]]:
         if "tagset" in rec and "id" not in rec:
             if tagset is not None:
                 raise DataError(f"{path}:{lineno}: duplicate tagset header")
-            tagset = list(rec["tagset"])
+            tagset = _strings(rec, "tagset", path, lineno)
             continue
         raw.append((lineno, rec))
     if tagset is None:
         seen = set()
-        for _, rec in raw:
-            seen.update(rec.get("pos", []))
+        for lineno, rec in raw:
+            seen.update(_strings(rec, "pos", path, lineno))
         tagset = sorted(seen)
     tag_id = {t: i for i, t in enumerate(tagset)}
     ids = set()
@@ -109,14 +123,15 @@ def load_corpus(path: str) -> tuple[list[Sentence], list[str]]:
         if sid in ids:
             raise DataError(f"{path}:{lineno}: duplicate sentence id {sid!r}")
         ids.add(sid)
-        words = _require(rec, "tokens", path, lineno)
-        pos = _require(rec, "pos", path, lineno)
+        words = _strings(rec, "tokens", path, lineno)
+        pos = _strings(rec, "pos", path, lineno)
         if len(words) != len(pos) or not words:
             raise DataError(f"{path}:{lineno}: tokens/pos length mismatch or empty")
         for p in pos:
             if p not in tag_id:
                 raise DataError(f"{path}:{lineno}: tag {p!r} not in tagset")
-        lemmas = rec.get("lemmas", [w.lower() for w in words])
+        lemmas = (_strings(rec, "lemmas", path, lineno) if "lemmas" in rec
+                  else [w.lower() for w in words])
         if len(lemmas) != len(words):
             raise DataError(f"{path}:{lineno}: {len(lemmas)} lemmas for "
                             f"{len(words)} tokens")
@@ -184,9 +199,10 @@ def load_features(path: str) -> dict[str, list[tuple[Box, np.ndarray]]]:
         fmt = rec.get("bbox_format", "xyxy")
         regions = []
         for r in _require(rec, "regions", path, lineno):
+            raw_box = _require(r, "bbox", path, lineno)
             try:
-                box = _ingest_box(r["bbox"], fmt)
-            except (KeyError, ValueError) as e:
+                box = _ingest_box(raw_box, fmt)
+            except ValueError as e:
                 raise DataError(f"{path}:{lineno}: bad region box ({e})") from None
             feat = np.asarray(r.get("feat", []), dtype=float)
             if dim is None:
@@ -232,7 +248,7 @@ def load_scene_graphs(path: str) -> dict[str, SceneGraph]:
         owners: dict[str, str] = {}
         endpoints: dict[str, dict[str, str]] = {}
         for edge in rec.get("edges", []):
-            label = edge.get("label")
+            label = _object(edge, path, lineno).get("label")
             src, dst = str(edge.get("src")), str(edge.get("dst"))
             if label == EDGE_ATTR:
                 owners[dst] = src

@@ -118,6 +118,26 @@ def _union_box(boxes: Sequence[Box]) -> Optional[Box]:
             float(arr[:, 2].max()), float(arr[:, 3].max()))
 
 
+def arc_index(n: int) -> np.ndarray:
+    """Candidate arcs (P, 2) as 1-based (head, dependent), head-major."""
+    h, d = np.divmod(np.arange(n * n), n)
+    keep = h != d
+    return np.stack([h[keep], d[keep]], axis=1) + 1
+
+
+def pattern_index(n: int) -> np.ndarray:
+    """Candidate second-order patterns (T, 2, 2) as their two 1-based
+    arcs: chains g->h->d first, then sibling pairs d1<-h->d2 (d1 < d2)."""
+    # (a, b, c) reads (g, h, d) for a chain and (h, d1, d2) for siblings
+    a, b, c = np.unravel_index(np.arange(n ** 3), (n, n, n))
+    chains = (a != b) & (c != a) & (c != b)
+    siblings = (b != a) & (c != a) & (b < c)
+    arcs = np.concatenate([
+        np.stack([np.stack([a, b], 1), np.stack([b, c], 1)], axis=1)[chains],
+        np.stack([np.stack([a, b], 1), np.stack([a, c], 1)], axis=1)[siblings]])
+    return arcs + 1
+
+
 class Model:
     """Parameters plus the forward computations over them."""
 
@@ -401,12 +421,11 @@ class Model:
         root_tbl = T.log_softmax(root_out, axis=-1)
 
         # gather per-sentence tables in chart layout
-        pairs = [(h, d) for h in range(1, n + 1) for d in range(1, n + 1) if h != d]
+        pairs = arc_index(n)
         bb = np.arange(batch)[:, None]
-        if pairs:
-            h_pos = np.array([h - 1 for h, _ in pairs])
-            d_pos = np.array([d - 1 for _, d in pairs])
-            dirs = np.array([chart.RIGHT if d > h else chart.LEFT for h, d in pairs])
+        if len(pairs):
+            h_pos, d_pos = pairs[:, 0] - 1, pairs[:, 1] - 1
+            dirs = np.where(d_pos > h_pos, chart.RIGHT, chart.LEFT)
             vals = child_tbl[bb, tag_ids[:, h_pos], dirs[None, :], tag_ids[:, d_pos]]
             attach = T.put_at(vals, (bb, h_pos[None, :] + 1, d_pos[None, :] + 1),
                               (batch, n + 1, n + 1))
@@ -420,11 +439,6 @@ class Model:
         root = T.concat([Tensor(np.zeros((batch, 1))), root_tbl[bb, tag_ids]], axis=1)
         return attach, stop, cont, root
 
-    def charts(self, tag_ids: np.ndarray, summary: Tensor,
-               need_posteriors: bool = True) -> BatchCharts:
-        attach, stop, cont, root = self.decoder_scores(tag_ids, summary)
-        return inside_outside(attach, stop, cont, root, need_posteriors)
-
     def sentence_scores(self, tag_ids: Sequence[int], summary: Tensor) -> chart.DmvScores:
         """Plain-numpy score tables for one sentence (Viterbi decoding)."""
         attach, stop, cont, root = self.decoder_scores(
@@ -433,12 +447,6 @@ class Model:
                                cont=cont.numpy()[0], root=root.numpy()[0])
 
     # -- contexts and matching -------------------------------------------
-
-    def project_contexts(self, contexts: Tensor) -> Tensor:
-        return T.matmul(contexts, self.store["match.ctx"])
-
-    def project_nodes(self, features: Tensor) -> Tensor:
-        return T.matmul(features, self.store["match.vis"])
 
     def arc_contexts(self, contexts: Tensor) -> Tensor:
         """Pairwise arc representations (B, n, n, match_dim); entry
@@ -450,104 +458,57 @@ class Model:
         return T.biaffine_features(parent, child, self.store["arc.bi.w1"],
                                    self.store["arc.bi.w2"], self.store["arc.bi.b"])
 
-    def second_contexts(self, arc_ctx_rows: Tensor) -> Tensor:
-        """Compose pairs of arc contexts (rows already gathered and
-        concatenated to 2 * match_dim) through the shared composer."""
-        return T.mlp(arc_ctx_rows,
-                     [(self.store["second.w1"], self.store["second.b1"]),
-                      (self.store["second.w2"], self.store["second.b2"])])
+    def _unit(self, rows: Tensor) -> Tensor:
+        """Rows as the similarity compares them: L2-normalized when
+        ``normalize_sim`` is on."""
+        return T.l2_normalize(rows) if self.config.normalize_sim else rows
 
-    def matching(self, contexts: Tensor, node_feats: Tensor,
-                 posteriors: Tensor | np.ndarray
-                 ) -> tuple[Tensor, Tensor, Tensor]:
-        """Similarity of each context to each node, to the image, and
-        the posterior-weighted image score.
-
-        ``contexts`` (C, match_dim) and ``node_feats`` (V, match_dim)
-        are L2-normalized first when ``normalize_sim`` is on.
-        """
-        if node_feats.shape[0] == 0:
-            raise ValueError("empty visual node set")
-        if self.config.normalize_sim:
-            contexts = T.l2_normalize(contexts)
-            node_feats = T.l2_normalize(node_feats)
-        sim = T.matmul(contexts, T.swapaxes(node_feats, -1, -2))
-        sim_image = T.tmax(sim, axis=-1)
-        sim_plus = T.mul(sim_image, posteriors)
-        return sim, sim_image, sim_plus
-
-    # -- instance sets ----------------------------------------------------
+    def node_matrix(self, node_set: VisualNodeSet) -> Tensor:
+        """Projected, normalized node rows (V, match_dim) of one image."""
+        return self._unit(T.matmul(node_set.features, self.store["match.vis"]))
 
     @staticmethod
-    def _all_pairs(n: int) -> list[tuple[int, int]]:
-        return [(h, d) for h in range(1, n + 1) for d in range(1, n + 1) if h != d]
-
-    @staticmethod
-    def _all_triples(n: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-        """Candidate second-order patterns as their two arcs: chains
-        g->h->d and sibling pairs d1<-h->d2 (d1 < d2)."""
-        triples = []
-        for g in range(1, n + 1):
-            for h in range(1, n + 1):
-                if h == g:
-                    continue
-                for d in range(1, n + 1):
-                    if d not in (g, h):
-                        triples.append(((g, h), (h, d)))
-        for h in range(1, n + 1):
-            deps = [d for d in range(1, n + 1) if d != h]
-            for a in range(len(deps)):
-                for b in range(a + 1, len(deps)):
-                    triples.append(((h, deps[a]), (h, deps[b])))
-        return triples
+    def similarity(rows: Tensor, nodes: Tensor) -> Tensor:
+        """Scores (R, V) of context rows against a node matrix, both
+        already passed through ``_unit``."""
+        return T.matmul(rows, T.swapaxes(nodes, -1, -2))
 
     def batch_contexts(self, contexts: Tensor
-                       ) -> tuple[Tensor, Tensor, list[tuple[int, int]],
-                                  list[tuple[tuple[int, int], tuple[int, int]]]]:
+                       ) -> tuple[Tensor, Tensor, np.ndarray, np.ndarray]:
         """Projected token, arc, and second-order contexts plus the
-        index lists describing rows beyond the first n."""
+        ``arc_index`` and ``pattern_index`` rows beyond the first n."""
         batch, n, _ = contexts.shape
-        ctx_tok = self.project_contexts(contexts)
+        dim = self.config.match_dim
+        ctx_tok = T.matmul(contexts, self.store["match.ctx"])
         arc_tbl = self.arc_contexts(contexts)
-        pairs = self._all_pairs(n)
+        pairs = arc_index(n)
+        triples = pattern_index(n) if self.config.second_order else np.zeros((0, 2, 2), int)
         parts = [ctx_tok]
-        if pairs:
-            h_idx = np.array([h - 1 for h, _ in pairs])
-            d_idx = np.array([d - 1 for _, d in pairs])
-            arc_rows = arc_tbl[:, h_idx, d_idx]
-            parts.append(arc_rows)
-        triples = self._all_triples(n) if self.config.second_order and n >= 3 else []
-        if triples:
-            a1h = np.array([a1[0] - 1 for a1, _ in triples])
-            a1d = np.array([a1[1] - 1 for a1, _ in triples])
-            a2h = np.array([a2[0] - 1 for _, a2 in triples])
-            a2d = np.array([a2[1] - 1 for _, a2 in triples])
-            pair_rows = T.concat([arc_tbl[:, a1h, a1d], arc_tbl[:, a2h, a2d]], axis=2)
-            flat = T.reshape(pair_rows, (batch * len(triples), 2 * self.config.match_dim))
-            parts.append(T.reshape(self.second_contexts(flat),
-                                   (batch, len(triples), self.config.match_dim)))
+        if len(pairs):
+            parts.append(arc_tbl[:, pairs[:, 0] - 1, pairs[:, 1] - 1])
+        if len(triples):
+            pos = triples - 1
+            pair_rows = T.concat([arc_tbl[:, pos[:, 0, 0], pos[:, 0, 1]],
+                                  arc_tbl[:, pos[:, 1, 0], pos[:, 1, 1]]], axis=2)
+            flat = T.reshape(pair_rows, (batch * len(triples), 2 * dim))
+            second = T.mlp(flat, [(self.store["second.w1"], self.store["second.b1"]),
+                                  (self.store["second.w2"], self.store["second.b2"])])
+            parts.append(T.reshape(second, (batch, len(triples), dim)))
         return T.concat(parts, axis=1), arc_tbl, pairs, triples
 
     def context_weights(self, posteriors: Tensor, n: int,
-                        pairs: list[tuple[int, int]],
-                        triples: list[tuple[tuple[int, int], tuple[int, int]]]
-                        ) -> Tensor:
+                        pairs: np.ndarray, triples: np.ndarray) -> Tensor:
         """Structural weight per context row: 1 for tokens, the arc
         posterior for arcs, the product of the two arc posteriors for
         second-order contexts (a factored stand-in for the exact joint
         marginal, which would need a second-order chart)."""
         batch = posteriors.shape[0]
         parts = [Tensor(np.ones((batch, n)))]
-        if pairs:
-            h_idx = np.array([h for h, _ in pairs])
-            d_idx = np.array([d for _, d in pairs])
-            parts.append(posteriors[:, h_idx, d_idx])
-        if triples:
-            a1h = np.array([a1[0] for a1, _ in triples])
-            a1d = np.array([a1[1] for a1, _ in triples])
-            a2h = np.array([a2[0] for _, a2 in triples])
-            a2d = np.array([a2[1] for _, a2 in triples])
-            parts.append(T.mul(posteriors[:, a1h, a1d], posteriors[:, a2h, a2d]))
+        if len(pairs):
+            parts.append(posteriors[:, pairs[:, 0], pairs[:, 1]])
+        if len(triples):
+            parts.append(T.mul(posteriors[:, triples[:, 0, 0], triples[:, 0, 1]],
+                               posteriors[:, triples[:, 1, 0], triples[:, 1, 1]]))
         return T.concat(parts, axis=1)
 
     # -- losses ------------------------------------------------------------
@@ -558,16 +519,10 @@ class Model:
         ctx_all, _, pairs, triples = self.batch_contexts(contexts)
         weights = self.context_weights(charts.posteriors, n, pairs, triples)
         per_sentence = ctx_all.shape[1]
-        flat_ctx = T.reshape(ctx_all, (bsz * per_sentence, self.config.match_dim))
-        if self.config.normalize_sim:
-            flat_ctx = T.l2_normalize(flat_ctx)
-        columns = []
-        for ns in batch.node_sets:
-            nodes = self.project_nodes(ns.features)
-            if self.config.normalize_sim:
-                nodes = T.l2_normalize(nodes)
-            sims = T.matmul(flat_ctx, T.swapaxes(nodes, -1, -2))
-            columns.append(T.tmax(sims, axis=-1))
+        flat_ctx = self._unit(
+            T.reshape(ctx_all, (bsz * per_sentence, self.config.match_dim)))
+        columns = [T.tmax(self.similarity(flat_ctx, self.node_matrix(ns)), axis=-1)
+                   for ns in batch.node_sets]
         sim_image = T.stack(columns, axis=1)                      # (B*C, B)
         sim_plus = T.mul(sim_image, T.reshape(weights, (bsz * per_sentence, 1)))
         log_probs = T.log_softmax(sim_plus, axis=1)
@@ -582,7 +537,8 @@ class Model:
         if not 0.0 <= lam <= 1.0:
             raise ValueError(f"lambda must be in [0, 1], got {lam}")
         contexts, summary = self.encode(batch.word_ids, batch.tag_ids, batch.node_sets)
-        charts = self.charts(batch.tag_ids, summary, need_posteriors=lam > 0.0)
+        charts = inside_outside(*self.decoder_scores(batch.tag_ids, summary),
+                                need_posteriors=lam > 0.0)
         l_mle = T.mul(T.tmean(charts.log_partition), -1.0)
         if lam == 0.0:
             return l_mle, l_mle.item(), 0.0
@@ -619,15 +575,10 @@ class Model:
         if n > self.config.max_parse_len:
             raise ValueError(f"sentence length {n} exceeds the inference cap "
                              f"{self.config.max_parse_len}")
-        tag_ids = np.array([[t.pos for t in tokens]])
-        word_ids = self.word_ids(tokens)[None]
-        contexts, summary = self.encode(word_ids, tag_ids, [node_set])
-        scores = self.sentence_scores([t.pos for t in tokens], summary)
-        heads, _ = chart.viterbi(scores)
-        alignment = self._ground_from(contexts, node_set, heads, sentence_id)
-        types = tuple(
-            node_set.nodes[self._node_index(node_set, alignment.zero[i])].type
-            for i in range(1, n + 1))
+        heads, alignment = self._decode(tokens, node_set, None, sentence_id)
+        # reversed: the first node of a repeated id wins, as in the argmax order
+        node_type = {nd.id: nd.type for nd in reversed(node_set.nodes)}
+        types = tuple(node_type[alignment.zero[i]] for i in range(1, n + 1))
         tree = DependencyTree(tokens=tuple(tokens), heads=tuple(heads),
                               types=types, sentence_id=sentence_id)
         return tree, alignment
@@ -637,31 +588,22 @@ class Model:
                sentence_id: str = "") -> VLAlignment:
         """Grounding for a sentence; a supplied gold tree fixes the arc
         and triple instance set, otherwise the parsed tree does."""
+        return self._decode(tokens, node_set, heads, sentence_id)[1]
+
+    def _decode(self, tokens: Sequence[Token], node_set: VisualNodeSet,
+                heads: Optional[Sequence[int]], sentence_id: str
+                ) -> tuple[list[int], VLAlignment]:
+        """Encode, decode the Viterbi tree unless ``heads`` is given, and
+        ground its tokens, arcs (on relationship nodes) and patterns."""
         tag_ids = np.array([[t.pos for t in tokens]])
-        word_ids = self.word_ids(tokens)[None]
-        contexts, summary = self.encode(word_ids, tag_ids, [node_set])
+        contexts, summary = self.encode(self.word_ids(tokens)[None], tag_ids, [node_set])
         if heads is None:
-            scores = self.sentence_scores([t.pos for t in tokens], summary)
-            heads, _ = chart.viterbi(scores)
-        return self._ground_from(contexts, node_set, list(heads), sentence_id)
-
-    @staticmethod
-    def _node_index(node_set: VisualNodeSet, node_id: str) -> int:
-        for k, nd in enumerate(node_set.nodes):
-            if nd.id == node_id:
-                return k
-        raise KeyError(node_id)
-
-    def _ground_from(self, contexts: Tensor, node_set: VisualNodeSet,
-                     heads: list[int], sentence_id: str) -> VLAlignment:
-        n = contexts.shape[1]
+            heads, _ = chart.viterbi(self.sentence_scores(tag_ids[0], summary))
+        heads = list(heads)
         inst = tree_to_instances(heads)
-        nodes = self.project_nodes(node_set.features)
-        ctx_tok = self.project_contexts(contexts)[0]
-        if self.config.normalize_sim:
-            nodes = T.l2_normalize(nodes)
-            ctx_tok = T.l2_normalize(ctx_tok)
-        sim_tok = T.matmul(ctx_tok, T.swapaxes(nodes, -1, -2)).numpy()
+        nodes = self.node_matrix(node_set)
+        ctx_tok = self._unit(T.matmul(contexts, self.store["match.ctx"])[0])
+        sim_tok = self.similarity(ctx_tok, nodes).numpy()
         zero = {t: node_set.nodes[int(np.argmax(sim_tok[t - 1]))].id
                 for t in inst.zero}
 
@@ -669,13 +611,9 @@ class Model:
         rel_idx = node_set.relationship_indices()
         arc_to_rel: dict[tuple[int, int], VisualNode] = {}
         if len(rel_idx) and inst.first:
-            arc_tbl = self.arc_contexts(contexts)
-            h_idx = np.array([h - 1 for h, _ in inst.first])
-            d_idx = np.array([d - 1 for _, d in inst.first])
-            arc_ctx = arc_tbl[0][h_idx, d_idx]
-            if self.config.normalize_sim:
-                arc_ctx = T.l2_normalize(arc_ctx)
-            sim_arc = T.matmul(arc_ctx, T.swapaxes(nodes, -1, -2)).numpy()
+            arcs = np.array(inst.first) - 1
+            arc_ctx = self._unit(self.arc_contexts(contexts)[0][arcs[:, 0], arcs[:, 1]])
+            sim_arc = self.similarity(arc_ctx, nodes).numpy()
             for row, arc in enumerate(inst.first):
                 best = rel_idx[int(np.argmax(sim_arc[row][rel_idx]))]
                 node = node_set.nodes[best]
@@ -693,8 +631,8 @@ class Model:
                 second[triple] = (r1.src, r1.dst, r2.dst)
             else:                                    # siblings around m
                 second[triple] = (r1.dst, r1.src, r2.dst)
-        return VLAlignment(sentence_id=sentence_id, zero=zero, first=first,
-                           second=second)
+        return heads, VLAlignment(sentence_id=sentence_id, zero=zero, first=first,
+                                  second=second)
 
     # -- persistence ---------------------------------------------------------
 

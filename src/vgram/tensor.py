@@ -396,13 +396,13 @@ def tmax(a, axis: int, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
     out_data = a.data.max(axis=axis, keepdims=keepdims)
     arg = np.expand_dims(a.data.argmax(axis=axis), axis)
-    onehot = np.zeros_like(a.data)
-    np.put_along_axis(onehot, arg, 1.0, axis=axis)
 
     def backward(g):
         if a.requires_grad:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            a.accumulate(onehot * gg)
+            grad = np.zeros_like(a.data)
+            np.put_along_axis(grad, arg, g if keepdims else np.expand_dims(g, axis),
+                              axis=axis)
+            a.accumulate(grad)
 
     return _make(out_data, (a,), backward)
 

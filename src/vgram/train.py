@@ -129,8 +129,6 @@ class Trainer:
         return mle_sum / count, cl_sum / count
 
     def evaluate(self, sentences: Sequence[Sentence]) -> tuple[Optional[float], Optional[float]]:
-        gold = [s.heads for s in sentences
-                if s.heads is not None and len(s) <= self.model.config.max_parse_len]
         usable = [s for s in sentences
                   if s.heads is not None and len(s) <= self.model.config.max_parse_len]
         if not usable:
@@ -140,8 +138,7 @@ class Trainer:
             ns = self.model.build_visual_nodes(s.image_id, self.features[s.image_id])
             tree, _ = self.model.parse(s.tokens, ns, sentence_id=s.id)
             preds.append(list(tree.heads))
-        dda, uda = dda_uda(preds, [list(g) for g in gold])
-        return dda, uda
+        return dda_uda(preds, [list(s.heads) for s in usable])
 
     def train(self, out_dir: Optional[str] = None,
               config_digest: str = "",

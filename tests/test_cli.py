@@ -84,6 +84,7 @@ def test_align_and_eval_roundtrip(dataset, tmp_path):
     {"sentence_id": "s", "zero": [{"t": 1}]},
     {"sentence_id": "s", "second": [{"nodes": ["a", "b", "c"]}]},
     {"sentence_id": "s", "second": [{"tokens": [1, 2, 3]}]},
+    {"sentence_id": "s", "zero": [5]},
 ])
 def test_alignment_missing_key_is_data_error(dataset, tmp_path, capsys, record):
     bad = tmp_path / "bad_align.jsonl"
@@ -94,7 +95,8 @@ def test_alignment_missing_key_is_data_error(dataset, tmp_path, capsys, record):
                "--scene-graphs", str(dataset / "scene_graphs.jsonl")])
     err = capsys.readouterr().err
     assert rc == 2
-    assert f"{bad}:1: missing field" in err
+    problem = "expected a JSON object" if record.get("zero") == [5] else "missing field"
+    assert f"{bad}:1: {problem}" in err
     assert "Traceback" not in err
 
 

@@ -105,6 +105,22 @@ class TestValidation:
         with pytest.raises(DataError, match="invalid tree"):
             load_corpus(str(path))
 
+    @pytest.mark.parametrize("load", [load_corpus, load_features, load_scene_graphs,
+                                      load_embeddings, load_alignments])
+    def test_top_level_array_rejected(self, tmp_path, load):
+        path = tmp_path / "bad.jsonl"
+        path.write_text("[1, 2]\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"{path}:1: expected a JSON object"):
+            load(str(path))
+
+    def test_string_tokens_rejected(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        rec = {"id": "s0", "image_id": "i0", "tokens": "abc",
+               "pos": ["NN0", "NN0", "NN0"]}
+        path.write_text(json.dumps(rec) + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"{path}:1: 'tokens' must be a list of strings"):
+            load_corpus(str(path))
+
     def test_lemma_count_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         rec = {"id": "s0", "image_id": "i0", "tokens": ["a", "b", "c"],

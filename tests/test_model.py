@@ -12,21 +12,22 @@ from vgram.core import (
     SGObject,
     Token,
 )
-from vgram.model import Model, ModelConfig, SentenceBatch
+from vgram.model import Model, ModelConfig, SentenceBatch, arc_index, pattern_index
 from vgram.tensor import Tensor
 
 DIM = 8
 
 
-def make_model(vocab_size=6, identity=True, seed=0, **kw):
+def make_model(vocab_size=6, identity=True, seed=0, vectors=None, **kw):
     cfg = ModelConfig(tag_count=3, word_dim=DIM, tag_dim=4, hidden_dim=DIM,
                       feat_dim=DIM, match_dim=DIM, arc_hidden=6, second_hidden=6,
                       dec_tag_dim=4, dec_hidden=8, identity_init=identity,
                       seed=seed, **kw)
-    vocab = [f"word{i}" for i in range(vocab_size)]
-    rng = np.random.default_rng(42)
-    vectors = rng.normal(size=(vocab_size, DIM))
-    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    if vectors is None:
+        rng = np.random.default_rng(42)
+        vectors = rng.normal(size=(vocab_size, DIM))
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    vocab = [f"word{i}" for i in range(len(vectors))]
     return Model(cfg, vocab, vectors), vocab, vectors
 
 
@@ -214,32 +215,56 @@ class TestLosses:
             model.total_loss(batch, lambda_cl=1.5)
 
 
+def nested_loop_indices(n):
+    """Reference enumeration of candidate arcs and second-order patterns."""
+    arcs = [(h, d) for h in range(1, n + 1) for d in range(1, n + 1) if h != d]
+    patterns = [((g, h), (h, d)) for g in range(1, n + 1) for h in range(1, n + 1)
+                for d in range(1, n + 1) if h != g and d not in (g, h)]
+    for h in range(1, n + 1):
+        deps = [d for d in range(1, n + 1) if d != h]
+        patterns += [((h, deps[a]), (h, deps[b]))
+                     for a in range(len(deps)) for b in range(a + 1, len(deps))]
+    return arcs, patterns
+
+
 class TestMatching:
     def test_self_similarity_one(self):
         model, _, _ = make_model()
-        c = Tensor(np.array([[3.0, 4.0] + [0.0] * (DIM - 2)]))
-        sim, sim_img, sim_plus = model.matching(c, c, np.array([1.0]))
-        assert sim_img.numpy()[0] == pytest.approx(1.0)
-        assert sim_plus.numpy()[0] == pytest.approx(1.0)
+        f = np.array([3.0, 4.0] + [0.0] * (DIM - 2))
+        ns = model.build_visual_nodes("img", [((0.0, 0.0, 9.0, 9.0), f)])
+        nodes = model.node_matrix(ns)
+        assert np.linalg.norm(nodes.numpy(), axis=1) == pytest.approx(1.0)
+        sim = model.similarity(model._unit(Tensor(f[None])), nodes).numpy()
+        assert sim[0, 0] == pytest.approx(1.0)
 
     def test_zero_posterior_kills_score(self):
         model, _, _ = make_model()
-        c = Tensor(np.ones((1, DIM)))
-        _, _, sim_plus = model.matching(c, c, np.array([0.0]))
-        assert sim_plus.numpy()[0] == 0.0
+        n = 3
+        pairs, triples = arc_index(n), pattern_index(n)
+        post = np.full((1, n + 1, n + 1), 0.5)
+        post[0, 1, 2] = 0.0
+        weights = model.context_weights(Tensor(post), n, pairs, triples).numpy()[0]
+        assert weights[:n].tolist() == [1.0] * n
+        arc_w, pattern_w = weights[n:n + len(pairs)], weights[n + len(pairs):]
+        assert arc_w.tolist() == [0.0 if tuple(a) == (1, 2) else 0.5 for a in pairs]
+        killed = [(1, 2) in map(tuple, t) for t in triples]
+        assert pattern_w.tolist() == [0.0 if k else 0.25 for k in killed]
 
     def test_orthonormal_argmax(self):
-        model, _, _ = make_model()
-        nodes = Tensor(np.eye(DIM)[:3])
-        c = Tensor(np.eye(DIM)[0:1])
-        sim, _, _ = model.matching(c, nodes, np.array([1.0]))
-        assert int(np.argmax(sim.numpy()[0])) == 0
+        # contexts equal the one-hot word vectors; objects carry e2, e0, e1
+        model, vocab, eye = make_model(vectors=np.eye(DIM)[:3])
+        ns = model.build_visual_nodes("img", regions_for(eye, [2, 0, 1]))
+        tokens = [Token(1, vocab[0], 0, vocab[0]), Token(2, vocab[1], 1, vocab[1])]
+        align = model.ground(tokens, ns, heads=[0, 1])
+        assert align.zero == {1: "obj:1", 2: "obj:2"}
 
-    def test_empty_node_set_rejected(self):
-        model, _, _ = make_model()
-        c = Tensor(np.ones((1, DIM)))
-        with pytest.raises(ValueError, match="empty visual node set"):
-            model.matching(c, Tensor(np.zeros((0, DIM))), np.array([1.0]))
+    @pytest.mark.parametrize("n", range(9))
+    def test_index_arrays_match_nested_loops(self, n):
+        arcs, patterns = nested_loop_indices(n)
+        assert arc_index(n).shape == (len(arcs), 2)
+        assert [tuple(a) for a in arc_index(n).tolist()] == arcs
+        assert pattern_index(n).shape == (len(patterns), 2, 2)
+        assert [tuple(map(tuple, t)) for t in pattern_index(n).tolist()] == patterns
 
 
 class TestInference:

@@ -101,6 +101,23 @@ class TestBasicOps:
         check_grads(lambda x: T.tsum(T.mul(T.tmean(x, axis=1), 3.0)), [a])
         check_grads(lambda x: T.tsum(T.tmax(x, axis=1)), [a])
 
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("keepdims", [False, True])
+    def test_tmax_tie_grad_goes_to_first_maximum(self, axis, keepdims):
+        data = np.array([[2.0, 5.0, 5.0],
+                         [5.0, 5.0, 1.0],
+                         [5.0, 0.0, 5.0]])
+        x = Tensor(data, requires_grad=True)
+        out = T.tmax(x, axis=axis, keepdims=keepdims)
+        weights = np.array([1.0, -2.0, 3.0]).reshape(out.shape)
+        T.tsum(T.mul(out, weights)).backward()
+        # every line holds a tie; its first maximal entry takes the gradient
+        first = {0: [(1, 0), (0, 1), (0, 2)], 1: [(0, 1), (1, 0), (2, 0)]}[axis]
+        expected = np.zeros_like(data)
+        for cell, w in zip(first, weights.reshape(-1)):
+            expected[cell] = w
+        np.testing.assert_array_equal(x.grad, expected)
+
     def test_log_softmax_and_normalize(self):
         rng = np.random.default_rng(8)
         a = rng.normal(size=(3, 4))
