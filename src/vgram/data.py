@@ -85,6 +85,15 @@ def _require(rec: dict, key: str, path: str, lineno: int):
     return rec[key]
 
 
+def _list(rec: dict, key: str, path: str, lineno: int, optional: bool = False) -> list:
+    """A list-valued field; an optional one reads as empty when absent."""
+    value = (_object(rec, path, lineno).get(key, []) if optional
+             else _require(rec, key, path, lineno))
+    if not isinstance(value, list):
+        raise DataError(f"{path}:{lineno}: {key!r} must be a list")
+    return value
+
+
 def _strings(rec: dict, key: str, path: str, lineno: int) -> list[str]:
     value = _require(rec, key, path, lineno)
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
@@ -139,19 +148,22 @@ def load_corpus(path: str) -> tuple[list[Sentence], list[str]]:
                        for i, (w, p, lemma) in enumerate(zip(words, pos, lemmas)))
         heads = rec.get("heads")
         if heads is not None:
-            heads = tuple(int(h) for h in heads)
+            # `type(h) is int` also turns away true/false, which are ints in Python
+            if not isinstance(heads, list) or not all(type(h) is int for h in heads):
+                raise DataError(f"{path}:{lineno}: 'heads' must be a list of integers")
+            heads = tuple(heads)
             report = validate_tree(heads, len(tokens))
             if report is not None:
                 raise DataError(f"{path}:{lineno}: invalid tree: {report}")
         types = rec.get("types")
         if types is not None:
             try:
-                types = tuple(NodeType(t) for t in types)
+                types = tuple(NodeType(t) for t in _list(rec, "types", path, lineno))
             except ValueError as e:
                 raise DataError(f"{path}:{lineno}: {e}") from None
         labels = rec.get("dep_labels")
         if labels is not None:
-            labels = tuple(str(x) for x in labels)
+            labels = tuple(str(x) for x in _list(rec, "dep_labels", path, lineno))
         sentences.append(Sentence(
             id=sid, image_id=str(_require(rec, "image_id", path, lineno)),
             tokens=tokens, pos_tags=tuple(pos), heads=heads, types=types,
@@ -198,7 +210,7 @@ def load_features(path: str) -> dict[str, list[tuple[Box, np.ndarray]]]:
             raise DataError(f"{path}:{lineno}: duplicate image id {image_id!r}")
         fmt = rec.get("bbox_format", "xyxy")
         regions = []
-        for r in _require(rec, "regions", path, lineno):
+        for r in _list(rec, "regions", path, lineno):
             raw_box = _require(r, "bbox", path, lineno)
             try:
                 box = _ingest_box(raw_box, fmt)
@@ -240,14 +252,14 @@ def load_scene_graphs(path: str) -> dict[str, SceneGraph]:
             raise DataError(f"{path}:{lineno}: duplicate image id {image_id!r}")
         fmt = rec.get("bbox_format", "xyxy")
         kinds: dict[str, dict] = {}
-        for node in _require(rec, "nodes", path, lineno):
+        for node in _list(rec, "nodes", path, lineno):
             nid = str(_require(node, "id", path, lineno))
             if nid in kinds:
                 raise DataError(f"{path}:{lineno}: duplicate node id {nid!r}")
             kinds[nid] = node
         owners: dict[str, str] = {}
         endpoints: dict[str, dict[str, str]] = {}
-        for edge in rec.get("edges", []):
+        for edge in _list(rec, "edges", path, lineno, optional=True):
             label = _object(edge, path, lineno).get("label")
             src, dst = str(edge.get("src")), str(edge.get("dst"))
             if label == EDGE_ATTR:
@@ -320,17 +332,18 @@ def load_alignments(path: str) -> dict[str, VLAlignment]:
         if sid in out:
             raise DataError(f"{path}:{lineno}: duplicate sentence id {sid!r}")
         zero = {int(_require(e, "t", path, lineno)): str(_require(e, "node", path, lineno))
-                for e in rec.get("zero", [])}
+                for e in _list(rec, "zero", path, lineno, optional=True)}
         first = {}
-        for e in rec.get("first", []):
-            arc = tuple(int(x) for x in _require(e, "arc", path, lineno))
+        for e in _list(rec, "first", path, lineno, optional=True):
+            arc = tuple(int(x) for x in _list(e, "arc", path, lineno))
             first[arc] = FirstAlignment(
                 relationship=str(e.get("rel")),
-                endpoints=tuple(str(x) for x in e.get("endpoints", (None, None))))
+                endpoints=tuple(str(x) for x in (_list(e, "endpoints", path, lineno)
+                                                 if "endpoints" in e else (None, None))))
         second = {}
-        for e in rec.get("second", []):
-            second[tuple(int(x) for x in _require(e, "tokens", path, lineno))] = tuple(
-                str(x) for x in _require(e, "nodes", path, lineno))
+        for e in _list(rec, "second", path, lineno, optional=True):
+            second[tuple(int(x) for x in _list(e, "tokens", path, lineno))] = tuple(
+                str(x) for x in _list(e, "nodes", path, lineno))
         out[sid] = VLAlignment(sentence_id=sid, zero=zero, first=first,
                                second=second, meta=rec.get("meta", {}))
     return out

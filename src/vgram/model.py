@@ -521,9 +521,8 @@ class Model:
         per_sentence = ctx_all.shape[1]
         flat_ctx = self._unit(
             T.reshape(ctx_all, (bsz * per_sentence, self.config.match_dim)))
-        columns = [T.tmax(self.similarity(flat_ctx, self.node_matrix(ns)), axis=-1)
-                   for ns in batch.node_sets]
-        sim_image = T.stack(columns, axis=1)                      # (B*C, B)
+        sim_image = T.max_similarity(                             # (B*C, B)
+            flat_ctx, [self.node_matrix(ns) for ns in batch.node_sets])
         sim_plus = T.mul(sim_image, T.reshape(weights, (bsz * per_sentence, 1)))
         log_probs = T.log_softmax(sim_plus, axis=1)
         own = np.repeat(np.arange(bsz), per_sentence)

@@ -4,7 +4,9 @@ A Tensor wraps an ndarray and records the operation that produced it;
 ``backward`` replays the tape in reverse topological order. The op set
 is the small closed set the model needs: arithmetic with broadcasting,
 matmul (with leading batch dims), logsumexp/log-softmax, gather and
-fancy indexing, concat/stack, reductions, relu. Forward results are
+fancy indexing, concat/stack, reductions, relu, and ``max_similarity``
+(each row's best dot product per node set, with a sparse argmax
+backward, for the contrastive loss). Forward results are
 checked finite after every op, so a NaN trips immediately at its source
 instead of three modules later.
 """
@@ -405,6 +407,45 @@ def tmax(a, axis: int, keepdims: bool = False) -> Tensor:
             a.accumulate(grad)
 
     return _make(out_data, (a,), backward)
+
+
+def max_similarity(rows, node_mats: Sequence[Tensor]) -> Tensor:
+    """Best match per row and node set: ``out[r, b] = max_v rows[r] ·
+    node_mats[b][v]``, shape (R, B).
+
+    Equals stacking ``tmax(rows @ node_mats[b].T, axis=-1)`` over b, with
+    the same first-maximum ties, but each dense (R, V_b) score matrix
+    lives only while its column is reduced: the tape keeps the argmax
+    indices, and backward gathers and scatters through them.
+    """
+    rows = as_tensor(rows)
+    node_mats = [as_tensor(m) for m in node_mats]
+    count, dim = rows.shape
+    line = np.arange(count)
+    out_data = np.empty((count, len(node_mats)))
+    args = []
+    for b, nodes in enumerate(node_mats):
+        scores = rows.data @ nodes.data.T
+        arg = scores.argmax(axis=-1)   # a NaN is its row's argmax, so it trips below
+        out_data[:, b] = scores[line, arg]
+        args.append(arg)
+
+    def backward(g):
+        if rows.requires_grad:
+            grad = np.zeros_like(rows.data)
+            for b, (nodes, arg) in enumerate(zip(node_mats, args)):
+                grad += g[:, b, None] * nodes.data[arg]
+            rows.accumulate(grad)
+        cols = np.arange(dim)
+        for b, (nodes, arg) in enumerate(zip(node_mats, args)):
+            if nodes.requires_grad:
+                # scatter-add of the weighted rows onto their argmax node
+                flat = (arg[:, None] * dim + cols).ravel()
+                grad = np.bincount(flat, (g[:, b, None] * rows.data).ravel(),
+                                   minlength=nodes.size)
+                nodes.accumulate(grad.reshape(nodes.shape))
+
+    return _make(out_data, (rows, *node_mats), backward)
 
 
 def logsumexp(a, axis: int, keepdims: bool = False) -> Tensor:

@@ -100,6 +100,33 @@ def test_alignment_missing_key_is_data_error(dataset, tmp_path, capsys, record):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("key", ["zero", "first", "second"])
+def test_alignment_non_list_field_is_data_error(dataset, tmp_path, capsys, key):
+    bad = tmp_path / "bad_align.jsonl"
+    bad.write_text(json.dumps({"sentence_id": "s", key: 5}) + "\n", encoding="utf-8")
+    rc = main(["eval", "--gold-corpus", str(dataset / "corpus.test.jsonl"),
+               "--pred-align", str(bad),
+               "--gold-align", str(dataset / "alignments.jsonl"),
+               "--scene-graphs", str(dataset / "scene_graphs.jsonl")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"{bad}:1: {key!r} must be a list" in err
+    assert "Traceback" not in err
+
+
+def test_string_heads_is_data_error(dataset, tmp_path, capsys):
+    rec = json.loads((dataset / "corpus.test.jsonl").read_text().splitlines()[1])
+    rec["heads"] = "".join(str(h) for h in rec["heads"])
+    bad = tmp_path / "bad_trees.jsonl"
+    bad.write_text(json.dumps(rec) + "\n", encoding="utf-8")
+    rc = main(["eval", "--gold-corpus", str(dataset / "corpus.test.jsonl"),
+               "--pred-trees", str(bad)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"{bad}:1: 'heads' must be a list of integers" in err
+    assert "Traceback" not in err
+
+
 def test_eval_pred_equals_gold_is_perfect(dataset, capsys):
     rc = main(["eval", "--gold-corpus", str(dataset / "corpus.test.jsonl"),
                "--pred-trees", str(dataset / "corpus.test.jsonl")])

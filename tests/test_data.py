@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -119,6 +120,43 @@ class TestValidation:
                "pos": ["NN0", "NN0", "NN0"]}
         path.write_text(json.dumps(rec) + "\n", encoding="utf-8")
         with pytest.raises(DataError, match=f"{path}:1: 'tokens' must be a list of strings"):
+            load_corpus(str(path))
+
+    @pytest.mark.parametrize("load, rec, key", [
+        (load_alignments, {"sentence_id": "s", "zero": 5}, "zero"),
+        (load_alignments, {"sentence_id": "s", "zero": None}, "zero"),
+        (load_alignments, {"sentence_id": "s", "first": 5}, "first"),
+        (load_alignments, {"sentence_id": "s", "second": 5}, "second"),
+        (load_alignments, {"sentence_id": "s", "first": [{"arc": 12}]}, "arc"),
+        (load_alignments, {"sentence_id": "s", "first": [{"arc": [1, 2], "endpoints": 5}]},
+         "endpoints"),
+        (load_alignments, {"sentence_id": "s", "second": [{"tokens": "123",
+                                                           "nodes": ["a", "b", "c"]}]},
+         "tokens"),
+        (load_alignments, {"sentence_id": "s", "second": [{"tokens": [1, 2, 3],
+                                                           "nodes": "abc"}]}, "nodes"),
+        (load_scene_graphs, {"image_id": "i", "nodes": 5}, "nodes"),
+        (load_scene_graphs, {"image_id": "i", "nodes": [], "edges": 5}, "edges"),
+        (load_features, {"image_id": "i", "regions": 5}, "regions"),
+        (load_corpus, {"id": "s", "image_id": "i", "tokens": ["a"], "pos": ["N"],
+                       "types": 5}, "types"),
+        (load_corpus, {"id": "s", "image_id": "i", "tokens": ["a"], "pos": ["N"],
+                       "dep_labels": 5}, "dep_labels"),
+    ])
+    def test_list_field_must_be_list(self, tmp_path, load, rec, key):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(rec) + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"{path}:1: {key!r} must be a list")):
+            load(str(path))
+
+    @pytest.mark.parametrize("heads", ["01", 5, ["0", "1"], [0, True], [0, 1.0]])
+    def test_heads_must_be_integer_list(self, tmp_path, heads):
+        path = tmp_path / "bad.jsonl"
+        rec = {"id": "s0", "image_id": "i0", "tokens": ["a", "b"],
+               "pos": ["NN0", "NN0"], "heads": heads}
+        path.write_text(json.dumps(rec) + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}:1: 'heads' must be a list of integers")):
             load_corpus(str(path))
 
     def test_lemma_count_mismatch_rejected(self, tmp_path):

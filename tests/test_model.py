@@ -215,6 +215,95 @@ class TestLosses:
             model.total_loss(batch, lambda_cl=1.5)
 
 
+def tmax_loop(rows, node_mats):
+    """The contrastive image column as one dense similarity and one
+    ``tmax`` per image: the reference for ``T.max_similarity``."""
+    return T.stack([T.tmax(Model.similarity(rows, nodes), axis=-1)
+                    for nodes in node_mats], axis=1)
+
+
+def random_batch(model, rng, n, bsz, regions=(1, 5)):
+    """Random words, tags and region features; image b has a number of
+    regions cycling through ``range(*regions)``, so node counts differ."""
+    low, high = regions
+    node_sets = []
+    for b in range(bsz):
+        feats = rng.normal(size=(low + b % (high - low), DIM))
+        node_sets.append(model.build_visual_nodes(f"img{b}",
+                                                  regions_for(feats, range(len(feats)))))
+    vocab = len(model.vocab)
+    return SentenceBatch(word_ids=rng.integers(0, vocab + 1, size=(bsz, n)),
+                         tag_ids=rng.integers(0, model.config.tag_count, size=(bsz, n)),
+                         node_sets=node_sets, sentence_ids=[f"s{b}" for b in range(bsz)])
+
+
+def context_rows(n: int) -> int:
+    """Tokens, arcs, chains and sibling pairs of one length-n sentence."""
+    return len(arc_index(n)) + n + len(pattern_index(n))
+
+
+def tape_arrays(loss: Tensor):
+    """Every array the tape holds from ``loss`` back: tensor values and
+    arrays captured by backward closures."""
+    seen, stack = set(), [loss]
+    while stack:
+        t = stack.pop()
+        if id(t) in seen:
+            continue
+        seen.add(id(t))
+        yield t.data
+        for cell in (t._backward.__closure__ or ()) if t._backward else ():
+            value = cell.cell_contents
+            for item in value if isinstance(value, list) else [value]:
+                if isinstance(item, np.ndarray):
+                    yield item
+        stack.extend(t._parents)
+
+
+class TestContrastiveMax:
+    @staticmethod
+    def loss_and_grads(model, n, bsz):
+        # a fresh batch each time: node features are tape tensors whose
+        # gradients would otherwise add up over two backward passes
+        batch = random_batch(model, np.random.default_rng(n), n, bsz)
+        assert len({len(ns) for ns in batch.node_sets}) > 1
+        model.store.zero_grad()
+        loss, _, _ = model.total_loss(batch)
+        loss.backward()
+        return loss.item(), {name: p.grad for name, p in model.store.items()
+                             if p.grad is not None}
+
+    @pytest.mark.parametrize("n, bsz, options", [
+        (10, 16, {}),
+        (5, 4, {"normalize_sim": False}),
+        (6, 5, {"second_order": False}),
+    ])
+    def test_fused_op_matches_tmax_loop(self, monkeypatch, n, bsz, options):
+        model, _, _ = make_model(vocab_size=12, identity=False, seed=n, **options)
+        loss, grads = self.loss_and_grads(model, n, bsz)
+        monkeypatch.setattr(T, "max_similarity", tmax_loop)
+        ref_loss, ref_grads = self.loss_and_grads(model, n, bsz)
+        assert loss == ref_loss
+        assert grads.keys() == ref_grads.keys()
+        assert {"match.vis", "vis.rel.w1"} <= grads.keys()
+        for name, g in grads.items():
+            np.testing.assert_allclose(g, ref_grads[name], rtol=0, atol=1e-10,
+                                       err_msg=name)
+
+    def test_no_dense_similarity_on_tape(self, monkeypatch):
+        # One image's dense (B*C, V_b) similarity is the smallest array the
+        # per-image loop puts on the tape; the fused op keeps none of them.
+        n, bsz = 8, 16
+        model, _, _ = make_model(vocab_size=12, identity=False, seed=3)
+        batch = random_batch(model, np.random.default_rng(3), n, bsz, regions=(4, 7))
+        limit = bsz * context_rows(n) * min(len(ns) for ns in batch.node_sets)
+        loss, _, _ = model.total_loss(batch)
+        assert max(a.size for a in tape_arrays(loss)) < limit
+        monkeypatch.setattr(T, "max_similarity", tmax_loop)
+        loss, _, _ = model.total_loss(batch)
+        assert max(a.size for a in tape_arrays(loss)) >= limit
+
+
 def nested_loop_indices(n):
     """Reference enumeration of candidate arcs and second-order patterns."""
     arcs = [(h, d) for h in range(1, n + 1) for d in range(1, n + 1) if h != d]

@@ -139,6 +139,65 @@ class TestBasicOps:
             Tensor(np.ones(())).backward()
 
 
+def tmax_loop(rows, node_mats):
+    """One dense similarity and one ``tmax`` per node set, stacked: the
+    reference ``max_similarity`` must reproduce."""
+    return T.stack([T.tmax(T.matmul(rows, T.swapaxes(nodes, -1, -2)), axis=-1)
+                    for nodes in node_mats], axis=1)
+
+
+class TestMaxSimilarity:
+    @staticmethod
+    def grads(op, rows, node_mats, weights):
+        ts = [Tensor(x, requires_grad=True) for x in [rows, *node_mats]]
+        out = op(ts[0], ts[1:])
+        T.tsum(T.mul(out, weights)).backward()
+        return out.data, [t.grad for t in ts]
+
+    def test_matches_tmax_loop(self):
+        rng = np.random.default_rng(11)
+        rows = rng.normal(size=(7, 4))
+        node_mats = [rng.normal(size=(v, 4)) for v in (1, 5, 3)]
+        weights = rng.normal(size=(7, 3))
+        out, grads = self.grads(T.max_similarity, rows, node_mats, weights)
+        ref_out, ref_grads = self.grads(tmax_loop, rows, node_mats, weights)
+        np.testing.assert_array_equal(out, ref_out)
+        for g, ref in zip(grads, ref_grads):
+            np.testing.assert_allclose(g, ref, rtol=0, atol=1e-14)
+
+    def test_tie_grad_goes_to_first_maximum(self):
+        rows = np.array([[1.0, 0.0],
+                         [0.0, 1.0]])
+        # row 0 ties on nodes 1 and 2 of the first set, every row ties in the second
+        node_mats = [np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]]),
+                     np.array([[1.0, 1.0], [1.0, 1.0]])]
+        weights = np.array([[1.0, -2.0],
+                            [3.0, 4.0]])
+        out, (g_rows, g_first, g_second) = self.grads(T.max_similarity, rows,
+                                                      node_mats, weights)
+        np.testing.assert_array_equal(out, [[1.0, 1.0], [1.0, 1.0]])
+        np.testing.assert_array_equal(g_rows, [[-1.0, -2.0], [4.0, 7.0]])
+        np.testing.assert_array_equal(g_first, [[0.0, 3.0], [1.0, 0.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(g_second, [[-2.0, 4.0], [0.0, 0.0]])
+        _, ref_grads = self.grads(tmax_loop, rows, node_mats, weights)
+        for g, ref in zip([g_rows, g_first, g_second], ref_grads):
+            np.testing.assert_array_equal(g, ref)
+
+    def test_gradcheck(self):
+        rng = np.random.default_rng(12)
+        arrays = [rng.normal(size=(5, 3)), rng.normal(size=(4, 3)),
+                  rng.normal(size=(2, 3))]
+        weights = rng.normal(size=(5, 2))
+        check_grads(lambda r, a, b: T.tsum(T.mul(T.max_similarity(r, [a, b]), weights)),
+                    arrays)
+
+    def test_nan_row_trips_error(self):
+        rows = Tensor(np.ones((3, 2)))
+        rows.data[1, 0] = np.nan
+        with pytest.raises(FloatingPointError):
+            T.max_similarity(rows, [Tensor(np.eye(2)), Tensor(np.ones((4, 2)))])
+
+
 class TestComposedNetwork:
     def test_three_layer_network_gradcheck(self):
         rng = np.random.default_rng(42)
