@@ -141,7 +141,8 @@ MAX = Semiring(merge=lambda x: (x.max(axis=1), x.argmax(axis=1)),
 class SpanTables:
     """What one run of :func:`span_recursion` leaves behind."""
 
-    rows: dict[str, list]   # table name -> rows by span length, (B, n - L) each
+    flat: dict              # table name -> rows stored back to back, (B, cells)
+    first: np.ndarray       # first[L]: where row L starts (ir/il: first[L] - n)
     back: dict[str, list]   # "ir", "il", "ro", "lo" -> winner index by span length
     root_terms: object      # (B, n): root r plus both of its closed cones
     total: object           # (B,): root_terms merged
@@ -149,7 +150,8 @@ class SpanTables:
 
 
 def _gathers(first: np.ndarray, length: int):
-    """Flat candidate indices, (length, n - length) each, for one span length.
+    """Flat candidate indices, (length, n - length) each, for one span length,
+    and the end tokens ``left``, ``right`` (1-based, (n - length,)) of its spans.
 
     ``first[L]`` is where row L starts in a table holding rows 0, 1, ...
     Candidate k of start i: ``near`` reads row k at start i, ``far`` row
@@ -160,7 +162,14 @@ def _gathers(first: np.ndarray, length: int):
     k = np.arange(length)[:, None]
     i = np.arange(n - length)
     return (first[:length, None] + i, first[length - 1::-1, None] + (k + 1 + i),
-            first[1:length + 1, None] + (i - n), first[length:0:-1, None] + (k + i - n))
+            first[1:length + 1, None] + (i - n), first[length:0:-1, None] + (k + i - n),
+            i + 1, i + 1 + length)
+
+
+def _root_cones(first: np.ndarray):
+    """Flat indices of root r's closed cones: lc row r-1 and rc row n-r, both
+    spanning to a sentence end."""
+    return first, first[::-1] + np.arange(len(first))
 
 
 def span_recursion(sr: Semiring, attach, stop, cont, root) -> SpanTables:
@@ -176,10 +185,9 @@ def span_recursion(sr: Semiring, attach, stop, cont, root) -> SpanTables:
     if n < 1:
         raise ValueError("need at least one token")
     first = np.concatenate([[0], np.cumsum(np.arange(n, 1, -1))])
-    rows = {"rc": [stop[:, 1:, RIGHT, ADJ]], "lc": [stop[:, 1:, LEFT, ADJ]],
-            "roc": [cont[:, 1:, RIGHT, ADJ]], "loc": [cont[:, 1:, LEFT, ADJ]],
-            "ir": [None], "il": [None]}
-    flat = {name: r[0] for name, r in rows.items() if r[0] is not None}
+    flat = {"rc": stop[:, 1:, RIGHT, ADJ], "lc": stop[:, 1:, LEFT, ADJ],
+            "roc": cont[:, 1:, RIGHT, ADJ], "loc": cont[:, 1:, LEFT, ADJ],
+            "ir": attach[:, 0, :0], "il": attach[:, 0, :0]}   # no row 0: empty
     back: dict[str, list] = {name: [None] for name in ("ir", "il", "ro", "lo")}
 
     def merge(name, cands):
@@ -188,28 +196,25 @@ def span_recursion(sr: Semiring, attach, stop, cont, root) -> SpanTables:
         return value
 
     def push(name, row):
-        rows[name].append(row)
-        flat[name] = sr.cat([flat[name], row]) if name in flat else row
+        flat[name] = sr.cat([flat[name], row])
 
     for length in range(1, n):
-        width = n - length
-        near, far, arc_r, arc_l = _gathers(first, length)
-        starts = np.arange(1, width + 1)
+        near, far, arc_r, arc_l, left, right = _gathers(first, length)
         push("ir", merge("ir", flat["roc"][:, near] + flat["lc"][:, far])
-             + attach[:, starts, starts + length])
+             + attach[:, left, right])
         push("il", merge("il", flat["rc"][:, near] + flat["loc"][:, far])
-             + attach[:, starts + length, starts])
+             + attach[:, right, left])
         ro = merge("ro", flat["ir"][:, arc_r] + flat["rc"][:, far])
         lo = merge("lo", flat["il"][:, arc_l] + flat["lc"][:, near])
-        push("rc", ro + stop[:, 1:width + 1, RIGHT, NONADJ])
-        push("lc", lo + stop[:, length + 1:, LEFT, NONADJ])
-        push("roc", ro + cont[:, 1:width + 1, RIGHT, NONADJ])
-        push("loc", lo + cont[:, length + 1:, LEFT, NONADJ])
+        push("rc", ro + stop[:, left, RIGHT, NONADJ])
+        push("lc", lo + stop[:, right, LEFT, NONADJ])
+        push("roc", ro + cont[:, left, RIGHT, NONADJ])
+        push("loc", lo + cont[:, right, LEFT, NONADJ])
 
-    root_terms = (root[:, 1:] + flat["lc"][:, first]) \
-        + flat["rc"][:, first[::-1] + np.arange(n)]
+    to_lc, to_rc = _root_cones(first)
+    root_terms = (root[:, 1:] + flat["lc"][:, to_lc]) + flat["rc"][:, to_rc]
     total, root_arg = sr.merge(root_terms)
-    return SpanTables(rows=rows, back=back, root_terms=root_terms,
+    return SpanTables(flat=flat, first=first, back=back, root_terms=root_terms,
                       total=total, root_arg=root_arg)
 
 

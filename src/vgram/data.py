@@ -94,6 +94,21 @@ def _list(rec: dict, key: str, path: str, lineno: int, optional: bool = False) -
     return value
 
 
+def _int(value, key: str, path: str, lineno: int) -> int:
+    # `type(x) is int` also turns away true/false, which are ints in Python
+    if type(value) is not int:
+        raise DataError(f"{path}:{lineno}: {key!r} takes JSON integers only, got {value!r}")
+    return value
+
+
+def _int_tuple(rec: dict, key: str, size: int, path: str, lineno: int) -> tuple[int, ...]:
+    value = _list(rec, key, path, lineno)
+    if len(value) != size:
+        raise DataError(f"{path}:{lineno}: {key!r} must list {size} integers, "
+                        f"got {len(value)}")
+    return tuple(_int(x, key, path, lineno) for x in value)
+
+
 def _strings(rec: dict, key: str, path: str, lineno: int) -> list[str]:
     value = _require(rec, key, path, lineno)
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
@@ -331,18 +346,19 @@ def load_alignments(path: str) -> dict[str, VLAlignment]:
         sid = str(_require(rec, "sentence_id", path, lineno))
         if sid in out:
             raise DataError(f"{path}:{lineno}: duplicate sentence id {sid!r}")
-        zero = {int(_require(e, "t", path, lineno)): str(_require(e, "node", path, lineno))
+        zero = {_int(_require(e, "t", path, lineno), "t", path, lineno):
+                str(_require(e, "node", path, lineno))
                 for e in _list(rec, "zero", path, lineno, optional=True)}
         first = {}
         for e in _list(rec, "first", path, lineno, optional=True):
-            arc = tuple(int(x) for x in _list(e, "arc", path, lineno))
+            arc = _int_tuple(e, "arc", 2, path, lineno)
             first[arc] = FirstAlignment(
                 relationship=str(e.get("rel")),
                 endpoints=tuple(str(x) for x in (_list(e, "endpoints", path, lineno)
                                                  if "endpoints" in e else (None, None))))
         second = {}
         for e in _list(rec, "second", path, lineno, optional=True):
-            second[tuple(int(x) for x in _list(e, "tokens", path, lineno))] = tuple(
+            second[_int_tuple(e, "tokens", 3, path, lineno)] = tuple(
                 str(x) for x in _list(e, "nodes", path, lineno))
         out[sid] = VLAlignment(sentence_id=sid, zero=zero, first=first,
                                second=second, meta=rec.get("meta", {}))

@@ -104,6 +104,9 @@ class Tensor:
             for p in node._parents:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
+        for node in order:
+            if node._parents:   # an earlier backward's gradient is stale here
+                node.grad = None
         self.grad = grad
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:

@@ -114,6 +114,20 @@ def test_alignment_non_list_field_is_data_error(dataset, tmp_path, capsys, key):
     assert "Traceback" not in err
 
 
+def test_alignment_non_integer_token_is_data_error(dataset, tmp_path, capsys):
+    bad = tmp_path / "bad_align.jsonl"
+    bad.write_text(json.dumps({"sentence_id": "s", "zero": [{"t": [1], "node": "o1"}]})
+                   + "\n", encoding="utf-8")
+    rc = main(["eval", "--gold-corpus", str(dataset / "corpus.test.jsonl"),
+               "--pred-align", str(bad),
+               "--gold-align", str(dataset / "alignments.jsonl"),
+               "--scene-graphs", str(dataset / "scene_graphs.jsonl")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"{bad}:1: 't' takes JSON integers only" in err
+    assert "Traceback" not in err
+
+
 def test_string_heads_is_data_error(dataset, tmp_path, capsys):
     rec = json.loads((dataset / "corpus.test.jsonl").read_text().splitlines()[1])
     rec["heads"] = "".join(str(h) for h in rec["heads"])

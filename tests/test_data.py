@@ -159,6 +159,26 @@ class TestValidation:
                 f"{path}:1: 'heads' must be a list of integers")):
             load_corpus(str(path))
 
+    @pytest.mark.parametrize("entry, problem", [
+        ({"zero": [{"t": [1], "node": "o1"}]}, "'t' takes JSON integers only, got [1]"),
+        ({"zero": [{"t": 1.7, "node": "o1"}]}, "'t' takes JSON integers only, got 1.7"),
+        ({"zero": [{"t": "1", "node": "o1"}]}, "'t' takes JSON integers only, got '1'"),
+        ({"zero": [{"t": True, "node": "o1"}]}, "'t' takes JSON integers only, got True"),
+        ({"first": [{"arc": [1, 2, 3]}]}, "'arc' must list 2 integers, got 3"),
+        ({"first": [{"arc": [1]}]}, "'arc' must list 2 integers, got 1"),
+        ({"first": [{"arc": [1, 2.0]}]}, "'arc' takes JSON integers only, got 2.0"),
+        ({"first": [{"arc": [False, 2]}]}, "'arc' takes JSON integers only, got False"),
+        ({"second": [{"tokens": [1, 2], "nodes": ["a", "b", "c"]}]},
+         "'tokens' must list 3 integers, got 2"),
+        ({"second": [{"tokens": [1, "2", 3], "nodes": ["a", "b", "c"]}]},
+         "'tokens' takes JSON integers only, got '2'"),
+    ])
+    def test_alignment_integers(self, tmp_path, entry, problem):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps({"sentence_id": "s", **entry}) + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"{path}:1: {problem}")):
+            load_alignments(str(path))
+
     def test_lemma_count_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         rec = {"id": "s0", "image_id": "i0", "tokens": ["a", "b", "c"],

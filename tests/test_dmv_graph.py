@@ -119,3 +119,36 @@ def test_gradients_flow_through_posteriors():
             fd = (fp - fm) / (2 * eps)
             ad = ten.grad[0].reshape(-1)[idx]
             assert ad == pytest.approx(fd, rel=1e-4, abs=1e-7)
+
+
+@pytest.mark.parametrize("n", [12, 20, 40, 60])
+def test_posteriors_are_log_partition_gradient_beyond_enumeration(n):
+    # dual route past the enumeration cap: the explicit outside must
+    # equal the tape gradient of the inside pass
+    s = random_scores(n, np.random.default_rng(700 + n))
+    attach, stop, cont, root = lift(s)
+    attach.requires_grad = True
+    root.requires_grad = True
+    inside_outside(attach, stop, cont, root, need_posteriors=False).log_partition.sum().backward()
+    post = inside_outside(*lift(s)).posteriors.numpy()[0]
+    np.testing.assert_allclose(post[1:, 1:], attach.grad[0][1:, 1:], atol=1e-9)
+    np.testing.assert_allclose(post[0][1:], root.grad[0][1:], atol=1e-9)
+    np.testing.assert_allclose(post[:, 1:].sum(axis=0), 1.0, atol=1e-9)
+
+
+def test_outside_tape_grows_linearly_in_length():
+    # a fixed number of tape ops per span length: doubling n may not
+    # much more than double the tape (per-split-point ops would quadruple it)
+    def tape_size(n):
+        s = random_scores(n, np.random.default_rng(n))
+        leaves = [Tensor(a[None], requires_grad=True)
+                  for a in (s.attach, s.stop, s.cont, s.root)]
+        seen, todo = set(), [inside_outside(*leaves).posteriors]
+        while todo:
+            t = todo.pop()
+            if id(t) not in seen:
+                seen.add(id(t))
+                todo.extend(t._parents)
+        return len(seen)
+
+    assert tape_size(40) / tape_size(20) < 2.5

@@ -138,6 +138,22 @@ class TestBasicOps:
         with pytest.raises(ValueError):
             Tensor(np.ones(())).backward()
 
+    def test_second_backward_through_shared_tensors_is_fresh(self):
+        # x sits on both tapes; its gradient from the first backward must
+        # not be propagated again by the second
+        w = Tensor(np.ones((2, 2)), requires_grad=True)
+        x = T.matmul(np.ones((1, 2)), w)
+        for _ in range(2):
+            w.grad = None
+            T.tsum(T.mul(x, 1.0)).backward()
+            np.testing.assert_array_equal(w.grad, np.ones((2, 2)))
+
+    def test_leaves_accumulate_across_backwards(self):
+        w = Tensor(np.ones(3), requires_grad=True)
+        for _ in range(2):
+            T.tsum(T.mul(w, 2.0)).backward()
+        np.testing.assert_array_equal(w.grad, np.full(3, 4.0))
+
 
 def tmax_loop(rows, node_mats):
     """One dense similarity and one ``tmax`` per node set, stacked: the
