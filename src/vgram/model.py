@@ -83,15 +83,33 @@ class VisualNode:
 
 @dataclass
 class VisualNodeSet:
-    """Canonically ordered nodes plus their feature rows; ties in any
-    argmax resolve to the earlier node in this order."""
+    """Canonically ordered nodes plus the fixed input rows their features
+    come from; ties in any argmax resolve to the earlier node in this
+    order. It holds no tape tensor, so one set serves a whole run.
+
+    A proposal set over M regions keeps the M region features and their
+    mean, the image node's row (``regions`` = M), and the M boxes; its
+    attribute and relationship rows are learned and ``Model._pad_nodes``
+    computes them per batch. Its node metadata is built from the boxes
+    on the first read of ``nodes``, which training never does. A gold
+    set keeps every node and every node's fixed row (``regions`` = 0).
+    """
 
     image_id: str
-    nodes: list[VisualNode]
-    features: Tensor  # (V, feat_dim)
+    rows: np.ndarray       # (M + 1, feat_dim) proposals, (V, feat_dim) gold
+    regions: int = 0
+    boxes: Sequence[Box] = ()
+    _nodes: Optional[list[VisualNode]] = None
+
+    @property
+    def nodes(self) -> list[VisualNode]:
+        if self._nodes is None:
+            self._nodes = _proposal_nodes(self.boxes)
+        return self._nodes
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        m = self.regions
+        return m * m + m + 1 if m else len(self.nodes)
 
     def relationship_indices(self) -> np.ndarray:
         return np.array([k for k, nd in enumerate(self.nodes)
@@ -100,7 +118,8 @@ class VisualNodeSet:
 
 @dataclass
 class SentenceBatch:
-    """One same-length group ready for the forward pass."""
+    """One same-length group ready for the forward pass: token and tag
+    ids plus one parameter-free ``VisualNodeSet`` per sentence."""
 
     word_ids: np.ndarray   # (B, n)
     tag_ids: np.ndarray    # (B, n)
@@ -123,6 +142,20 @@ def arc_index(n: int) -> np.ndarray:
     h, d = np.divmod(np.arange(n * n), n)
     keep = h != d
     return np.stack([h[keep], d[keep]], axis=1) + 1
+
+
+def _proposal_nodes(boxes: Sequence[Box]) -> list[VisualNode]:
+    """Canonical nodes over M proposals: M objects, M attributes,
+    M(M-1) ordered-pair relationships (row-major), the image node."""
+    m = len(boxes)
+    nodes = [VisualNode(f"obj:{k}", NodeType.OBJECT, box=boxes[k]) for k in range(m)]
+    nodes += [VisualNode(f"attr:{k}", NodeType.ATTRIBUTE, box=boxes[k], owner=f"obj:{k}")
+              for k in range(m)]
+    nodes += [VisualNode(f"rel:{i}:{j}", NodeType.RELATIONSHIP,
+                         endpoints=(boxes[i], boxes[j]), src=f"obj:{i}", dst=f"obj:{j}")
+              for i in range(m) for j in range(m) if i != j]
+    nodes.append(VisualNode("img", NodeType.OBJECT, box=_union_box(boxes)))
+    return nodes
 
 
 def pattern_index(n: int) -> np.ndarray:
@@ -250,41 +283,18 @@ class Model:
     def build_visual_nodes(self, image_id: str,
                            regions: Sequence[tuple[Box, np.ndarray]]) -> VisualNodeSet:
         """Typed node set over M proposals: M objects, M attributes,
-        M(M-1) ordered-pair relationships, one full-image dummy node."""
+        M(M-1) ordered-pair relationships, one full-image dummy node
+        whose row is the mean of the object rows."""
         if not regions:
             raise ValueError(f"{image_id}: empty region list")
-        feats = np.stack([f for _, f in regions])
+        feats = np.stack([f for _, f in regions]).astype(np.float64, copy=False)
         if feats.shape[1] != self.config.feat_dim:
             raise ValueError(f"{image_id}: feature dim {feats.shape[1]} != "
                              f"configured {self.config.feat_dim}")
-        boxes = [b for b, _ in regions]
         m = len(regions)
-        obj = Tensor(feats)
-        attr = T.mlp(obj, [(self.store["vis.attr.w1"], self.store["vis.attr.b1"]),
-                           (self.store["vis.attr.w2"], self.store["vis.attr.b2"])])
-        nodes = [VisualNode(f"obj:{k}", NodeType.OBJECT, box=boxes[k]) for k in range(m)]
-        nodes += [VisualNode(f"attr:{k}", NodeType.ATTRIBUTE, box=boxes[k], owner=f"obj:{k}")
-                  for k in range(m)]
-        parts = [obj, attr]
-        if m > 1:
-            rel = T.biaffine_features(
-                T.reshape(obj, (1, m, -1)), T.reshape(obj, (1, m, -1)),
-                self.store["vis.rel.w1"], self.store["vis.rel.w2"],
-                self.store["vis.rel.b"])[0]
-            pair_rows, pair_cols = [], []
-            for i in range(m):
-                for j in range(m):
-                    if i != j:
-                        pair_rows.append(i)
-                        pair_cols.append(j)
-                        nodes.append(VisualNode(
-                            f"rel:{i}:{j}", NodeType.RELATIONSHIP,
-                            endpoints=(boxes[i], boxes[j]), src=f"obj:{i}", dst=f"obj:{j}"))
-            parts.append(rel[np.array(pair_rows), np.array(pair_cols)])
-        dummy = T.tmean(obj, axis=0, keepdims=True)
-        nodes.append(VisualNode("img", NodeType.OBJECT, box=_union_box(boxes)))
-        parts.append(dummy)
-        return VisualNodeSet(image_id, nodes, T.concat(parts, axis=0))
+        dummy = feats.sum(axis=0, keepdims=True) * (1.0 / m)
+        return VisualNodeSet(image_id, np.concatenate([feats, dummy]), regions=m,
+                             boxes=[b for b, _ in regions])
 
     def build_visual_nodes_gold(self, sg: SceneGraph,
                                 regions: Optional[Sequence[tuple[Box, np.ndarray]]] = None
@@ -325,35 +335,71 @@ class Model:
         dummy = mat[:len(sg.objects)].mean(axis=0, keepdims=True)
         nodes.append(VisualNode("img", NodeType.OBJECT,
                                 box=_union_box([o.bbox for o in sg.objects])))
-        return VisualNodeSet(sg.image_id, nodes,
-                             T.concat([Tensor(mat), Tensor(dummy)], axis=0))
+        return VisualNodeSet(sg.image_id, np.concatenate([mat, dummy]), _nodes=nodes)
 
     def _pad_nodes(self, node_sets: list[VisualNodeSet]
                    ) -> tuple[Tensor, np.ndarray]:
-        """Stack variable-size node features, masking padded slots."""
-        vmax = max(len(ns) for ns in node_sets)
-        dim = self.config.feat_dim
-        padded, mask = [], np.zeros((len(node_sets), 1, vmax))
+        """Node features of a batch (sum of V_b, feat_dim), image after
+        image in canonical order, plus the attention mask (B, 1, V_max)
+        whose zero slots they fill, row-major, when padded per image.
+
+        The one place node features are computed. One ``mlp`` over all
+        the batch's region rows gives every attribute row, and one
+        ``biaffine_features`` per distinct region count every pair row,
+        so no image pays for a larger image's pairs. One gather reads
+        [fixed rows, attributes, pair blocks] into canonical order.
+        """
+        store, dim = self.store, self.config.feat_dim
+        fixed = np.concatenate([ns.rows for ns in node_sets])
+        start = np.cumsum([0] + [len(ns.rows) for ns in node_sets])
+        objects = np.concatenate([start[b] + np.arange(ns.regions)
+                                  for b, ns in enumerate(node_sets)])
+        parts = [Tensor(fixed)]
+        if len(objects):
+            parts.append(T.mlp(Tensor(fixed[objects]),
+                               [(store["vis.attr.w1"], store["vis.attr.b1"]),
+                                (store["vis.attr.w2"], store["vis.attr.b2"])]))
+        groups: dict[int, list[int]] = {}
         for b, ns in enumerate(node_sets):
-            v = len(ns)
-            if v < vmax:
-                padded.append(T.concat([ns.features, Tensor(np.zeros((vmax - v, dim)))],
-                                       axis=0))
-                mask[b, 0, v:] = ATTENTION_MASK
+            if ns.regions > 1:
+                groups.setdefault(ns.regions, []).append(b)
+        pair_start, top = {}, len(fixed) + len(objects)
+        for m, members in groups.items():
+            obj = Tensor(np.stack([node_sets[b].rows[:m] for b in members]))
+            rel = T.biaffine_features(obj, obj, store["vis.rel.w1"], store["vis.rel.w2"],
+                                      store["vis.rel.b"])
+            parts.append(T.reshape(rel, (len(members) * m * m, dim)))
+            for g, b in enumerate(members):
+                pair_start[b] = top + g * m * m
+            top += len(members) * m * m
+        bank = T.concat(parts, axis=0) if len(parts) > 1 else parts[0]
+        order, attr = [], len(fixed)
+        for b, ns in enumerate(node_sets):
+            m = ns.regions
+            if m:
+                # off-diagonal cells of the row-major m x m block: ordered pairs
+                pairs = np.flatnonzero(~np.eye(m, dtype=bool)) + pair_start.get(b, 0)
+                order += [start[b] + np.arange(m), attr + np.arange(m), pairs, [start[b] + m]]
+                attr += m
             else:
-                padded.append(ns.features)
-        return T.stack(padded, axis=0), mask
+                order.append(start[b] + np.arange(len(ns)))
+        sizes = np.array([len(ns) for ns in node_sets])
+        live = np.arange(sizes.max()) < sizes[:, None]
+        return bank[np.concatenate(order)], np.where(live, 0.0, ATTENTION_MASK)[:, None, :]
 
     # -- encoder ---------------------------------------------------------
 
     def encode(self, word_ids: np.ndarray, tag_ids: np.ndarray,
-               node_sets: list[VisualNodeSet]) -> tuple[Tensor, Tensor]:
+               nodes: tuple[Tensor, np.ndarray]) -> tuple[Tensor, Tensor]:
         """Fuse token embeddings with visual context.
 
+        ``nodes`` is ``_pad_nodes``' (features, mask) for the batch.
         Returns per-token contexts (B, n, hidden) and the mean-pooled
         joint summary (B, hidden). Each token attends over all visual
         nodes of its image; the attended value is added residually, so
-        zero value projections reduce to the pure text pathway.
+        zero value projections reduce to the pure text pathway. Keys and
+        values are projected from the node rows and then padded to
+        (B, V_max, hidden) along the mask.
         """
         batch, n = word_ids.shape
         w = T.take(self.store["embed.word"], word_ids.reshape(-1))
@@ -361,10 +407,12 @@ class Model:
         x = T.concat([w, g], axis=1)
         inputs = T.linear(x, self.store["enc.in.w"], self.store["enc.in.b"])
         inputs = T.reshape(inputs, (batch, n, self.config.hidden_dim))
-        feats, mask = self._pad_nodes(node_sets)
+        feats, mask = nodes
+        slots = np.nonzero(mask[:, 0] == 0.0)
+        shape = (batch, mask.shape[2], self.config.hidden_dim)
         q = T.matmul(inputs, self.store["enc.attn.q"])
-        k = T.matmul(feats, self.store["enc.attn.k"])
-        v = T.matmul(feats, self.store["enc.attn.v"])
+        k = T.put_at(T.matmul(feats, self.store["enc.attn.k"]), slots, shape)
+        v = T.put_at(T.matmul(feats, self.store["enc.attn.v"]), slots, shape)
         attended = T.attention(q, k, v, mask)
         contexts = T.add(inputs, attended)
         summary = T.tmean(contexts, axis=1)
@@ -463,9 +511,10 @@ class Model:
         ``normalize_sim`` is on."""
         return T.l2_normalize(rows) if self.config.normalize_sim else rows
 
-    def node_matrix(self, node_set: VisualNodeSet) -> Tensor:
-        """Projected, normalized node rows (V, match_dim) of one image."""
-        return self._unit(T.matmul(node_set.features, self.store["match.vis"]))
+    def node_matrix(self, feats: Tensor) -> Tensor:
+        """Projected, normalized node rows (V, match_dim) of
+        ``_pad_nodes``' features."""
+        return self._unit(T.matmul(feats, self.store["match.vis"]))
 
     @staticmethod
     def similarity(rows: Tensor, nodes: Tensor) -> Tensor:
@@ -514,7 +563,7 @@ class Model:
     # -- losses ------------------------------------------------------------
 
     def _contrastive_from(self, batch: SentenceBatch, contexts: Tensor,
-                          charts: BatchCharts) -> Tensor:
+                          charts: BatchCharts, feats: Tensor) -> Tensor:
         bsz, n = batch.tag_ids.shape
         ctx_all, _, pairs, triples = self.batch_contexts(contexts)
         weights = self.context_weights(charts.posteriors, n, pairs, triples)
@@ -522,7 +571,7 @@ class Model:
         flat_ctx = self._unit(
             T.reshape(ctx_all, (bsz * per_sentence, self.config.match_dim)))
         sim_image = T.max_similarity(                             # (B*C, B)
-            flat_ctx, [self.node_matrix(ns) for ns in batch.node_sets])
+            flat_ctx, self.node_matrix(feats), [len(ns) for ns in batch.node_sets])
         sim_plus = T.mul(sim_image, T.reshape(weights, (bsz * per_sentence, 1)))
         log_probs = T.log_softmax(sim_plus, axis=1)
         own = np.repeat(np.arange(bsz), per_sentence)
@@ -535,13 +584,14 @@ class Model:
         lam = self.config.lambda_cl if lambda_cl is None else lambda_cl
         if not 0.0 <= lam <= 1.0:
             raise ValueError(f"lambda must be in [0, 1], got {lam}")
-        contexts, summary = self.encode(batch.word_ids, batch.tag_ids, batch.node_sets)
+        nodes = self._pad_nodes(batch.node_sets)
+        contexts, summary = self.encode(batch.word_ids, batch.tag_ids, nodes)
         charts = inside_outside(*self.decoder_scores(batch.tag_ids, summary),
                                 need_posteriors=lam > 0.0)
         l_mle = T.mul(T.tmean(charts.log_partition), -1.0)
         if lam == 0.0:
             return l_mle, l_mle.item(), 0.0
-        l_cl = self._contrastive_from(batch, contexts, charts)
+        l_cl = self._contrastive_from(batch, contexts, charts, nodes[0])
         total = T.add(T.mul(l_mle, 1.0 - lam), T.mul(l_cl, lam))
         return total, l_mle.item(), l_cl.item()
 
@@ -549,7 +599,8 @@ class Model:
         """Warm-up target: expected complete-data log-likelihood under
         nearness-biased attachment posteriors, the usual remedy for the
         initialization sensitivity of valence grammars."""
-        _, summary = self.encode(batch.word_ids, batch.tag_ids, batch.node_sets)
+        _, summary = self.encode(batch.word_ids, batch.tag_ids,
+                                 self._pad_nodes(batch.node_sets))
         attach, _, _, root = self.decoder_scores(batch.tag_ids, summary)
         bsz, n = batch.tag_ids.shape
         target = np.zeros((bsz, n + 1, n + 1))
@@ -595,12 +646,13 @@ class Model:
         """Encode, decode the Viterbi tree unless ``heads`` is given, and
         ground its tokens, arcs (on relationship nodes) and patterns."""
         tag_ids = np.array([[t.pos for t in tokens]])
-        contexts, summary = self.encode(self.word_ids(tokens)[None], tag_ids, [node_set])
+        nodes = self._pad_nodes([node_set])
+        contexts, summary = self.encode(self.word_ids(tokens)[None], tag_ids, nodes)
         if heads is None:
             heads, _ = chart.viterbi(self.sentence_scores(tag_ids[0], summary))
         heads = list(heads)
         inst = tree_to_instances(heads)
-        nodes = self.node_matrix(node_set)
+        nodes = self.node_matrix(nodes[0])
         ctx_tok = self._unit(T.matmul(contexts, self.store["match.ctx"])[0])
         sim_tok = self.similarity(ctx_tok, nodes).numpy()
         zero = {t: node_set.nodes[int(np.argmax(sim_tok[t - 1]))].id

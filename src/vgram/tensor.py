@@ -5,10 +5,11 @@ A Tensor wraps an ndarray and records the operation that produced it;
 is the small closed set the model needs: arithmetic with broadcasting,
 matmul (with leading batch dims), logsumexp/log-softmax, gather and
 fancy indexing, concat/stack, reductions, relu, and ``max_similarity``
-(each row's best dot product per node set, with a sparse argmax
-backward, for the contrastive loss). Forward results are
-checked finite after every op, so a NaN trips immediately at its source
-instead of three modules later.
+(each row's best dot product per image, over the images' node rows
+laid one after another, with a sparse argmax backward, for the
+contrastive loss).
+Forward results are checked finite after every op, so a NaN trips
+immediately at its source instead of three modules later.
 """
 
 from __future__ import annotations
@@ -412,23 +413,28 @@ def tmax(a, axis: int, keepdims: bool = False) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
-def max_similarity(rows, node_mats: Sequence[Tensor]) -> Tensor:
-    """Best match per row and node set: ``out[r, b] = max_v rows[r] ·
-    node_mats[b][v]``, shape (R, B).
+def max_similarity(rows, nodes, counts: Sequence[int]) -> Tensor:
+    """Best match per row and image: ``out[r, b] = max_v rows[r] ·
+    nodes[v]`` over image b's node rows, shape (R, B).
 
-    Equals stacking ``tmax(rows @ node_mats[b].T, axis=-1)`` over b, with
+    ``nodes`` (V, d) holds the images' node rows one after another:
+    image b owns ``counts[b]`` rows from ``sum(counts[:b])`` on. Equals
+    stacking ``tmax(rows @ block_b.T, axis=-1)`` over the blocks, with
     the same first-maximum ties, but each dense (R, V_b) score matrix
     lives only while its column is reduced: the tape keeps the argmax
-    indices, and backward gathers and scatters through them.
+    indices, and backward gathers and scatters through them, one image
+    at a time.
     """
-    rows = as_tensor(rows)
-    node_mats = [as_tensor(m) for m in node_mats]
+    rows, nodes = as_tensor(rows), as_tensor(nodes)
     count, dim = rows.shape
+    if min(counts) < 1 or sum(counts) != nodes.shape[0]:
+        raise ValueError(f"node counts {list(counts)} do not fit nodes {nodes.shape}")
+    bounds = np.cumsum([0, *counts])
     line = np.arange(count)
-    out_data = np.empty((count, len(node_mats)))
+    out_data = np.empty((count, len(counts)))
     args = []
-    for b, nodes in enumerate(node_mats):
-        scores = rows.data @ nodes.data.T
+    for b in range(len(counts)):
+        scores = rows.data @ nodes.data[bounds[b]:bounds[b + 1]].T
         arg = scores.argmax(axis=-1)   # a NaN is its row's argmax, so it trips below
         out_data[:, b] = scores[line, arg]
         args.append(arg)
@@ -436,19 +442,21 @@ def max_similarity(rows, node_mats: Sequence[Tensor]) -> Tensor:
     def backward(g):
         if rows.requires_grad:
             grad = np.zeros_like(rows.data)
-            for b, (nodes, arg) in enumerate(zip(node_mats, args)):
-                grad += g[:, b, None] * nodes.data[arg]
+            for b, arg in enumerate(args):
+                grad += g[:, b, None] * nodes.data[bounds[b] + arg]
             rows.accumulate(grad)
-        cols = np.arange(dim)
-        for b, (nodes, arg) in enumerate(zip(node_mats, args)):
-            if nodes.requires_grad:
+        if nodes.requires_grad:
+            grad = np.empty_like(nodes.data)
+            cols = np.arange(dim)
+            for b, (v, arg) in enumerate(zip(counts, args)):
                 # scatter-add of the weighted rows onto their argmax node
                 flat = (arg[:, None] * dim + cols).ravel()
-                grad = np.bincount(flat, (g[:, b, None] * rows.data).ravel(),
-                                   minlength=nodes.size)
-                nodes.accumulate(grad.reshape(nodes.shape))
+                grad[bounds[b]:bounds[b + 1]] = np.bincount(
+                    flat, (g[:, b, None] * rows.data).ravel(),
+                    minlength=v * dim).reshape(v, dim)
+            nodes.accumulate(grad)
 
-    return _make(out_data, (rows, *node_mats), backward)
+    return _make(out_data, (rows, nodes), backward)
 
 
 def logsumexp(a, axis: int, keepdims: bool = False) -> Tensor:
@@ -595,14 +603,17 @@ class ParameterStore:
                 total += float((t.grad * t.grad).sum())
         return math.sqrt(total)
 
-    def clip_gradients(self, max_norm: float = GRAD_CLIP_DEFAULT) -> float:
+    def clip_gradients(self, max_norm: float = GRAD_CLIP_DEFAULT) -> tuple[float, bool]:
+        """Scale the gradients to global norm ``max_norm`` when above it
+        (0 disables); returns the pre-clip norm and whether it scaled."""
         norm = self.grad_norm()
-        if norm > max_norm > 0:
+        clipped = norm > max_norm > 0
+        if clipped:
             scale = max_norm / norm
             for t in self._params.values():
                 if t.requires_grad and t.grad is not None:
                     t.grad *= scale
-        return norm
+        return norm, clipped
 
     def load_values(self, values: dict[str, np.ndarray]) -> None:
         """Replace every parameter's value, or none of them on a mismatch."""

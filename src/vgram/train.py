@@ -1,7 +1,8 @@
 """Training loop: harmonic warm-up, mixed objective, per-epoch logging.
 
 Batches group same-length sentences so the chart runs vectorized; the
-in-batch images of each group serve as contrastive negatives. Updates
+in-batch images of each group serve as contrastive negatives. Each
+image's parameter-free node set is built once per run. Updates
 are serialized through one optimizer step per batch with global norm
 clipping, which keeps runs bitwise reproducible for a fixed seed.
 """
@@ -20,7 +21,7 @@ import numpy as np
 from vgram.core import Box
 from vgram.data import Sentence
 from vgram.metrics import dda_uda
-from vgram.model import Model, SentenceBatch
+from vgram.model import Model, SentenceBatch, VisualNodeSet
 from vgram.tensor import adam_step
 
 log = logging.getLogger("vgram.train")
@@ -46,12 +47,16 @@ class EpochStats:
     dev_uda: Optional[float] = None
     seconds: float = 0.0
     phase: str = "train"
+    grad_norm: float = 0.0      # mean pre-clip global gradient norm per step
+    clipped_frac: float = 0.0   # share of steps whose gradient was clipped
 
     def row(self) -> dict:
         return {"epoch": self.epoch, "phase": self.phase,
                 "mle": round(self.mle, 6), "cl": round(self.cl, 6),
                 "dev_dda": self.dev_dda, "dev_uda": self.dev_uda,
-                "seconds": round(self.seconds, 3)}
+                "seconds": round(self.seconds, 3),
+                "grad_norm": round(self.grad_norm, 6),
+                "clipped_frac": round(self.clipped_frac, 6)}
 
 
 class Trainer:
@@ -73,6 +78,9 @@ class Trainer:
             raise ValueError("no usable training sentences")
         self.sentences = usable
         self._shuffle_rng = np.random.default_rng(settings.seed + 1)
+        # per image: its (M + 1, feat_dim) rows and M boxes; node metadata
+        # only for the images evaluate parses
+        self._node_sets: dict[str, VisualNodeSet] = {}
 
     # -- batching -------------------------------------------------------
 
@@ -90,10 +98,15 @@ class Trainer:
         perm = self._shuffle_rng.permutation(len(batches))
         return [batches[i] for i in perm]
 
+    def _node_set(self, image_id: str) -> VisualNodeSet:
+        ns = self._node_sets.get(image_id)
+        if ns is None:
+            ns = self.model.build_visual_nodes(image_id, self.features[image_id])
+            self._node_sets[image_id] = ns
+        return ns
+
     def _assemble(self, group: list[Sentence]) -> SentenceBatch:
-        node_sets = [self.model.build_visual_nodes(s.image_id,
-                                                   self.features[s.image_id])
-                     for s in group]
+        node_sets = [self._node_set(s.image_id) for s in group]
         word_ids = np.stack([self.model.word_ids(s.tokens) for s in group])
         tag_ids = np.stack([[t.pos for t in s.tokens] for s in group])
         return SentenceBatch(word_ids=word_ids, tag_ids=tag_ids,
@@ -103,30 +116,39 @@ class Trainer:
 
     # -- epochs ----------------------------------------------------------
 
-    def _step(self, loss) -> None:
+    def _step(self, loss) -> tuple[float, bool]:
+        """One clipped update; returns the pre-clip gradient norm and
+        whether it was clipped."""
         self.model.store.zero_grad()
         loss.backward()
-        self.model.store.clip_gradients(self.settings.grad_clip)
+        clip = self.model.store.clip_gradients(self.settings.grad_clip)
         adam_step(self.model.store, lr=self.settings.lr)
+        return clip
 
-    def run_epoch(self, warmup: bool = False) -> tuple[float, float]:
+    def run_epoch(self, warmup: bool = False) -> tuple[float, float, dict[str, float]]:
+        """One pass over the batches: mean MLE and contrastive loss per
+        sentence (0 in warm-up) and the steps' ``grad_norm`` (mean
+        pre-clip norm) and ``clipped_frac`` (share clipped)."""
         mle_sum = cl_sum = 0.0
         count = 0
+        clips = []
         for group in self._batches():
             batch = self._assemble(group)
             if warmup:
                 loss = self.model.harmonic_loss(batch)
-                self._step(loss)
+                clips.append(self._step(loss))
                 continue
             lam = self.settings.lambda_cl if len(group) >= 2 else 0.0
             total, mle_val, cl_val = self.model.total_loss(batch, lambda_cl=lam)
-            self._step(total)
+            clips.append(self._step(total))
             mle_sum += mle_val * len(group)
             cl_sum += cl_val * len(group)
             count += len(group)
+        norms = {"grad_norm": float(np.mean([n for n, _ in clips])) if clips else 0.0,
+                 "clipped_frac": float(np.mean([c for _, c in clips])) if clips else 0.0}
         if warmup or count == 0:
-            return 0.0, 0.0
-        return mle_sum / count, cl_sum / count
+            return 0.0, 0.0, norms
+        return mle_sum / count, cl_sum / count, norms
 
     def evaluate(self, sentences: Sequence[Sentence]) -> tuple[Optional[float], Optional[float]]:
         usable = [s for s in sentences
@@ -135,8 +157,8 @@ class Trainer:
             return None, None
         preds = []
         for s in usable:
-            ns = self.model.build_visual_nodes(s.image_id, self.features[s.image_id])
-            tree, _ = self.model.parse(s.tokens, ns, sentence_id=s.id)
+            tree, _ = self.model.parse(s.tokens, self._node_set(s.image_id),
+                                       sentence_id=s.id)
             preds.append(list(tree.heads))
         return dda_uda(preds, [list(s.heads) for s in usable])
 
@@ -161,15 +183,15 @@ class Trainer:
 
         for w in range(self.settings.harmonic_warmup_epochs):
             t0 = time.perf_counter()
-            self.run_epoch(warmup=True)
+            _, _, norms = self.run_epoch(warmup=True)
             emit(EpochStats(epoch=-(w + 1), mle=0.0, cl=0.0, phase="warmup",
-                            seconds=time.perf_counter() - t0))
+                            seconds=time.perf_counter() - t0, **norms))
         for epoch in range(1, self.settings.epochs + 1):
             t0 = time.perf_counter()
-            mle, cl = self.run_epoch()
+            mle, cl, norms = self.run_epoch()
             dev_dda, dev_uda = self.evaluate(self.dev) if self.dev else (None, None)
             stats = EpochStats(epoch=epoch, mle=mle, cl=cl, dev_dda=dev_dda,
-                               dev_uda=dev_uda, seconds=time.perf_counter() - t0)
+                               dev_uda=dev_uda, seconds=time.perf_counter() - t0, **norms)
             emit(stats)
             if out_dir:
                 self.model.save(os.path.join(out_dir, f"ckpt_epoch{epoch}.bin"),

@@ -217,7 +217,8 @@ def test_criterion_3_gradient_integrity():
 
     # the mle gradient w.r.t. attach scores must equal -P/K
     batch = make_batch()
-    _, summary = model.encode(batch.word_ids, batch.tag_ids, batch.node_sets)
+    _, summary = model.encode(batch.word_ids, batch.tag_ids,
+                              model._pad_nodes(batch.node_sets))
     attach, stop, cont, root = model.decoder_scores(batch.tag_ids, summary)
     leaves = [T.Tensor(x.numpy().copy(), requires_grad=True)
               for x in (attach, stop, cont, root)]

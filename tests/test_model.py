@@ -12,7 +12,14 @@ from vgram.core import (
     SGObject,
     Token,
 )
-from vgram.model import Model, ModelConfig, SentenceBatch, arc_index, pattern_index
+from vgram.model import (
+    ATTENTION_MASK,
+    Model,
+    ModelConfig,
+    SentenceBatch,
+    arc_index,
+    pattern_index,
+)
 from vgram.tensor import Tensor
 
 DIM = 8
@@ -64,12 +71,22 @@ class TestVisualNodes:
         assert len(ns) == 3
         assert kinds.count(NodeType.RELATIONSHIP) == 0
 
+    def test_nodes_built_on_first_read_in_canonical_order(self):
+        model, _, vectors = make_model()
+        ns = model.build_visual_nodes("img", regions_for(vectors, [0, 1, 2]))
+        assert len(ns) == 13 and ns._nodes is None
+        assert [nd.id for nd in ns.nodes] == [
+            "obj:0", "obj:1", "obj:2", "attr:0", "attr:1", "attr:2",
+            "rel:0:1", "rel:0:2", "rel:1:0", "rel:1:2", "rel:2:0", "rel:2:1", "img"]
+        assert ns.nodes is ns.nodes and len(ns) == 13
+
     def test_dummy_is_mean_of_objects(self):
         model, _, _ = make_model()
         f = np.ones(DIM)
         regions = [((0.0, 0.0, 9.0, 9.0), f), ((10.0, 0.0, 19.0, 9.0), -f)]
         ns = model.build_visual_nodes("img", regions)
-        np.testing.assert_allclose(ns.features.numpy()[-1], np.zeros(DIM))
+        feats, _ = model._pad_nodes([ns])
+        np.testing.assert_allclose(feats.numpy()[-1], np.zeros(DIM))
 
     def test_empty_regions_rejected(self):
         model, _, _ = make_model()
@@ -87,24 +104,24 @@ class TestEncoder:
         # zero value projections: contexts equal the word embeddings
         model, _, vectors = make_model(identity=True)
         ns = model.build_visual_nodes("img", regions_for(vectors, [0, 1]))
-        ctx, summary = model.encode(np.array([[1, 2]]), np.array([[0, 1]]), [ns])
+        ctx, summary = model.encode(np.array([[1, 2]]), np.array([[0, 1]]),
+                                    model._pad_nodes([ns]))
         np.testing.assert_allclose(ctx.numpy()[0, 0], vectors[0], atol=1e-12)
         np.testing.assert_allclose(ctx.numpy()[0, 1], vectors[1], atol=1e-12)
         np.testing.assert_allclose(summary.numpy()[0], vectors[:2].mean(0), atol=1e-12)
 
     def test_single_node_attention_weight_one(self):
         model, _, vectors = make_model(identity=False, seed=3)
-        ns = model.build_visual_nodes("img", regions_for(vectors, [0]))
-        # only the object, attribute and dummy nodes exist; restrict to one
-        # node to check the softmax degenerates to weight 1
-        ns.nodes = ns.nodes[:1]
-        ns.features = ns.features[0:1]
-        ctx, _ = model.encode(np.array([[1]]), np.array([[0]]), [ns])
+        # one live node and one masked slot: the softmax degenerates to
+        # weight 1 on the live node
+        feats = Tensor(vectors[0:1])
+        mask = np.array([[[0.0, ATTENTION_MASK]]])
+        ctx, _ = model.encode(np.array([[1]]), np.array([[0]]), (feats, mask))
         w = T.take(model.store["embed.word"], np.array([1]))
         g = T.take(model.store["embed.tag"], np.array([0]))
         inputs = T.linear(T.concat([w, g], axis=1), model.store["enc.in.w"],
                           model.store["enc.in.b"])
-        value = T.matmul(ns.features, model.store["enc.attn.v"])
+        value = T.matmul(Tensor(vectors[0:1]), model.store["enc.attn.v"])
         np.testing.assert_allclose(ctx.numpy()[0, 0],
                                    (inputs.numpy() + value.numpy())[0], atol=1e-12)
 
@@ -118,7 +135,7 @@ class TestDecoder:
         model, _, vectors = make_model(identity=False, seed=1)
         ns = model.build_visual_nodes("img", regions_for(vectors, [0, 1, 2, 3]))
         tags = np.array([[0, 0, 1, 2]])
-        _, summary = model.encode(np.array([[1, 2, 3, 4]]), tags, [ns])
+        _, summary = model.encode(np.array([[1, 2, 3, 4]]), tags, model._pad_nodes([ns]))
         attach, stop, cont, root = model.decoder_scores(tags, summary)
         np.testing.assert_allclose(np.exp(stop.numpy()[0, 1:]) + np.exp(cont.numpy()[0, 1:]),
                                    1.0, atol=1e-6)
@@ -134,7 +151,8 @@ class TestDecoder:
     def test_deterministic_given_tags_and_summary(self):
         model, _, vectors = make_model(identity=False, seed=2)
         ns = model.build_visual_nodes("img", regions_for(vectors, [0, 1]))
-        _, summary = model.encode(np.array([[1, 2]]), np.array([[0, 1]]), [ns])
+        _, summary = model.encode(np.array([[1, 2]]), np.array([[0, 1]]),
+                                  model._pad_nodes([ns]))
         s1 = model.sentence_scores([0, 1], summary)
         s2 = model.sentence_scores([0, 1], summary)
         np.testing.assert_array_equal(s1.attach, s2.attach)
@@ -143,7 +161,7 @@ class TestDecoder:
     def test_tag_out_of_vocabulary(self):
         model, _, vectors = make_model()
         ns = model.build_visual_nodes("img", regions_for(vectors, [0]))
-        _, summary = model.encode(np.array([[1]]), np.array([[0]]), [ns])
+        _, summary = model.encode(np.array([[1]]), np.array([[0]]), model._pad_nodes([ns]))
         with pytest.raises(ValueError, match="tag id"):
             model.decoder_scores(np.array([[7]]), summary)
 
@@ -160,7 +178,8 @@ class TestLosses:
     def test_single_token_mle_is_root_plus_stops(self):
         model, _, vectors = make_model(identity=False, seed=4)
         batch = toy_batch(model, vectors, [([0], [1])])
-        _, summary = model.encode(batch.word_ids, batch.tag_ids, batch.node_sets)
+        _, summary = model.encode(batch.word_ids, batch.tag_ids,
+                                  model._pad_nodes(batch.node_sets))
         scores = model.sentence_scores([1], summary)
         expected = -(scores.root[1] + scores.stop[1, 0, 0] + scores.stop[1, 1, 0])
         assert mle(model, batch) == pytest.approx(expected, abs=1e-9)
@@ -168,7 +187,8 @@ class TestLosses:
     def test_mle_matches_reference_chart(self):
         model, _, vectors = make_model(identity=False, seed=5)
         batch = toy_batch(model, vectors, [([0, 1, 2], [0, 1, 2])])
-        _, summary = model.encode(batch.word_ids, batch.tag_ids, batch.node_sets)
+        _, summary = model.encode(batch.word_ids, batch.tag_ids,
+                                  model._pad_nodes(batch.node_sets))
         scores = model.sentence_scores([0, 1, 2], summary)
         ref = np.logaddexp.reduce([chart.score_tree(scores, t)
                                    for t in chart.enumerate_projective_trees(3)])
@@ -215,11 +235,36 @@ class TestLosses:
             model.total_loss(batch, lambda_cl=1.5)
 
 
-def tmax_loop(rows, node_mats):
+def tmax_loop(rows, nodes, counts):
     """The contrastive image column as one dense similarity and one
     ``tmax`` per image: the reference for ``T.max_similarity``."""
-    return T.stack([T.tmax(Model.similarity(rows, nodes), axis=-1)
-                    for nodes in node_mats], axis=1)
+    bounds = np.cumsum([0, *counts])
+    return T.stack([T.tmax(Model.similarity(rows, nodes[bounds[b]:bounds[b + 1]]), axis=-1)
+                    for b in range(len(counts))], axis=1)
+
+
+def pad_nodes_loop(model, node_sets):
+    """Each image's node features built on their own and concatenated,
+    with the mask padded one image at a time: the reference for the
+    batched ``Model._pad_nodes``."""
+    store = model.store
+    vmax = max(len(ns) for ns in node_sets)
+    images, mask = [], np.zeros((len(node_sets), 1, vmax))
+    for b, ns in enumerate(node_sets):
+        m = ns.regions
+        obj = Tensor(ns.rows[:m])
+        parts = [obj, T.mlp(obj, [(store["vis.attr.w1"], store["vis.attr.b1"]),
+                                  (store["vis.attr.w2"], store["vis.attr.b2"])])]
+        if m > 1:
+            rel = T.biaffine_features(T.reshape(obj, (1, m, -1)), T.reshape(obj, (1, m, -1)),
+                                      store["vis.rel.w1"], store["vis.rel.w2"],
+                                      store["vis.rel.b"])[0]
+            pairs = arc_index(m) - 1
+            parts.append(rel[pairs[:, 0], pairs[:, 1]])
+        parts.append(T.tmean(obj, axis=0, keepdims=True))
+        images.append(T.concat(parts, axis=0))
+        mask[b, 0, len(ns):] = ATTENTION_MASK
+    return T.concat(images, axis=0), mask
 
 
 def random_batch(model, rng, n, bsz, regions=(1, 5)):
@@ -242,30 +287,41 @@ def context_rows(n: int) -> int:
     return len(arc_index(n)) + n + len(pattern_index(n))
 
 
+def tape_tensors(loss: Tensor) -> list[Tensor]:
+    """Every tensor reachable from ``loss`` through the tape."""
+    seen, order, stack = set(), [], [loss]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            order.append(t)
+            stack.extend(t._parents)
+    return order
+
+
 def tape_arrays(loss: Tensor):
     """Every array the tape holds from ``loss`` back: tensor values and
     arrays captured by backward closures."""
-    seen, stack = set(), [loss]
-    while stack:
-        t = stack.pop()
-        if id(t) in seen:
-            continue
-        seen.add(id(t))
+    for t in tape_tensors(loss):
         yield t.data
         for cell in (t._backward.__closure__ or ()) if t._backward else ():
             value = cell.cell_contents
             for item in value if isinstance(value, list) else [value]:
                 if isinstance(item, np.ndarray):
                     yield item
-        stack.extend(t._parents)
+
+
+CONTRASTIVE_CASES = [
+    (10, 16, {}),
+    (5, 4, {"normalize_sim": False}),
+    (6, 5, {"second_order": False}),
+]
 
 
 class TestContrastiveMax:
     @staticmethod
-    def loss_and_grads(model, n, bsz):
-        # a fresh batch each time: node features are tape tensors whose
-        # gradients would otherwise add up over two backward passes
-        batch = random_batch(model, np.random.default_rng(n), n, bsz)
+    def loss_and_grads(model, n, bsz, regions=(1, 5)):
+        batch = random_batch(model, np.random.default_rng(n), n, bsz, regions)
         assert len({len(ns) for ns in batch.node_sets}) > 1
         model.store.zero_grad()
         loss, _, _ = model.total_loss(batch)
@@ -273,22 +329,65 @@ class TestContrastiveMax:
         return loss.item(), {name: p.grad for name, p in model.store.items()
                              if p.grad is not None}
 
-    @pytest.mark.parametrize("n, bsz, options", [
-        (10, 16, {}),
-        (5, 4, {"normalize_sim": False}),
-        (6, 5, {"second_order": False}),
-    ])
-    def test_fused_op_matches_tmax_loop(self, monkeypatch, n, bsz, options):
-        model, _, _ = make_model(vocab_size=12, identity=False, seed=n, **options)
-        loss, grads = self.loss_and_grads(model, n, bsz)
-        monkeypatch.setattr(T, "max_similarity", tmax_loop)
-        ref_loss, ref_grads = self.loss_and_grads(model, n, bsz)
+    def assert_same(self, model, monkeypatch, n, bsz, target, reference, regions=(1, 5)):
+        loss, grads = self.loss_and_grads(model, n, bsz, regions)
+        monkeypatch.setattr(*target, reference)
+        ref_loss, ref_grads = self.loss_and_grads(model, n, bsz, regions)
         assert loss == ref_loss
         assert grads.keys() == ref_grads.keys()
-        assert {"match.vis", "vis.rel.w1"} <= grads.keys()
+        assert {"match.vis", "vis.rel.w1", "vis.attr.w1"} <= grads.keys()
         for name, g in grads.items():
             np.testing.assert_allclose(g, ref_grads[name], rtol=0, atol=1e-10,
                                        err_msg=name)
+
+    @pytest.mark.parametrize("n, bsz, options", CONTRASTIVE_CASES)
+    def test_fused_op_matches_tmax_loop(self, monkeypatch, n, bsz, options):
+        model, _, _ = make_model(vocab_size=12, identity=False, seed=n, **options)
+        self.assert_same(model, monkeypatch, n, bsz, (T, "max_similarity"), tmax_loop)
+
+    @pytest.mark.parametrize("n, bsz, options", CONTRASTIVE_CASES)
+    def test_batched_nodes_match_per_image_build(self, monkeypatch, n, bsz, options):
+        # 1-5 regions per image: an M = 1 image has no relationship rows
+        # and is padded
+        model, _, _ = make_model(vocab_size=12, identity=False, seed=n, **options)
+        # the loss is blind to node order; the features in canonical order are not
+        node_sets = random_batch(model, np.random.default_rng(n), n, bsz, (1, 6)).node_sets
+        feats, mask = model._pad_nodes(node_sets)
+        ref_feats, ref_mask = pad_nodes_loop(model, node_sets)
+        np.testing.assert_array_equal(mask, ref_mask)
+        np.testing.assert_allclose(feats.data, ref_feats.data, rtol=0, atol=1e-12)
+        self.assert_same(model, monkeypatch, n, bsz, (Model, "_pad_nodes"), pad_nodes_loop,
+                         regions=(1, 6))
+
+    def test_pair_build_not_padded_to_largest_image(self, monkeypatch):
+        # one 6-region image among 2-region ones: each biaffine call sees
+        # one region count, and the pair rows total sum(M^2), not B * 36
+        model, _, _ = make_model(vocab_size=12, identity=False, seed=2)
+        batch = random_batch(model, np.random.default_rng(2), 3, 8, regions=(2, 3))
+        batch.node_sets[3] = random_batch(model, np.random.default_rng(3), 3, 1,
+                                          regions=(6, 7)).node_sets[0]
+        shapes = []
+        build = T.biaffine_features
+
+        def recording(us, vs, *args):
+            shapes.append(us.shape[:2])
+            return build(us, vs, *args)
+
+        monkeypatch.setattr(T, "biaffine_features", recording)
+        feats, _ = model._pad_nodes(batch.node_sets)
+        assert sorted(shapes) == [(1, 6), (7, 2)]
+        ref, _ = pad_nodes_loop(model, batch.node_sets)
+        np.testing.assert_allclose(feats.data, ref.data, rtol=0, atol=1e-12)
+
+    def test_tape_size_independent_of_batch_size(self):
+        # every visual-side op runs once per batch, not once per image
+        model, _, _ = make_model(vocab_size=12, identity=False, seed=4)
+        sizes = []
+        for bsz in (2, 16):
+            batch = random_batch(model, np.random.default_rng(4), 4, bsz, regions=(3, 4))
+            loss, _, _ = model.total_loss(batch)
+            sizes.append(len(tape_tensors(loss)))
+        assert sizes[0] == sizes[1], sizes
 
     def test_no_dense_similarity_on_tape(self, monkeypatch):
         # One image's dense (B*C, V_b) similarity is the smallest array the
@@ -321,7 +420,7 @@ class TestMatching:
         model, _, _ = make_model()
         f = np.array([3.0, 4.0] + [0.0] * (DIM - 2))
         ns = model.build_visual_nodes("img", [((0.0, 0.0, 9.0, 9.0), f)])
-        nodes = model.node_matrix(ns)
+        nodes = model.node_matrix(model._pad_nodes([ns])[0])
         assert np.linalg.norm(nodes.numpy(), axis=1) == pytest.approx(1.0)
         sim = model.similarity(model._unit(Tensor(f[None])), nodes).numpy()
         assert sim[0, 0] == pytest.approx(1.0)

@@ -155,18 +155,20 @@ class TestBasicOps:
         np.testing.assert_array_equal(w.grad, np.full(3, 4.0))
 
 
-def tmax_loop(rows, node_mats):
-    """One dense similarity and one ``tmax`` per node set, stacked: the
-    reference ``max_similarity`` must reproduce."""
-    return T.stack([T.tmax(T.matmul(rows, T.swapaxes(nodes, -1, -2)), axis=-1)
-                    for nodes in node_mats], axis=1)
+def tmax_loop(rows, nodes, counts):
+    """One dense similarity and one ``tmax`` per image's block of node
+    rows, stacked: the reference ``max_similarity`` must reproduce."""
+    bounds = np.cumsum([0, *counts])
+    return T.stack([T.tmax(T.matmul(rows, T.swapaxes(nodes[bounds[b]:bounds[b + 1]], -1, -2)),
+                           axis=-1) for b in range(len(counts))], axis=1)
 
 
 class TestMaxSimilarity:
     @staticmethod
     def grads(op, rows, node_mats, weights):
-        ts = [Tensor(x, requires_grad=True) for x in [rows, *node_mats]]
-        out = op(ts[0], ts[1:])
+        ts = [Tensor(rows, requires_grad=True),
+              Tensor(np.concatenate(node_mats), requires_grad=True)]
+        out = op(ts[0], ts[1], [len(m) for m in node_mats])
         T.tsum(T.mul(out, weights)).backward()
         return out.data, [t.grad for t in ts]
 
@@ -184,34 +186,46 @@ class TestMaxSimilarity:
     def test_tie_grad_goes_to_first_maximum(self):
         rows = np.array([[1.0, 0.0],
                          [0.0, 1.0]])
-        # row 0 ties on nodes 1 and 2 of the first set, every row ties in the second
+        # row 0 ties on nodes 1 and 2 of the first image, every row ties in the second
         node_mats = [np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]]),
                      np.array([[1.0, 1.0], [1.0, 1.0]])]
         weights = np.array([[1.0, -2.0],
                             [3.0, 4.0]])
-        out, (g_rows, g_first, g_second) = self.grads(T.max_similarity, rows,
-                                                      node_mats, weights)
+        out, (g_rows, g_nodes) = self.grads(T.max_similarity, rows, node_mats, weights)
         np.testing.assert_array_equal(out, [[1.0, 1.0], [1.0, 1.0]])
         np.testing.assert_array_equal(g_rows, [[-1.0, -2.0], [4.0, 7.0]])
-        np.testing.assert_array_equal(g_first, [[0.0, 3.0], [1.0, 0.0], [0.0, 0.0]])
-        np.testing.assert_array_equal(g_second, [[-2.0, 4.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(g_nodes[:3], [[0.0, 3.0], [1.0, 0.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(g_nodes[3:], [[-2.0, 4.0], [0.0, 0.0]])
         _, ref_grads = self.grads(tmax_loop, rows, node_mats, weights)
-        for g, ref in zip([g_rows, g_first, g_second], ref_grads):
+        for g, ref in zip([g_rows, g_nodes], ref_grads):
             np.testing.assert_array_equal(g, ref)
 
     def test_gradcheck(self):
         rng = np.random.default_rng(12)
-        arrays = [rng.normal(size=(5, 3)), rng.normal(size=(4, 3)),
-                  rng.normal(size=(2, 3))]
+        arrays = [rng.normal(size=(5, 3)), rng.normal(size=(6, 3))]
         weights = rng.normal(size=(5, 2))
-        check_grads(lambda r, a, b: T.tsum(T.mul(T.max_similarity(r, [a, b]), weights)),
+        check_grads(lambda r, m: T.tsum(T.mul(T.max_similarity(r, m, [4, 2]), weights)),
                     arrays)
+
+    def test_image_reads_only_its_own_rows(self):
+        # the second image's rows score higher for every row, yet the
+        # first column reads only the first image's block
+        rows = np.array([[1.0, 1.0]])
+        nodes = np.concatenate([-np.ones((1, 2)), np.ones((3, 2))])
+        out = T.max_similarity(Tensor(rows), Tensor(nodes), [1, 3])
+        np.testing.assert_array_equal(out.data, [[-2.0, 2.0]])
+
+    def test_counts_must_fit(self):
+        nodes = Tensor(np.ones((6, 2)))
+        for counts in ([3, 4], [5], [6, 0]):
+            with pytest.raises(ValueError, match="node counts"):
+                T.max_similarity(Tensor(np.ones((1, 2))), nodes, counts)
 
     def test_nan_row_trips_error(self):
         rows = Tensor(np.ones((3, 2)))
         rows.data[1, 0] = np.nan
         with pytest.raises(FloatingPointError):
-            T.max_similarity(rows, [Tensor(np.eye(2)), Tensor(np.ones((4, 2)))])
+            T.max_similarity(rows, Tensor(np.concatenate([np.eye(2), np.ones((4, 2))])), [2, 4])
 
 
 class TestComposedNetwork:
@@ -361,9 +375,10 @@ class TestAdam:
     def test_clip_gradients(self):
         store = self._store()
         store["w"].grad = np.array([30.0, 40.0, 0.0])
-        norm = store.clip_gradients(5.0)
-        assert norm == pytest.approx(50.0)
+        norm, clipped = store.clip_gradients(5.0)
+        assert norm == pytest.approx(50.0) and clipped
         assert store.grad_norm() == pytest.approx(5.0)
+        assert store.clip_gradients(5.0) == (pytest.approx(5.0), False)
 
 
 class TestCheckpoint:

@@ -1,3 +1,5 @@
+import json
+import math
 import os
 
 import pytest
@@ -44,13 +46,25 @@ class TestTrainer:
             assert len({len(s) for s in group}) == 1
             assert len(group) <= 6
 
+    def test_node_sets_built_once_without_node_metadata(self, tiny):
+        model = build_model(tiny)
+        trainer = Trainer(model, tiny.train, tiny.features, settings())
+        trainer.run_epoch(warmup=True)
+        cached = dict(trainer._node_sets)
+        trainer.run_epoch()
+        assert trainer._node_sets.keys() == cached.keys()
+        assert all(trainer._node_sets[k] is ns for k, ns in cached.items())
+        assert set(cached) == {s.image_id for s in trainer.sentences}
+        # training reads only the rows; the node objects wait for a parse
+        assert all(ns._nodes is None for ns in cached.values())
+
     def test_loss_decreases_over_epochs(self, tiny):
         model = build_model(tiny)
         trainer = Trainer(model, tiny.train, tiny.features,
                           settings(epochs=4, lambda_cl=0.0))
-        first, _ = trainer.run_epoch()
+        first, _, _ = trainer.run_epoch()
         for _ in range(3):
-            last, _ = trainer.run_epoch()
+            last, _, _ = trainer.run_epoch()
         assert last < first
 
     def test_history_rows(self, tiny, tmp_path):
@@ -76,11 +90,26 @@ class TestTrainer:
                 blobs.append(f.read())
         assert blobs[0] == blobs[1]
 
+    @pytest.mark.parametrize("clip, frac", [(1e-6, 1.0), (1e6, 0.0), (5.0, None)])
+    def test_log_rows_carry_grad_norm(self, tiny, tmp_path, clip, frac):
+        model = build_model(tiny)
+        trainer = Trainer(model, tiny.train, tiny.features,
+                          settings(epochs=2, grad_clip=clip))
+        trainer.train(out_dir=str(tmp_path), config_digest="d")
+        with open(tmp_path / "train_log.jsonl", encoding="utf-8") as f:
+            rows = [json.loads(line) for line in f]
+        assert [r["phase"] for r in rows] == ["warmup", "train", "train"]
+        for r in rows:
+            assert math.isfinite(r["grad_norm"]) and r["grad_norm"] > 0.0
+            assert 0.0 <= r["clipped_frac"] <= 1.0
+            if frac is not None:
+                assert r["clipped_frac"] == frac
+
     def test_singleton_batches_fall_back_to_mle(self, tiny):
         model = build_model(tiny)
         one = [s for s in tiny.train][:1]
         trainer = Trainer(model, one, tiny.features, settings(batch_size=4))
-        mle, cl = trainer.run_epoch()
+        mle, cl, _ = trainer.run_epoch()
         assert cl == 0.0
 
     def test_empty_corpus_rejected(self, tiny):
