@@ -7,7 +7,10 @@ matmul (with leading batch dims), logsumexp/log-softmax, gather and
 fancy indexing, concat/stack, reductions, relu, and ``max_similarity``
 (each row's best dot product per image, over the images' node rows
 laid one after another, with a sparse argmax backward, for the
-contrastive loss).
+contrastive loss). ``max_similarity`` scores the rows in blocks that
+fit the cache, one matmul per block against all images of one node
+count. Every gather (``getitem``, ``take``) scatters its gradient back
+with one ``bincount`` over the flat cells it read.
 Forward results are checked finite after every op, so a NaN trips
 immediately at its source instead of three modules later.
 """
@@ -21,6 +24,8 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 GRAD_CLIP_DEFAULT = 5.0
+# float64 scores ``max_similarity`` holds at once: 2 MiB, one core's L2
+_SCORE_BLOCK = 1 << 18
 
 
 def _as_array(x) -> np.ndarray:
@@ -338,11 +343,20 @@ def getitem(a, key) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            full = np.zeros_like(a.data)
-            np.add.at(full, key, g)
-            a.accumulate(full)
+            a.accumulate(_scatter_add(a.shape, key, g))
 
     return _make(out_data, (a,), backward)
+
+
+def _scatter_add(shape: tuple[int, ...], key, g: np.ndarray) -> np.ndarray:
+    """Zeros of ``shape`` with ``g`` summed in at ``key``, each cell in
+    gather order: ``np.add.at``'s result, as one ``bincount`` over the
+    flat cells the key selects."""
+    size = math.prod(shape)
+    cells = np.arange(size).reshape(shape)[key]
+    # bincount of an empty selection is int64, whatever the weights
+    return np.bincount(np.ravel(cells), np.ravel(g), minlength=size).astype(
+        np.float64, copy=False).reshape(shape)
 
 
 def put_at(values, key, shape: tuple[int, ...]) -> Tensor:
@@ -359,18 +373,10 @@ def put_at(values, key, shape: tuple[int, ...]) -> Tensor:
 
 
 def take(a, indices, axis: int = 0) -> Tensor:
-    """Gather rows along an axis; the embedding lookup primitive."""
+    """Gather rows along an axis; the embedding lookup primitive, as
+    ``getitem`` with ``indices`` on that axis."""
     a = as_tensor(a)
-    indices = np.asarray(indices)
-    out_data = np.take(a.data, indices, axis=axis)
-
-    def backward(g):
-        if a.requires_grad:
-            full = np.zeros_like(a.data)
-            np.add.at(np.moveaxis(full, axis, 0), indices, np.moveaxis(g, axis, 0))
-            a.accumulate(full)
-
-    return _make(out_data, (a,), backward)
+    return getitem(a, (slice(None),) * (axis % a.ndim) + (np.asarray(indices),))
 
 
 # -- reductions -------------------------------------------------------
@@ -420,37 +426,48 @@ def max_similarity(rows, nodes, counts: Sequence[int]) -> Tensor:
     ``nodes`` (V, d) holds the images' node rows one after another:
     image b owns ``counts[b]`` rows from ``sum(counts[:b])`` on. Equals
     stacking ``tmax(rows @ block_b.T, axis=-1)`` over the blocks, with
-    the same first-maximum ties, but each dense (R, V_b) score matrix
-    lives only while its column is reduced: the tape keeps the argmax
-    indices, and backward gathers and scatters through them, one image
-    at a time.
+    the same first-maximum ties. The rows are scored in blocks of
+    ``_SCORE_BLOCK // V`` rows, so no score matrix outgrows the cache:
+    per block, one matmul against each node count's images side by side,
+    reduced per image while it is still warm. The tape keeps only the
+    argmax node rows; backward gathers through them block by block and
+    scatters onto the nodes one image at a time.
     """
     rows, nodes = as_tensor(rows), as_tensor(nodes)
     count, dim = rows.shape
-    if min(counts) < 1 or sum(counts) != nodes.shape[0]:
+    if not len(counts) or min(counts) < 1 or sum(counts) != nodes.shape[0]:
         raise ValueError(f"node counts {list(counts)} do not fit nodes {nodes.shape}")
     bounds = np.cumsum([0, *counts])
-    line = np.arange(count)
+    # images of one count share a table; unpadded, so each product has
+    # the summation order of that image's own rows @ block.T
+    groups = []
+    for v in np.unique(counts):
+        images = np.flatnonzero(np.asarray(counts) == v)
+        cells = (bounds[images, None] + np.arange(v)).ravel()
+        groups.append((images, v, nodes.data[cells].T))
+    step = max(1, _SCORE_BLOCK // nodes.shape[0])
+    blocks = [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
     out_data = np.empty((count, len(counts)))
-    args = []
-    for b in range(len(counts)):
-        scores = rows.data @ nodes.data[bounds[b]:bounds[b + 1]].T
-        arg = scores.argmax(axis=-1)   # a NaN is its row's argmax, so it trips below
-        out_data[:, b] = scores[line, arg]
-        args.append(arg)
+    args = np.empty((count, len(counts)), dtype=np.intp)
+    for blk in blocks:
+        for images, v, table in groups:
+            scores = (rows.data[blk] @ table).reshape(-1, len(images), v)
+            arg = scores.argmax(axis=-1)   # a NaN is its row's argmax, so it trips below
+            out_data[blk, images] = np.take_along_axis(scores, arg[..., None], -1)[..., 0]
+            args[blk, images] = bounds[images] + arg
 
     def backward(g):
         if rows.requires_grad:
-            grad = np.zeros_like(rows.data)
-            for b, arg in enumerate(args):
-                grad += g[:, b, None] * nodes.data[bounds[b] + arg]
+            grad = np.empty_like(rows.data)
+            for blk in blocks:
+                grad[blk] = np.einsum("rb,rbk->rk", g[blk], nodes.data[args[blk]])
             rows.accumulate(grad)
         if nodes.requires_grad:
             grad = np.empty_like(nodes.data)
             cols = np.arange(dim)
-            for b, (v, arg) in enumerate(zip(counts, args)):
+            for b, v in enumerate(counts):
                 # scatter-add of the weighted rows onto their argmax node
-                flat = (arg[:, None] * dim + cols).ravel()
+                flat = ((args[:, b] - bounds[b])[:, None] * dim + cols).ravel()
                 grad[bounds[b]:bounds[b + 1]] = np.bincount(
                     flat, (g[:, b, None] * rows.data).ravel(),
                     minlength=v * dim).reshape(v, dim)

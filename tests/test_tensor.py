@@ -1,7 +1,10 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vgram.tensor as T
 from vgram.tensor import ParameterStore, Tensor, adam_step
@@ -215,9 +218,45 @@ class TestMaxSimilarity:
         out = T.max_similarity(Tensor(rows), Tensor(nodes), [1, 3])
         np.testing.assert_array_equal(out.data, [[-2.0, 2.0]])
 
+    def test_blocks_and_count_groups_match_tmax_loop(self, monkeypatch):
+        # counts 5 recur in non-adjacent images next to a 1-node image;
+        # 11 rows in blocks of 4 leave a ragged last block
+        counts = [5, 1, 5, 3, 5]
+        monkeypatch.setattr(T, "_SCORE_BLOCK", 4 * sum(counts))
+        rng = np.random.default_rng(13)
+        rows = rng.normal(size=(11, 3))
+        node_mats = [rng.normal(size=(v, 3)) for v in counts]
+        # rows 3 and 4, either side of the first block edge, tie on the
+        # first image's nodes 1 and 3, and on the last image's nodes 0 and 2
+        for mat, (first, second) in ((node_mats[0], (1, 3)), (node_mats[4], (0, 2))):
+            mat[first] = mat[second] = [10.0, 10.0, 10.0]
+        rows[3:5] = np.abs(rows[3:5])
+        weights = rng.normal(size=(11, len(counts)))
+        out, grads = self.grads(T.max_similarity, rows, node_mats, weights)
+        ref_out, ref_grads = self.grads(tmax_loop, rows, node_mats, weights)
+        np.testing.assert_array_equal(out, ref_out)
+        for g, ref in zip(grads, ref_grads):
+            np.testing.assert_allclose(g, ref, rtol=0, atol=1e-14)
+        # the second of each tied pair gets nothing
+        np.testing.assert_array_equal(grads[1][[3, sum(counts[:4]) + 2]], 0.0)
+
+    def test_forward_memory_stays_within_one_block(self):
+        # one image's dense (R, V_b) scores are 9.6 MB, several blocks' worth
+        rng = np.random.default_rng(14)
+        rows, nodes = Tensor(rng.normal(size=(4000, 4))), Tensor(rng.normal(size=(600, 4)))
+        dense = rows.shape[0] * 300 * 8
+        assert dense > 3 * 8 * T._SCORE_BLOCK
+        tracemalloc.start()
+        try:
+            T.max_similarity(rows, nodes, [300, 300])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < dense
+
     def test_counts_must_fit(self):
         nodes = Tensor(np.ones((6, 2)))
-        for counts in ([3, 4], [5], [6, 0]):
+        for counts in ([3, 4], [5], [6, 0], []):
             with pytest.raises(ValueError, match="node counts"):
                 T.max_similarity(Tensor(np.ones((1, 2))), nodes, counts)
 
@@ -226,6 +265,70 @@ class TestMaxSimilarity:
         rows.data[1, 0] = np.nan
         with pytest.raises(FloatingPointError):
             T.max_similarity(rows, Tensor(np.concatenate([np.eye(2), np.ones((4, 2))])), [2, 4])
+
+
+def add_at(shape, key, g):
+    """``np.add.at`` into zeros: the reference for ``T._scatter_add``."""
+    full = np.zeros(shape)
+    np.add.at(full, key, g)
+    return full
+
+
+@st.composite
+def gather_keys(draw):
+    """An array shape and a key into it: slices, repeated integer
+    arrays, broadcast index pairs, boolean masks, scalar ints, and
+    empty selections among them."""
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    length = draw(st.integers(0, 6))   # index arrays of one key broadcast together
+
+    def index(n):
+        return np.array(draw(st.lists(st.integers(-n, n - 1), min_size=length,
+                                      max_size=length)), dtype=np.intp)
+
+    def part(n):
+        kind = draw(st.sampled_from(["slice", "ints", "int"]))
+        if kind == "slice":
+            return slice(draw(st.integers(-n, n)), draw(st.integers(-n, n)),
+                         draw(st.sampled_from([1, 2, -1])))
+        return index(n) if kind == "ints" else draw(st.integers(-n, n - 1))
+
+    kind = draw(st.sampled_from(["parts", "pair", "mask", "lead_pair"]))
+    if kind == "mask":
+        return shape, np.array(draw(st.lists(st.booleans(), min_size=shape[0],
+                                             max_size=shape[0])))
+    if kind == "pair" and len(shape) >= 2:
+        return shape, (index(shape[0])[:, None], index(shape[1])[None, :])
+    if kind == "lead_pair" and len(shape) == 3:
+        # the chart's second-order gather: a slice, then paired index arrays
+        rows = index(shape[1])
+        return shape, (slice(None), rows, rows % shape[2])
+    return shape, tuple(part(n) for n in shape)
+
+
+class TestScatterAdd:
+    @settings(max_examples=300, deadline=None)
+    @given(gather_keys(), st.integers(0, 2**32 - 1))
+    def test_matches_add_at(self, shape_key, seed):
+        shape, key = shape_key
+        g = np.random.default_rng(seed).normal(size=np.zeros(shape)[key].shape)
+        got = T._scatter_add(shape, key, g)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, add_at(shape, key, g))
+
+    def test_empty_selection_is_float64_zeros(self):
+        got = T._scatter_add((2, 3), (slice(None), np.array([], dtype=np.intp)),
+                             np.zeros((2, 0)))
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, np.zeros((2, 3)))
+
+    def test_take_backward_sums_repeats(self):
+        emb = Tensor(np.zeros((4, 2)), requires_grad=True)
+        T.tsum(T.take(emb, [3, 1, 3], axis=0)).backward()
+        np.testing.assert_array_equal(emb.grad, [[0, 0], [1, 1], [0, 0], [2, 2]])
+        col = Tensor(np.zeros((2, 3)), requires_grad=True)
+        T.tsum(T.take(col, [2, 2], axis=-1)).backward()
+        np.testing.assert_array_equal(col.grad, [[0, 0, 2], [0, 0, 2]])
 
 
 class TestComposedNetwork:
