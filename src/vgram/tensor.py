@@ -419,6 +419,14 @@ def tmax(a, axis: int, keepdims: bool = False) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
+def _row_blocks(count: int, width: int) -> list[slice]:
+    """``count`` rows in blocks of about ``_SCORE_BLOCK // width`` rows,
+    split evenly so no block is a short ragged tail."""
+    parts = -(-count // max(1, _SCORE_BLOCK // width))
+    edges = [count * i // parts for i in range(parts + 1)]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
 def max_similarity(rows, nodes, counts: Sequence[int]) -> Tensor:
     """Best match per row and image: ``out[r, b] = max_v rows[r] ·
     nodes[v]`` over image b's node rows, shape (R, B).
@@ -426,31 +434,28 @@ def max_similarity(rows, nodes, counts: Sequence[int]) -> Tensor:
     ``nodes`` (V, d) holds the images' node rows one after another:
     image b owns ``counts[b]`` rows from ``sum(counts[:b])`` on. Equals
     stacking ``tmax(rows @ block_b.T, axis=-1)`` over the blocks, with
-    the same first-maximum ties. The rows are scored in blocks of
-    ``_SCORE_BLOCK // V`` rows, so no score matrix outgrows the cache:
-    per block, one matmul against each node count's images side by side,
-    reduced per image while it is still warm. The tape keeps only the
-    argmax node rows; backward gathers through them block by block and
-    scatters onto the nodes one image at a time.
+    the same first-maximum ties, up to the rounding of the matmuls: BLAS
+    may order a product's terms by its shape, so a score can differ in
+    its last bit. The images are grouped by node count; each group's
+    node rows sit side by side in one table, and the rows are scored
+    against it in blocks of about ``_SCORE_BLOCK`` scores, so no score
+    matrix outgrows the cache and each block is reduced while it is
+    still warm. The tape keeps only the argmax node rows; backward
+    gathers through them block by block and scatters onto the nodes one
+    image at a time.
     """
     rows, nodes = as_tensor(rows), as_tensor(nodes)
     count, dim = rows.shape
     if not len(counts) or min(counts) < 1 or sum(counts) != nodes.shape[0]:
         raise ValueError(f"node counts {list(counts)} do not fit nodes {nodes.shape}")
     bounds = np.cumsum([0, *counts])
-    # images of one count share a table; unpadded, so each product has
-    # the summation order of that image's own rows @ block.T
-    groups = []
-    for v in np.unique(counts):
-        images = np.flatnonzero(np.asarray(counts) == v)
-        cells = (bounds[images, None] + np.arange(v)).ravel()
-        groups.append((images, v, nodes.data[cells].T))
-    step = max(1, _SCORE_BLOCK // nodes.shape[0])
-    blocks = [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
     out_data = np.empty((count, len(counts)))
     args = np.empty((count, len(counts)), dtype=np.intp)
-    for blk in blocks:
-        for images, v, table in groups:
+    for v in np.unique(counts):
+        # unpadded: each image's scores are a product over its own v rows
+        images = np.flatnonzero(np.asarray(counts) == v)
+        table = nodes.data[(bounds[images, None] + np.arange(v)).ravel()].T
+        for blk in _row_blocks(count, len(images) * v):
             scores = (rows.data[blk] @ table).reshape(-1, len(images), v)
             arg = scores.argmax(axis=-1)   # a NaN is its row's argmax, so it trips below
             out_data[blk, images] = np.take_along_axis(scores, arg[..., None], -1)[..., 0]
@@ -459,7 +464,7 @@ def max_similarity(rows, nodes, counts: Sequence[int]) -> Tensor:
     def backward(g):
         if rows.requires_grad:
             grad = np.empty_like(rows.data)
-            for blk in blocks:
+            for blk in _row_blocks(count, len(counts) * dim):
                 grad[blk] = np.einsum("rb,rbk->rk", g[blk], nodes.data[args[blk]])
             rows.accumulate(grad)
         if nodes.requires_grad:
