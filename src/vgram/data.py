@@ -109,6 +109,31 @@ def _int_tuple(rec: dict, key: str, size: int, path: str, lineno: int) -> tuple[
     return tuple(_int(x, key, path, lineno) for x in value)
 
 
+def _field_of_each(entries: list, key: str, path: str, lineno: int) -> list:
+    """``entry[key]`` of every entry, each a JSON object holding ``key``."""
+    try:
+        return [e[key] for e in entries]
+    except (KeyError, TypeError):   # name the first entry at fault
+        return [_require(e, key, path, lineno) for e in entries]
+
+
+def _number_rows(rows: list, key: str, path: str, lineno: int) -> np.ndarray:
+    """``rows``, each a flat list of at least one finite JSON number, all
+    of one length, as one float array: one conversion for a whole record."""
+    try:
+        arr = np.asarray(rows)
+    except ValueError:   # rows of different lengths or depths
+        arr = np.empty(0, dtype=object)
+    # null, strings, objects and true/false leave no numeric dtype
+    if arr.ndim != 2 or arr.dtype.kind not in "iuf" or arr.shape[1] < 1:
+        raise DataError(f"{path}:{lineno}: every {key!r} must be a flat list of "
+                        f"numbers, all of one length")
+    arr = arr.astype(np.float64, copy=False)
+    if not np.isfinite(arr).all():
+        raise DataError(f"{path}:{lineno}: {key!r} holds NaN or Infinity")
+    return arr
+
+
 def _strings(rec: dict, key: str, path: str, lineno: int) -> list[str]:
     value = _require(rec, key, path, lineno)
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
@@ -207,13 +232,19 @@ def save_corpus(path: str, sentences: Sequence[Sentence], tagset: Sequence[str])
 
 
 def _ingest_box(raw, fmt: str) -> Box:
-    """Corner boxes pass through; width/height boxes are converted."""
-    if fmt == "xywh":
-        x, y, w, h = (float(v) for v in raw)
-        raw = (x, y, x + w, y + h)
-    elif fmt != "xyxy":
-        raise ValueError(f"unknown bbox_format {fmt!r}")
-    return check_box(raw)
+    """Corner boxes pass through; width/height boxes are converted.
+    Anything but a list of 4 numbers raises ``ValueError``."""
+    if type(raw) is not list or len(raw) != 4:
+        raise ValueError(f"need a list of 4 numbers, got {raw!r}")
+    try:
+        if fmt == "xywh":
+            x, y, w, h = (float(v) for v in raw)
+            raw = (x, y, x + w, y + h)
+        elif fmt != "xyxy":
+            raise ValueError(f"unknown bbox_format {fmt!r}")
+        return check_box(raw)
+    except (TypeError, OverflowError):   # null, a list or an object; a huge integer
+        raise ValueError(f"need a list of 4 numbers, got {raw!r}") from None
 
 
 def load_features(path: str) -> dict[str, list[tuple[Box, np.ndarray]]]:
@@ -223,23 +254,20 @@ def load_features(path: str) -> dict[str, list[tuple[Box, np.ndarray]]]:
         image_id = str(_require(rec, "image_id", path, lineno))
         if image_id in out:
             raise DataError(f"{path}:{lineno}: duplicate image id {image_id!r}")
-        fmt = rec.get("bbox_format", "xyxy")
-        regions = []
-        for r in _list(rec, "regions", path, lineno):
-            raw_box = _require(r, "bbox", path, lineno)
-            try:
-                box = _ingest_box(raw_box, fmt)
-            except ValueError as e:
-                raise DataError(f"{path}:{lineno}: bad region box ({e})") from None
-            feat = np.asarray(r.get("feat", []), dtype=float)
-            if dim is None:
-                dim = feat.size
-            elif feat.size != dim:
-                raise DataError(f"{path}:{lineno}: feature dim {feat.size} != {dim}")
-            regions.append((box, feat))
+        regions = _list(rec, "regions", path, lineno)
         if not regions:
             raise DataError(f"{path}:{lineno}: image {image_id!r} has no regions")
-        out[image_id] = regions
+        fmt = rec.get("bbox_format", "xyxy")
+        try:
+            boxes = [_ingest_box(b, fmt) for b in _field_of_each(regions, "bbox", path, lineno)]
+        except ValueError as e:
+            raise DataError(f"{path}:{lineno}: bad region box ({e})") from None
+        feats = _number_rows(_field_of_each(regions, "feat", path, lineno), "feat", path, lineno)
+        if dim is None:
+            dim = feats.shape[1]
+        elif feats.shape[1] != dim:
+            raise DataError(f"{path}:{lineno}: feature dim {feats.shape[1]} != {dim}")
+        out[image_id] = list(zip(boxes, feats))
     return out
 
 
@@ -388,7 +416,7 @@ def load_embeddings(path: str) -> tuple[list[str], np.ndarray]:
     dim: Optional[int] = None
     for lineno, rec in _read_lines(path):
         word = str(_require(rec, "word", path, lineno))
-        vec = np.asarray(_require(rec, "vec", path, lineno), dtype=float)
+        vec = _number_rows([_require(rec, "vec", path, lineno)], "vec", path, lineno)[0]
         if dim is None:
             dim = vec.size
         elif vec.size != dim:

@@ -13,6 +13,17 @@ count. Every gather (``getitem``, ``take``) scatters its gradient back
 with one ``bincount`` over the flat cells it read.
 Forward results are checked finite after every op, so a NaN trips
 immediately at its source instead of three modules later.
+
+Gradient ownership: backward hands one array, or views of it, to
+several tensors (``add`` of equal shapes gives both operands the same
+array; ``reshape``, ``swapaxes``, ``stack`` and ``concat`` pass views),
+and a tensor keeps the first gradient it gets without a copy unless it
+is a strided view. So no gradient array is ever written in place: later
+contributions and clipping make new arrays, and a caller's seed passed
+to ``backward`` is never written.
+Interior gradients are dropped as soon as backward has propagated them;
+leaves (parameters) keep theirs and accumulate over backward calls
+until ``ParameterStore.zero_grad``.
 """
 
 from __future__ import annotations
@@ -111,18 +122,23 @@ class Tensor:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
         for node in order:
-            if node._parents:   # an earlier backward's gradient is stale here
+            if node._parents:   # stale if an earlier backward was interrupted
                 node.grad = None
         self.grad = grad
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+            if node._parents:   # propagated: only leaves keep a gradient
+                node.grad = None
 
     def accumulate(self, grad: np.ndarray) -> None:
+        # ``grad`` may be shared with other tensors, so it is kept, never
+        # written. A strided view is copied to C order: numpy reduces a
+        # strided array in another order, which moves gradients' last bits.
         if self.grad is None:
-            self.grad = grad.copy()
+            self.grad = np.asarray(grad, order="C")
         else:
-            self.grad += grad
+            self.grad = np.add(self.grad, grad, order="C")
 
     # -- operators ----------------------------------------------------
 
@@ -634,7 +650,7 @@ class ParameterStore:
             scale = max_norm / norm
             for t in self._params.values():
                 if t.requires_grad and t.grad is not None:
-                    t.grad *= scale
+                    t.grad = t.grad * scale
         return norm, clipped
 
     def load_values(self, values: dict[str, np.ndarray]) -> None:

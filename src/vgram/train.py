@@ -137,10 +137,12 @@ class Trainer:
             if warmup:
                 loss = self.model.harmonic_loss(batch)
                 clips.append(self._step(loss))
+                del loss    # no tensor of this step outlives it
                 continue
             lam = self.settings.lambda_cl if len(group) >= 2 else 0.0
             total, mle_val, cl_val = self.model.total_loss(batch, lambda_cl=lam)
             clips.append(self._step(total))
+            del total
             mle_sum += mle_val * len(group)
             cl_sum += cl_val * len(group)
             count += len(group)

@@ -141,6 +141,28 @@ def test_string_heads_is_data_error(dataset, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("field, spoil", [
+    ("bbox", lambda box: [box[0], None, *box[2:]]),
+    ("bbox", lambda box: box[0]),
+    ("feat", lambda feat: [None, *feat[1:]]),
+], ids=["bbox-null", "bbox-scalar", "feat-null"])
+def test_bad_region_is_data_error(dataset, tmp_path, capsys, field, spoil):
+    lines = (dataset / "features.jsonl").read_text(encoding="utf-8").splitlines()
+    rec = json.loads(lines[1])
+    rec["regions"][0][field] = spoil(rec["regions"][0][field])
+    lines[1] = json.dumps(rec)
+    bad = tmp_path / "bad_features.jsonl"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rc = main(["train", "--corpus", str(dataset / "corpus.train.jsonl"),
+               "--features", str(bad), "--embeddings", str(dataset / "embeddings.jsonl"),
+               "--out", str(tmp_path / "run")] + DIMS)
+    err = capsys.readouterr().err
+    assert rc == 2
+    problem = "bad region box (need a list of 4" if field == "bbox" else "every 'feat' must be"
+    assert f"{bad}:2: {problem}" in err
+    assert "Traceback" not in err
+
+
 def test_eval_pred_equals_gold_is_perfect(dataset, capsys):
     rc = main(["eval", "--gold-corpus", str(dataset / "corpus.test.jsonl"),
                "--pred-trees", str(dataset / "corpus.test.jsonl")])

@@ -205,6 +205,86 @@ class TestValidation:
         loaded = load_features(str(path))
         assert loaded["a"][0][0] == (10, 20, 40, 60)
 
+    FLAT = "every 'feat' must be a flat list of numbers, all of one length"
+    BOX = "bad region box (need a list of 4 numbers, got "
+
+    @pytest.mark.parametrize("regions, problem", [
+        ([{"bbox": [0, 0, 1, 1], "feat": [1.0, None]}], FLAT),
+        ([{"bbox": [0, 0, 1, 1], "feat": [1.0, float("nan")]}], "'feat' holds NaN or Infinity"),
+        ([{"bbox": [0, 0, 1, 1], "feat": [float("inf"), 1.0]}], "'feat' holds NaN or Infinity"),
+        ([{"bbox": [0, 0, 1, 1], "feat": [[1.0, 2.0]]}], FLAT),
+        ([{"bbox": [0, 0, 1, 1], "feat": [1.0, [2.0]]}], FLAT),
+        ([{"bbox": [0, 0, 1, 1], "feat": ["1.0", 2.0]}], FLAT),
+        ([{"bbox": [0, 0, 1, 1], "feat": [True, False]}], FLAT),
+        ([{"bbox": [0, 0, 1, 1], "feat": 1.0}], FLAT),
+        ([{"bbox": [0, 0, 1, 1], "feat": []}], FLAT),
+        ([{"bbox": [0, 0, 1, 1], "feat": [1.0, 2.0]},
+          {"bbox": [0, 0, 1, 1], "feat": [1.0]}], FLAT),
+        ([{"bbox": [0, 0, 1, 1]}], "missing field 'feat'"),
+        ([{"bbox": [0, None, 1, 1], "feat": [1.0]}], BOX),
+        ([{"bbox": [0, {"y": 0}, 1, 1], "feat": [1.0]}], BOX),
+        ([{"bbox": [0, [0], 1, 1], "feat": [1.0]}], BOX),
+        ([{"bbox": [0, 0, 10 ** 400, 1], "feat": [1.0]}], BOX),
+        ([{"bbox": [0, 0, 1], "feat": [1.0]}], BOX),
+        ([{"bbox": 5, "feat": [1.0]}], BOX),
+        ([{"bbox": None, "feat": [1.0]}], BOX),
+        ([{"bbox": "0011", "feat": [1.0]}], BOX),
+        ([{"bbox": [0, 0, 1, float("nan")], "feat": [1.0]}], "bad region box (degenerate box"),
+        ([{"bbox": [0, 0, 1, 1], "feat": [1.0]}, {"bbox": [5, 0, 1, 1], "feat": [1.0]}],
+         "bad region box (degenerate box [5, 0, 1, 1]"),
+        ([{"bbox": [0, 0, 1, 1], "feat": [1.0]}, 7], "expected a JSON object"),
+    ])
+    def test_region_vectors_and_boxes(self, tmp_path, regions, problem):
+        path = tmp_path / "feat.jsonl"
+        ok = {"image_id": "a", "regions": [{"bbox": [0, 0, 1, 1], "feat": [1.0]}]}
+        path.write_text(json.dumps(ok) + "\n"
+                        + json.dumps({"image_id": "b", "regions": regions}) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"{path}:2: {problem}")):
+            load_features(str(path))
+
+    def test_region_values_load_as_floats(self, tmp_path):
+        path = tmp_path / "feat.jsonl"
+        rec = {"image_id": "a", "regions": [{"bbox": [0, 0, 1, 1], "feat": [1, 2]},
+                                            {"bbox": [1, 1, 2, 2], "feat": [3.5, 4]}]}
+        path.write_text(json.dumps(rec) + "\n", encoding="utf-8")
+        (b1, f1), (b2, f2) = load_features(str(path))["a"]
+        assert b1 == (0.0, 0.0, 1.0, 1.0) and b2 == (1.0, 1.0, 2.0, 2.0)
+        assert all(type(v) is float for v in b1 + b2)
+        assert f1.dtype == np.float64 and f1.shape == (2,)
+        np.testing.assert_array_equal(np.stack([f1, f2]), [[1, 2], [3.5, 4]])
+
+    @pytest.mark.parametrize("vec, problem", [
+        ([1.0, None], "every 'vec' must be a flat list of numbers"),
+        ([float("nan"), 1.0], "'vec' holds NaN or Infinity"),
+        ([[1.0, 2.0]], "every 'vec' must be a flat list of numbers"),
+        ("12", "every 'vec' must be a flat list of numbers"),
+        (None, "every 'vec' must be a flat list of numbers"),
+        ([1.0], "embedding dim 1 != 2"),
+    ])
+    def test_embedding_vectors(self, tmp_path, vec, problem):
+        path = tmp_path / "emb.jsonl"
+        path.write_text(json.dumps({"word": "a", "vec": [1.0, 2.0]}) + "\n"
+                        + json.dumps({"word": "b", "vec": vec}) + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"{path}:2: {problem}")):
+            load_embeddings(str(path))
+
+    @pytest.mark.parametrize("bbox, problem", [
+        ([0, None, 1, 1], "bad node box (need a list of 4 numbers, got [0, None, 1, 1])"),
+        ([0, 0, 1], "bad node box (need a list of 4 numbers, got [0, 0, 1])"),
+        (5, "bad node box (need a list of 4 numbers, got 5)"),
+        ([1, 0, 0, 1], "bad node box (degenerate box"),
+    ])
+    def test_scene_graph_node_boxes(self, tmp_path, bbox, problem):
+        path = tmp_path / "sg.jsonl"
+        rec = {"image_id": "i",
+               "nodes": [{"id": "o1", "type": "OBJECT", "bbox": bbox},
+                         {"id": "a1", "type": "ATTRIBUTE"}],
+               "edges": [{"src": "o1", "dst": "a1", "label": "attr"}]}
+        path.write_text(json.dumps(rec) + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"{path}:1: {problem}")):
+            load_scene_graphs(str(path))
+
     def test_unknown_tag_rejected(self, tmp_path):
         path = tmp_path / "c.jsonl"
         lines = [json.dumps({"tagset": ["NN0"]}),

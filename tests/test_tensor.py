@@ -1,3 +1,4 @@
+import math
 import os
 import tracemalloc
 
@@ -156,6 +157,70 @@ class TestBasicOps:
         for _ in range(2):
             T.tsum(T.mul(w, 2.0)).backward()
         np.testing.assert_array_equal(w.grad, np.full(3, 4.0))
+
+
+def tape_of(root):
+    """Every tensor ``root`` was computed from, ``root`` included."""
+    seen, todo = {}, [root]
+    while todo:
+        t = todo.pop()
+        if id(t) not in seen:
+            seen[id(t)] = t
+            todo.extend(t._parents)
+    return list(seen.values())
+
+
+class TestGradientOwnership:
+    @staticmethod
+    def _shared_pair():
+        """Leaves p, q of equal shape whose one add hands both one array."""
+        store = ParameterStore()
+        p = store.get("p", (2, 3), lambda s: np.ones(s))
+        q = store.get("q", (2, 3), lambda s: np.full(s, 2.0))
+        T.tsum(T.mul(T.add(p, q), 3.0)).backward()
+        assert np.shares_memory(p.grad, q.grad)
+        return store, p, q
+
+    def test_backward_keeps_only_leaf_gradients(self):
+        rng = np.random.default_rng(9)
+        w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=(4,)), requires_grad=True)
+        x = Tensor(rng.normal(size=(5, 3)))
+        h = T.relu(T.linear(x, w, b))
+        mixed = T.concat([h, T.swapaxes(T.stack([h, h], axis=2), 1, 2)[:, 0]], axis=1)
+        loss = T.tsum(T.logsumexp(mixed, axis=-1))
+        loss.backward()
+        tape = tape_of(loss)
+        interior = [t for t in tape if t._parents]
+        assert len(interior) > 8
+        assert all(t.grad is None for t in interior)
+        assert w.grad is not None and b.grad is not None
+        assert x.grad is None
+
+    def test_clip_scales_shared_gradient_once_per_leaf(self):
+        store, p, q = self._shared_pair()
+        norm, clipped = store.clip_gradients(1.0)
+        assert clipped and norm == pytest.approx(math.sqrt(12 * 9.0))
+        np.testing.assert_allclose(p.grad, np.full((2, 3), 3.0 / norm))
+        np.testing.assert_allclose(q.grad, np.full((2, 3), 3.0 / norm))
+        assert store.grad_norm() == pytest.approx(1.0)
+
+    def test_second_backward_leaves_sharing_leaf_alone(self):
+        _, p, q = self._shared_pair()
+        T.tsum(T.mul(p, 2.0)).backward()
+        np.testing.assert_array_equal(p.grad, np.full((2, 3), 5.0))
+        np.testing.assert_array_equal(q.grad, np.full((2, 3), 3.0))
+
+    def test_caller_gradient_is_not_written(self):
+        store = ParameterStore()
+        p = store.get("p", (3,), lambda s: np.ones(s))
+        q = store.get("q", (3,), lambda s: np.ones(s))
+        seed = np.array([3.0, 4.0, 0.0])
+        T.add(p, q).backward(seed)
+        T.add(p, q).backward(seed)
+        store.clip_gradients(1.0)
+        np.testing.assert_array_equal(seed, [3.0, 4.0, 0.0])
+        np.testing.assert_allclose(p.grad, seed / np.linalg.norm(np.r_[seed, seed]))
 
 
 def tmax_loop(rows, nodes, counts):
