@@ -9,8 +9,10 @@ cross-check references (image ids, feature dimensions) eagerly.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from itertools import chain, islice
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -26,7 +28,6 @@ from vgram.core import (
     SGRelationship,
     Token,
     VLAlignment,
-    check_box,
     tree_to_instances,
     validate_tree,
 )
@@ -60,88 +61,134 @@ class Sentence:
                               sentence_id=self.id)
 
 
-def _read_lines(path: str) -> Iterable[tuple[int, dict]]:
+def _read_lines(path: str) -> Iterable[tuple[str, object]]:
+    """Each record with its ``path:line``."""
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
+            where = f"{path}:{lineno}"
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as e:
-                raise DataError(f"{path}:{lineno}: bad JSON ({e})") from None
-            yield lineno, _object(rec, path, lineno)
+                raise DataError(f"{where}: bad JSON ({e})") from None
+            yield where, rec
 
 
-def _object(rec, path: str, lineno: int) -> dict:
-    if not isinstance(rec, dict):
-        raise DataError(f"{path}:{lineno}: expected a JSON object")
-    return rec
+# -- field tables ------------------------------------------------------
+#
+# A kind is (accepts, problem, convert): ``accepts(values)`` tells whether
+# a whole column of values is of the kind, ``problem(key, value)`` says why
+# one value is not, and ``convert(values, key, where)``, where given, turns
+# the column into what the loader keeps (or raises for itself).
 
 
-def _require(rec: dict, key: str, path: str, lineno: int):
-    if key not in _object(rec, path, lineno):
-        raise DataError(f"{path}:{lineno}: missing field {key!r}")
-    return rec[key]
+def _of(*types: type) -> Callable[[Iterable], bool]:
+    # exact types: true/false are no JSON integers, though Python's bools are ints
+    allowed = set(types)
+    return lambda values: set(map(type, values)) <= allowed
 
 
-def _list(rec: dict, key: str, path: str, lineno: int, optional: bool = False) -> list:
-    """A list-valued field; an optional one reads as empty when absent."""
-    value = (_object(rec, path, lineno).get(key, []) if optional
-             else _require(rec, key, path, lineno))
-    if not isinstance(value, list):
-        raise DataError(f"{path}:{lineno}: {key!r} must be a list")
-    return value
+def _list_of(noun: str, items: Callable[[Iterable], bool], size: Optional[int] = None,
+             problem: Optional[Callable[[str, object], str]] = None) -> tuple:
+    """A list of ``size`` (or any number of) values that ``items`` accepts."""
+    def list_problem(key: str, v) -> str:
+        if type(v) is not list or size is None:
+            return f"{key!r} must be a list of {noun}"
+        if len(v) != size:
+            return f"{key!r} must list {size} {noun}, got {len(v)}"
+        return f"{key!r} takes JSON {noun} only, got {next(x for x in v if not items([x]))!r}"
+    return (lambda values: _of(list)(values) and items(chain.from_iterable(values))
+            and (size is None or set(map(len, values)) <= {size}), problem or list_problem, None)
 
 
-def _int(value, key: str, path: str, lineno: int) -> int:
-    # `type(x) is int` also turns away true/false, which are ints in Python
-    if type(value) is not int:
-        raise DataError(f"{path}:{lineno}: {key!r} takes JSON integers only, got {value!r}")
-    return value
+def _one_of(*choices: str) -> tuple:
+    return (lambda values: all(map(choices.__contains__, values)),
+            lambda k, v: f"{k!r} must be one of {', '.join(choices)}, got {v!r}", None)
 
 
-def _int_tuple(rec: dict, key: str, size: int, path: str, lineno: int) -> tuple[int, ...]:
-    value = _list(rec, key, path, lineno)
-    if len(value) != size:
-        raise DataError(f"{path}:{lineno}: {key!r} must list {size} integers, "
-                        f"got {len(value)}")
-    return tuple(_int(x, key, path, lineno) for x in value)
+def _box(what: str) -> tuple:
+    return _list_of("numbers", _of(int, float), 4, lambda k, v: (
+        f"bad {what} box (need a list of 4 numbers, got {v!r})"))
 
 
-def _field_of_each(entries: list, key: str, path: str, lineno: int) -> list:
-    """``entry[key]`` of every entry, each a JSON object holding ``key``."""
-    try:
-        return [e[key] for e in entries]
-    except (KeyError, TypeError):   # name the first entry at fault
-        return [_require(e, key, path, lineno) for e in entries]
-
-
-def _number_rows(rows: list, key: str, path: str, lineno: int) -> np.ndarray:
+def _number_rows(rows: list, key: str, where: str) -> np.ndarray:
     """``rows``, each a flat list of at least one finite JSON number, all
-    of one length, as one float array: one conversion for a whole record."""
+    of one length, as one float array: one conversion for a whole column."""
     try:
         arr = np.asarray(rows)
     except ValueError:   # rows of different lengths or depths
         arr = np.empty(0, dtype=object)
     # null, strings, objects and true/false leave no numeric dtype
     if arr.ndim != 2 or arr.dtype.kind not in "iuf" or arr.shape[1] < 1:
-        raise DataError(f"{path}:{lineno}: every {key!r} must be a flat list of "
+        raise DataError(f"{where}: every {key!r} must be a flat list of "
                         f"numbers, all of one length")
     arr = arr.astype(np.float64, copy=False)
     if not np.isfinite(arr).all():
-        raise DataError(f"{path}:{lineno}: {key!r} holds NaN or Infinity")
+        raise DataError(f"{where}: {key!r} holds NaN or Infinity")
     return arr
 
 
-def _strings(rec: dict, key: str, path: str, lineno: int) -> list[str]:
-    value = _require(rec, key, path, lineno)
-    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
-        raise DataError(f"{path}:{lineno}: {key!r} must be a list of strings")
-    return value
+def _objects(table) -> tuple:
+    """A list of JSON objects checked against ``table``, each read as a tuple."""
+    def convert(values: list, key: str, where: str) -> list:
+        rows = iter(zip(*_columns(list(chain.from_iterable(values)), table, where)))
+        return [list(islice(rows, len(v))) for v in values]
+    return _of(list), lambda k, v: f"{k!r} must be a list", convert
+
+
+def _columns(entries: list, table, where: str) -> Iterator[list]:
+    """Check every entry, a JSON object, against ``table``: one column of
+    values per row. A row is ``(key, kind)``, or ``(key, kind, default)``
+    where the key may be absent, or null if the default is None."""
+    for key, (accepts, problem, convert), *default in table:
+        try:
+            values = [e.get(key, *default) for e in entries] if default else [e[key] for e in entries]
+        except (KeyError, TypeError, AttributeError):   # name the first entry at fault
+            bad = next(e for e in entries if type(e) is not dict or not default and key not in e)
+            raise DataError(f"{where}: " + ("expected a JSON object" if type(bad) is not dict
+                                             else f"missing field {key!r}")) from None
+        checked = [v for v in values if v is not None] if default == [None] else values
+        if accepts and not accepts(checked):
+            raise DataError(f"{where}: {problem(key, next(v for v in checked if not accepts([v])))}")
+        if convert and entries:
+            values = convert(values, key, where)
+        yield values
+
+
+def _records(lines: Iterable[tuple[str, object]], table) -> Iterator[tuple[str, tuple]]:
+    """Each record's ``path:line`` and its values in ``table`` order, checked
+    16 records at a time to share each column's fixed cost; a batch at fault
+    is checked again record by record, so errors come in one-at-a-time order."""
+    lines = iter(lines)
+    while chunk := list(islice(lines, 16)):
+        wheres, recs = zip(*chunk)
+        try:
+            values = list(zip(*_columns(list(recs), table, wheres[0])))
+        except DataError:   # lazily: the loader sees each record before the next is checked
+            values = (next(zip(*_columns([rec], table, where))) for where, rec in chunk)
+        del chunk, recs   # the parsed records die here, before the loader allocates its own
+        yield from zip(wheres, values)
+
+
+_STRING = (_of(str), lambda k, v: f"{k!r} must be a string, got {v!r}", None)
+_INTEGER = (_of(int), lambda k, v: f"{k!r} takes JSON integers only, got {v!r}", None)
+_OBJECT = (_of(dict), lambda k, v: f"{k!r} must be a JSON object, got {v!r}", None)
+_STRINGS = _list_of("strings", _of(str))
+_ROWS = (None, None, _number_rows)
+_NODE_TYPE = {t.value: t for t in NodeType}
+_BBOX_FORMAT = ("bbox_format", _one_of("xyxy", "xywh"), "xyxy")
 
 
 # -- corpus ------------------------------------------------------------
+
+TAGSET_FIELDS = (("tagset", _STRINGS),)
+SENTENCE_FIELDS = (
+    ("id", _STRING), ("tokens", _STRINGS), ("pos", _STRINGS),
+    ("lemmas", _STRINGS, None),   # none: the tokens, lowercased
+    ("heads", _list_of("integers", _of(int)), None),
+    ("types", _list_of("node types", _one_of(*_NODE_TYPE)[0]), None),
+    ("dep_labels", _STRINGS, None), ("image_id", _STRING))
 
 
 def load_corpus(path: str) -> tuple[list[Sentence], list[str]]:
@@ -150,64 +197,45 @@ def load_corpus(path: str) -> tuple[list[Sentence], list[str]]:
     The optional first record ``{"tagset": [...]}`` pins the tag order;
     otherwise the sorted set of tags found in the file is used.
     """
-    sentences: list[Sentence] = []
-    raw: list[tuple[int, dict]] = []
+    lines: list[tuple[str, object]] = []
     tagset: Optional[list[str]] = None
-    for lineno, rec in _read_lines(path):
-        if "tagset" in rec and "id" not in rec:
+    for where, rec in _read_lines(path):
+        if type(rec) is dict and "tagset" in rec and "id" not in rec:
             if tagset is not None:
-                raise DataError(f"{path}:{lineno}: duplicate tagset header")
-            tagset = _strings(rec, "tagset", path, lineno)
-            continue
-        raw.append((lineno, rec))
+                raise DataError(f"{where}: duplicate tagset header")
+            [(_, (tagset,))] = _records([(where, rec)], TAGSET_FIELDS)
+        else:
+            lines.append((where, rec))
+    records = list(_records(lines, SENTENCE_FIELDS))
     if tagset is None:
-        seen = set()
-        for lineno, rec in raw:
-            seen.update(_strings(rec, "pos", path, lineno))
-        tagset = sorted(seen)
+        tagset = sorted({p for _, fields in records for p in fields[2]})
     tag_id = {t: i for i, t in enumerate(tagset)}
+    sentences: list[Sentence] = []
     ids = set()
-    for lineno, rec in raw:
-        sid = str(_require(rec, "id", path, lineno))
+    for where, (sid, words, pos, lemmas, heads, types, labels, image_id) in records:
         if sid in ids:
-            raise DataError(f"{path}:{lineno}: duplicate sentence id {sid!r}")
+            raise DataError(f"{where}: duplicate sentence id {sid!r}")
         ids.add(sid)
-        words = _strings(rec, "tokens", path, lineno)
-        pos = _strings(rec, "pos", path, lineno)
         if len(words) != len(pos) or not words:
-            raise DataError(f"{path}:{lineno}: tokens/pos length mismatch or empty")
+            raise DataError(f"{where}: tokens/pos length mismatch or empty")
         for p in pos:
             if p not in tag_id:
-                raise DataError(f"{path}:{lineno}: tag {p!r} not in tagset")
-        lemmas = (_strings(rec, "lemmas", path, lineno) if "lemmas" in rec
-                  else [w.lower() for w in words])
-        if len(lemmas) != len(words):
-            raise DataError(f"{path}:{lineno}: {len(lemmas)} lemmas for "
-                            f"{len(words)} tokens")
+                raise DataError(f"{where}: tag {p!r} not in tagset")
+        if lemmas is None:
+            lemmas = [w.lower() for w in words]
+        elif len(lemmas) != len(words):
+            raise DataError(f"{where}: {len(lemmas)} lemmas for {len(words)} tokens")
         tokens = tuple(Token(i + 1, w, tag_id[p], lemma)
                        for i, (w, p, lemma) in enumerate(zip(words, pos, lemmas)))
-        heads = rec.get("heads")
         if heads is not None:
-            # `type(h) is int` also turns away true/false, which are ints in Python
-            if not isinstance(heads, list) or not all(type(h) is int for h in heads):
-                raise DataError(f"{path}:{lineno}: 'heads' must be a list of integers")
             heads = tuple(heads)
             report = validate_tree(heads, len(tokens))
             if report is not None:
-                raise DataError(f"{path}:{lineno}: invalid tree: {report}")
-        types = rec.get("types")
-        if types is not None:
-            try:
-                types = tuple(NodeType(t) for t in _list(rec, "types", path, lineno))
-            except ValueError as e:
-                raise DataError(f"{path}:{lineno}: {e}") from None
-        labels = rec.get("dep_labels")
-        if labels is not None:
-            labels = tuple(str(x) for x in _list(rec, "dep_labels", path, lineno))
+                raise DataError(f"{where}: invalid tree: {report}")
         sentences.append(Sentence(
-            id=sid, image_id=str(_require(rec, "image_id", path, lineno)),
-            tokens=tokens, pos_tags=tuple(pos), heads=heads, types=types,
-            dep_labels=labels))
+            id=sid, image_id=image_id, tokens=tokens, pos_tags=tuple(pos), heads=heads,
+            types=None if types is None else tuple(map(_NODE_TYPE.__getitem__, types)),
+            dep_labels=None if labels is None else tuple(labels)))
     return sentences, tagset
 
 
@@ -231,42 +259,40 @@ def save_corpus(path: str, sentences: Sequence[Sentence], tagset: Sequence[str])
 # -- region features ----------------------------------------------------
 
 
-def _ingest_box(raw, fmt: str) -> Box:
-    """Corner boxes pass through; width/height boxes are converted.
-    Anything but a list of 4 numbers raises ``ValueError``."""
-    if type(raw) is not list or len(raw) != 4:
-        raise ValueError(f"need a list of 4 numbers, got {raw!r}")
+def _corner_boxes(raw: Sequence[list], fmt: str, what: str, where: str) -> list[Box]:
+    """Boxes, each a list of 4 JSON numbers, as corner tuples of floats."""
     try:
-        if fmt == "xywh":
-            x, y, w, h = (float(v) for v in raw)
-            raw = (x, y, x + w, y + h)
-        elif fmt != "xyxy":
-            raise ValueError(f"unknown bbox_format {fmt!r}")
-        return check_box(raw)
-    except (TypeError, OverflowError):   # null, a list or an object; a huge integer
-        raise ValueError(f"need a list of 4 numbers, got {raw!r}") from None
+        corners = np.array(raw, dtype=np.float64).reshape(-1, 4)
+    except OverflowError:   # an integer past the float range
+        bad = next(box for box in raw if max(map(abs, box)) > sys.float_info.max)
+        raise DataError(f"{where}: bad {what} box (need a list of 4 numbers, got {bad!r})") from None
+    if fmt == "xywh":
+        corners[:, 2:] += corners[:, :2]
+    boxes = list(map(tuple, corners.tolist()))
+    for (x1, y1, x2, y2), given in zip(boxes, raw):
+        if not (x1 < x2 and y1 < y2):
+            raise DataError(f"{where}: bad {what} box (degenerate box {given}: "
+                            f"need x1 < x2 and y1 < y2)")
+    return boxes
+
+
+REGION_FIELDS = (("bbox", _box("region")), ("feat", _ROWS))
+FEATURES_FIELDS = (("image_id", _STRING), ("regions", _objects(REGION_FIELDS)), _BBOX_FORMAT)
 
 
 def load_features(path: str) -> dict[str, list[tuple[Box, np.ndarray]]]:
     out: dict[str, list[tuple[Box, np.ndarray]]] = {}
     dim: Optional[int] = None
-    for lineno, rec in _read_lines(path):
-        image_id = str(_require(rec, "image_id", path, lineno))
+    for where, (image_id, regions, fmt) in _records(_read_lines(path), FEATURES_FIELDS):
         if image_id in out:
-            raise DataError(f"{path}:{lineno}: duplicate image id {image_id!r}")
-        regions = _list(rec, "regions", path, lineno)
+            raise DataError(f"{where}: duplicate image id {image_id!r}")
         if not regions:
-            raise DataError(f"{path}:{lineno}: image {image_id!r} has no regions")
-        fmt = rec.get("bbox_format", "xyxy")
-        try:
-            boxes = [_ingest_box(b, fmt) for b in _field_of_each(regions, "bbox", path, lineno)]
-        except ValueError as e:
-            raise DataError(f"{path}:{lineno}: bad region box ({e})") from None
-        feats = _number_rows(_field_of_each(regions, "feat", path, lineno), "feat", path, lineno)
-        if dim is None:
-            dim = feats.shape[1]
-        elif feats.shape[1] != dim:
-            raise DataError(f"{path}:{lineno}: feature dim {feats.shape[1]} != {dim}")
+            raise DataError(f"{where}: image {image_id!r} has no regions")
+        raw_boxes, feats = zip(*regions)
+        boxes = _corner_boxes(raw_boxes, fmt, "region", where)
+        dim = dim or feats[0].size
+        if feats[0].size != dim:
+            raise DataError(f"{where}: feature dim {feats[0].size} != {dim}")
         out[image_id] = list(zip(boxes, feats))
     return out
 
@@ -282,66 +308,43 @@ def save_features(path: str, feats: dict[str, list[tuple[Box, np.ndarray]]]) -> 
 
 # -- scene graphs --------------------------------------------------------
 
-EDGE_ATTR = "attr"
-EDGE_SRC = "src"
-EDGE_DST = "dst"
+EDGE_ATTR, EDGE_SRC, EDGE_DST = "attr", "src", "dst"
+OBJECT, ATTRIBUTE, RELATIONSHIP = _NODE_TYPE
+
+NODE_FIELDS = (("id", _STRING), ("type", _one_of(*_NODE_TYPE)), ("bbox", _box("node"), None),
+               ("label", _STRING, None))
+EDGE_FIELDS = (("src", _STRING), ("dst", _STRING), ("label", _one_of(EDGE_ATTR, EDGE_SRC, EDGE_DST)))
+SCENE_GRAPH_FIELDS = (("image_id", _STRING), ("nodes", _objects(NODE_FIELDS)),
+                      ("edges", _objects(EDGE_FIELDS), []), _BBOX_FORMAT)
 
 
 def load_scene_graphs(path: str) -> dict[str, SceneGraph]:
     out: dict[str, SceneGraph] = {}
-    for lineno, rec in _read_lines(path):
-        image_id = str(_require(rec, "image_id", path, lineno))
+    for where, (image_id, nodes, edges, fmt) in _records(_read_lines(path), SCENE_GRAPH_FIELDS):
         if image_id in out:
-            raise DataError(f"{path}:{lineno}: duplicate image id {image_id!r}")
-        fmt = rec.get("bbox_format", "xyxy")
-        kinds: dict[str, dict] = {}
-        for node in _list(rec, "nodes", path, lineno):
-            nid = str(_require(node, "id", path, lineno))
-            if nid in kinds:
-                raise DataError(f"{path}:{lineno}: duplicate node id {nid!r}")
-            kinds[nid] = node
-        owners: dict[str, str] = {}
-        endpoints: dict[str, dict[str, str]] = {}
-        for edge in _list(rec, "edges", path, lineno, optional=True):
-            label = _object(edge, path, lineno).get("label")
-            src, dst = str(edge.get("src")), str(edge.get("dst"))
-            if label == EDGE_ATTR:
-                owners[dst] = src
-            elif label == EDGE_SRC:
-                endpoints.setdefault(dst, {})[EDGE_SRC] = src
-            elif label == EDGE_DST:
-                endpoints.setdefault(src, {})[EDGE_DST] = dst
-            else:
-                raise DataError(f"{path}:{lineno}: unknown edge label {label!r}")
+            raise DataError(f"{where}: duplicate image id {image_id!r}")
+        owners = {dst: src for src, dst, label in edges if label == EDGE_ATTR}
+        srcs = {dst: src for src, dst, label in edges if label == EDGE_SRC}
+        dsts = {src: dst for src, dst, label in edges if label == EDGE_DST}
+        boxes = iter(_corner_boxes([n[2] for n in nodes if n[2] is not None], fmt, "node", where))
         objects, attributes, relationships = [], [], []
-        for nid, node in kinds.items():
-            ntype = str(_require(node, "type", path, lineno))
-            try:
-                bbox = _ingest_box(node["bbox"], fmt) if node.get("bbox") else None
-            except ValueError as e:
-                raise DataError(f"{path}:{lineno}: bad node box ({e})") from None
-            label = node.get("label")
-            if ntype == NodeType.OBJECT.value:
+        for nid, ntype, bbox, label in nodes:
+            bbox = None if bbox is None else next(boxes)
+            if ntype == OBJECT:
                 objects.append(SGObject(nid, bbox=bbox, label=label))
-            elif ntype == NodeType.ATTRIBUTE.value:
+            elif ntype == ATTRIBUTE:
                 if nid not in owners:
-                    raise DataError(f"{path}:{lineno}: attribute {nid!r} has no owner edge")
-                attributes.append(SGAttribute(nid, owner=owners[nid],
-                                              label=label))
-            elif ntype == NodeType.RELATIONSHIP.value:
-                ep = endpoints.get(nid, {})
-                if EDGE_SRC not in ep or EDGE_DST not in ep:
-                    raise DataError(f"{path}:{lineno}: relationship {nid!r} missing endpoints")
-                relationships.append(SGRelationship(
-                    nid, src=ep[EDGE_SRC], dst=ep[EDGE_DST], label=label))
+                    raise DataError(f"{where}: attribute {nid!r} has no owner edge")
+                attributes.append(SGAttribute(nid, owner=owners[nid], label=label))
             else:
-                raise DataError(f"{path}:{lineno}: unknown node type {ntype!r}")
-        sg = SceneGraph(image_id, tuple(objects), tuple(attributes),
-                        tuple(relationships))
+                if nid not in srcs or nid not in dsts:
+                    raise DataError(f"{where}: relationship {nid!r} missing endpoints")
+                relationships.append(SGRelationship(nid, srcs[nid], dsts[nid], label=label))
+        sg = SceneGraph(image_id, tuple(objects), tuple(attributes), tuple(relationships))
         try:
             sg.validate()
         except ValueError as e:
-            raise DataError(f"{path}:{lineno}: {e}") from None
+            raise DataError(f"{where}: {e}") from None
         out[image_id] = sg
     return out
 
@@ -367,29 +370,27 @@ def save_scene_graphs(path: str, graphs: dict[str, SceneGraph]) -> None:
 
 # -- alignments -----------------------------------------------------------
 
+ZERO_FIELDS = (("t", _INTEGER), ("node", _STRING))
+FIRST_FIELDS = (("arc", _list_of("integers", _of(int), 2)),
+                ("endpoints", _list_of("strings", _of(str), 2)), ("rel", _STRING))
+SECOND_FIELDS = (("tokens", _list_of("integers", _of(int), 3)),
+                 ("nodes", _list_of("strings", _of(str), 3)))
+ALIGNMENT_FIELDS = (("sentence_id", _STRING), ("zero", _objects(ZERO_FIELDS), []),
+                    ("first", _objects(FIRST_FIELDS), []),
+                    ("second", _objects(SECOND_FIELDS), []), ("meta", _OBJECT, None))
+
 
 def load_alignments(path: str) -> dict[str, VLAlignment]:
     out: dict[str, VLAlignment] = {}
-    for lineno, rec in _read_lines(path):
-        sid = str(_require(rec, "sentence_id", path, lineno))
+    for where, (sid, zero, first, second, meta) in _records(_read_lines(path), ALIGNMENT_FIELDS):
         if sid in out:
-            raise DataError(f"{path}:{lineno}: duplicate sentence id {sid!r}")
-        zero = {_int(_require(e, "t", path, lineno), "t", path, lineno):
-                str(_require(e, "node", path, lineno))
-                for e in _list(rec, "zero", path, lineno, optional=True)}
-        first = {}
-        for e in _list(rec, "first", path, lineno, optional=True):
-            arc = _int_tuple(e, "arc", 2, path, lineno)
-            first[arc] = FirstAlignment(
-                relationship=str(e.get("rel")),
-                endpoints=tuple(str(x) for x in (_list(e, "endpoints", path, lineno)
-                                                 if "endpoints" in e else (None, None))))
-        second = {}
-        for e in _list(rec, "second", path, lineno, optional=True):
-            second[_int_tuple(e, "tokens", 3, path, lineno)] = tuple(
-                str(x) for x in _list(e, "nodes", path, lineno))
-        out[sid] = VLAlignment(sentence_id=sid, zero=zero, first=first,
-                               second=second, meta=rec.get("meta", {}))
+            raise DataError(f"{where}: duplicate sentence id {sid!r}")
+        if len(dict(zero)) != len(zero):
+            raise DataError(f"{where}: duplicate token in 'zero'")
+        out[sid] = VLAlignment(
+            sentence_id=sid, zero=dict(zero), meta=meta or {},
+            first={tuple(arc): FirstAlignment(rel, tuple(ends)) for arc, ends, rel in first},
+            second={tuple(tokens): tuple(nodes) for tokens, nodes in second})
     return out
 
 
@@ -410,17 +411,14 @@ def save_alignments(path: str, alignments: Sequence[VLAlignment]) -> None:
 
 # -- embeddings ------------------------------------------------------------
 
+EMBEDDING_FIELDS = (("word", _STRING), ("vec", _ROWS))
+
 
 def load_embeddings(path: str) -> tuple[list[str], np.ndarray]:
     words, rows = [], []
-    dim: Optional[int] = None
-    for lineno, rec in _read_lines(path):
-        word = str(_require(rec, "word", path, lineno))
-        vec = _number_rows([_require(rec, "vec", path, lineno)], "vec", path, lineno)[0]
-        if dim is None:
-            dim = vec.size
-        elif vec.size != dim:
-            raise DataError(f"{path}:{lineno}: embedding dim {vec.size} != {dim}")
+    for where, (word, vec) in _records(_read_lines(path), EMBEDDING_FIELDS):
+        if rows and vec.size != rows[0].size:
+            raise DataError(f"{where}: embedding dim {vec.size} != {rows[0].size}")
         words.append(word)
         rows.append(vec)
     if not words:

@@ -163,6 +163,30 @@ def test_bad_region_is_data_error(dataset, tmp_path, capsys, field, spoil):
     assert "Traceback" not in err
 
 
+def test_list_label_in_scene_graph_is_data_error(dataset, tmp_path, capsys):
+    run = tmp_path / "run"
+    common = ["--corpus", str(dataset / "corpus.test.jsonl"),
+              "--features", str(dataset / "features.jsonl"),
+              "--embeddings", str(dataset / "embeddings.jsonl")]
+    assert main(["train"] + common + ["--out", str(run), "--set", "epochs=1"] + DIMS) == 0
+    lines = (dataset / "scene_graphs.jsonl").read_text(encoding="utf-8").splitlines()
+    rec = json.loads(lines[1])
+    attribute = next(n for n in rec["nodes"] if n["type"] == "ATTRIBUTE")
+    attribute["label"] = [attribute["label"]]
+    lines[1] = json.dumps(rec)
+    bad = tmp_path / "bad_graphs.jsonl"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    rc = main(["ground"] + common + ["--scene-graphs", str(bad), "--use-gold-trees",
+                                     "--ckpt", str(run / "ckpt_final.bin"),
+                                     "--out", str(tmp_path / "ground.jsonl"),
+                                     "--set", "epochs=1"] + DIMS)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"{bad}:2: 'label' must be a string, got ['plain']" in err
+    assert "Traceback" not in err
+
+
 def test_eval_pred_equals_gold_is_perfect(dataset, capsys):
     rc = main(["eval", "--gold-corpus", str(dataset / "corpus.test.jsonl"),
                "--pred-trees", str(dataset / "corpus.test.jsonl")])

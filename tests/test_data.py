@@ -1,9 +1,15 @@
 import json
+import math
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import vgram.data as data_module
 from vgram import chart
 from vgram.core import validate_tree
 from vgram.data import (
@@ -229,6 +235,9 @@ class TestValidation:
         ([{"bbox": 5, "feat": [1.0]}], BOX),
         ([{"bbox": None, "feat": [1.0]}], BOX),
         ([{"bbox": "0011", "feat": [1.0]}], BOX),
+        ([{"bbox": [0, 0, "1", True], "feat": [1.0]}], BOX),
+        ([{"bbox": [0, 0, 1, True], "feat": [1.0]}], BOX),
+        ([{"bbox": [0, 0, "1", 1], "feat": [1.0]}], BOX),
         ([{"bbox": [0, 0, 1, float("nan")], "feat": [1.0]}], "bad region box (degenerate box"),
         ([{"bbox": [0, 0, 1, 1], "feat": [1.0]}, {"bbox": [5, 0, 1, 1], "feat": [1.0]}],
          "bad region box (degenerate box [5, 0, 1, 1]"),
@@ -273,6 +282,11 @@ class TestValidation:
         ([0, None, 1, 1], "bad node box (need a list of 4 numbers, got [0, None, 1, 1])"),
         ([0, 0, 1], "bad node box (need a list of 4 numbers, got [0, 0, 1])"),
         (5, "bad node box (need a list of 4 numbers, got 5)"),
+        (0, "bad node box (need a list of 4 numbers, got 0)"),
+        ([], "bad node box (need a list of 4 numbers, got [])"),
+        (False, "bad node box (need a list of 4 numbers, got False)"),
+        ("", "bad node box (need a list of 4 numbers, got '')"),
+        ([0, 0, 1, True], "bad node box (need a list of 4 numbers, got [0, 0, 1, True])"),
         ([1, 0, 0, 1], "bad node box (degenerate box"),
     ])
     def test_scene_graph_node_boxes(self, tmp_path, bbox, problem):
@@ -284,6 +298,49 @@ class TestValidation:
         path.write_text(json.dumps(rec) + "\n", encoding="utf-8")
         with pytest.raises(DataError, match=re.escape(f"{path}:1: {problem}")):
             load_scene_graphs(str(path))
+
+    SENTENCE = {"id": "s", "image_id": "i", "tokens": ["a"], "pos": ["N"]}
+
+    @pytest.mark.parametrize("load, rec, problem", [
+        (load_corpus, {**SENTENCE, "id": None}, "'id' must be a string, got None"),
+        (load_corpus, {**SENTENCE, "image_id": ["x"]}, "'image_id' must be a string, got ['x']"),
+        (load_corpus, {**SENTENCE, "dep_labels": [{"x": 1}]},
+         "'dep_labels' must be a list of strings"),
+        (load_alignments, {"sentence_id": "s", "first": [{"arc": [1, 2]}]},
+         "missing field 'endpoints'"),
+        (load_alignments, {"sentence_id": "s", "first": [{"arc": [1, 2], "endpoints": ["a", "b"]}]},
+         "missing field 'rel'"),
+        (load_alignments, {"sentence_id": "s", "zero": [{"t": 1, "node": None}]},
+         "'node' must be a string, got None"),
+        (load_embeddings, {"word": None, "vec": [1.0]}, "'word' must be a string, got None"),
+    ])
+    def test_text_fields_take_strings_only(self, tmp_path, load, rec, problem):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(rec) + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"{path}:1: {problem}")):
+            load(str(path))
+
+    @pytest.mark.parametrize("entry, problem", [
+        ({"zero": [{"t": 1, "node": "a"}, {"t": 1, "node": "b"}]}, "duplicate token"),
+        ({"second": [{"tokens": [1, 2, 3], "nodes": ["a", "b"]}]},
+         "'nodes' must list 3 strings, got 2"),
+        ({"first": [{"arc": [1, 2], "rel": "r", "endpoints": ["a", "b", "c"]}]},
+         "'endpoints' must list 2 strings, got 3"),
+        ({"meta": "rule-based"}, "'meta' must be a JSON object, got 'rule-based'"),
+        ({"meta": [1]}, "'meta' must be a JSON object, got [1]"),
+    ])
+    def test_alignment_entries_lose_nothing(self, tmp_path, entry, problem):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps({"sentence_id": "s", **entry}) + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"{path}:1: {problem}")):
+            load_alignments(str(path))
+
+    def test_first_record_at_fault_is_named(self, tmp_path):
+        path = tmp_path / "align.jsonl"
+        recs = [{"sentence_id": "s"}, {"sentence_id": "s"}, {"sentence_id": "t", "zero": 5}]
+        path.write_text("\n".join(json.dumps(r) for r in recs) + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"{path}:2: duplicate sentence id 's'"):
+            load_alignments(str(path))
 
     def test_unknown_tag_rejected(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -357,3 +414,71 @@ class TestSynth:
         for s in synth.train:
             words = [t.surface for t in s.tokens]
             assert len(set(words)) == len(words)
+
+
+# -- malformed records: fuzzing and the documented field tables ---------------
+
+SAVERS = {
+    load_corpus: lambda path, s: save_corpus(path, s.train[:1], s.tagset),
+    load_features: lambda path, s: save_features(path, dict(list(s.features.items())[:1])),
+    load_scene_graphs: lambda path, s: save_scene_graphs(
+        path, dict(list(s.scene_graphs.items())[:1])),
+    load_alignments: lambda path, s: save_alignments(path, list(s.alignments.values())[:1]),
+    load_embeddings: lambda path, s: save_embeddings(path, s.vocab[:1], s.embeddings[:1]),
+}
+REPLACEMENTS = [None, True, False, "x", 1.5, [], [1], {}, {"a": 1}, 10 ** 400, math.nan]
+
+
+@pytest.fixture(scope="module")
+def valid_records(synth, tmp_path_factory):
+    """One small valid file per loader, as its list of JSON records."""
+    out = {}
+    for load, save in SAVERS.items():
+        path = tmp_path_factory.mktemp("records") / "valid.jsonl"
+        save(str(path), synth)
+        load(str(path))
+        out[load] = [json.loads(line) for line in path.read_text().splitlines()]
+    return out
+
+
+def _paths(value, prefix=()):
+    """The path of every key and list entry under ``value``."""
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@settings(derandomize=True, max_examples=150, database=None, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("load", list(SAVERS), ids=lambda f: f.__name__)
+def test_one_mutation_loads_or_is_a_data_error(valid_records, load, data):
+    records = json.loads(json.dumps(valid_records[load]))
+    rec = data.draw(st.sampled_from(records))
+    path = data.draw(st.sampled_from(list(_paths(rec))))
+    parent = rec
+    for step in path[:-1]:
+        parent = parent[step]
+    replacement = data.draw(st.sampled_from(["drop"] + REPLACEMENTS))
+    if replacement == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = replacement
+    with tempfile.TemporaryDirectory() as tmp:
+        file = Path(tmp) / "mutated.jsonl"
+        file.write_text("\n".join(json.dumps(r) for r in records) + "\n", encoding="utf-8")
+        try:
+            load(str(file))
+        except DataError:
+            pass
+
+
+def test_field_tables_are_documented():
+    formats = (Path(__file__).resolve().parents[1] / "FORMATS.md").read_text(encoding="utf-8")
+    tables = {name: table for name, table in vars(data_module).items()
+              if name.endswith("_FIELDS")}
+    assert len(tables) == 12
+    for name, table in tables.items():
+        for key, *_ in table:
+            assert f"`{key}`" in formats, f"{name}: {key!r} is not in FORMATS.md"
