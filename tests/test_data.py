@@ -235,13 +235,13 @@ class TestValidation:
         ([{"bbox": 5, "feat": [1.0]}], BOX),
         ([{"bbox": None, "feat": [1.0]}], BOX),
         ([{"bbox": "0011", "feat": [1.0]}], BOX),
-        ([{"bbox": [0, 0, "1", True], "feat": [1.0]}], BOX),
-        ([{"bbox": [0, 0, 1, True], "feat": [1.0]}], BOX),
-        ([{"bbox": [0, 0, "1", 1], "feat": [1.0]}], BOX),
         ([{"bbox": [0, 0, 1, float("nan")], "feat": [1.0]}], "bad region box (degenerate box"),
         ([{"bbox": [0, 0, 1, 1], "feat": [1.0]}, {"bbox": [5, 0, 1, 1], "feat": [1.0]}],
          "bad region box (degenerate box [5, 0, 1, 1]"),
         ([{"bbox": [0, 0, 1, 1], "feat": [1.0]}, 7], "expected a JSON object"),
+        ([{"bbox": [0, 0, "1", True], "feat": [1.0]}], BOX),
+        ([{"bbox": [0, 0, 1, True], "feat": [1.0]}], BOX),
+        ([{"bbox": [0, 0, "1", 1], "feat": [1.0]}], BOX),
     ])
     def test_region_vectors_and_boxes(self, tmp_path, regions, problem):
         path = tmp_path / "feat.jsonl"
@@ -282,12 +282,12 @@ class TestValidation:
         ([0, None, 1, 1], "bad node box (need a list of 4 numbers, got [0, None, 1, 1])"),
         ([0, 0, 1], "bad node box (need a list of 4 numbers, got [0, 0, 1])"),
         (5, "bad node box (need a list of 4 numbers, got 5)"),
+        ([1, 0, 0, 1], "bad node box (degenerate box"),
         (0, "bad node box (need a list of 4 numbers, got 0)"),
         ([], "bad node box (need a list of 4 numbers, got [])"),
         (False, "bad node box (need a list of 4 numbers, got False)"),
         ("", "bad node box (need a list of 4 numbers, got '')"),
         ([0, 0, 1, True], "bad node box (need a list of 4 numbers, got [0, 0, 1, True])"),
-        ([1, 0, 0, 1], "bad node box (degenerate box"),
     ])
     def test_scene_graph_node_boxes(self, tmp_path, bbox, problem):
         path = tmp_path / "sg.jsonl"
