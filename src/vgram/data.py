@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -85,21 +85,29 @@ def _read_lines(path: str) -> Iterable[tuple[str, object]]:
 
 def _of(*types: type) -> Callable[[Iterable], bool]:
     # exact types: true/false are no JSON integers, though Python's bools are ints
-    allowed = set(types)
-    return lambda values: set(map(type, values)) <= allowed
+    allowed = frozenset(types)
+    return lambda values: allowed.issuperset(map(type, values))
 
 
 def _list_of(noun: str, items: Callable[[Iterable], bool], size: Optional[int] = None,
              problem: Optional[Callable[[str, object], str]] = None) -> tuple:
     """A list of ``size`` (or any number of) values that ``items`` accepts."""
+    lists = _of(list)
+
+    def accepts(values: list) -> bool:
+        if not lists(values) or not items(chain.from_iterable(values)):
+            return False
+        return size is None or set(map(len, values)) <= {size}
+
     def list_problem(key: str, v) -> str:
         if type(v) is not list or size is None:
             return f"{key!r} must be a list of {noun}"
         if len(v) != size:
             return f"{key!r} must list {size} {noun}, got {len(v)}"
-        return f"{key!r} takes JSON {noun} only, got {next(x for x in v if not items([x]))!r}"
-    return (lambda values: _of(list)(values) and items(chain.from_iterable(values))
-            and (size is None or set(map(len, values)) <= {size}), problem or list_problem, None)
+        bad = next(x for x in v if not items([x]))
+        return f"{key!r} takes JSON {noun} only, got {bad!r}"
+
+    return accepts, problem or list_problem, None
 
 
 def _one_of(*choices: str) -> tuple:
@@ -114,7 +122,7 @@ def _box(what: str) -> tuple:
 
 def _number_rows(rows: list, key: str, where: str) -> np.ndarray:
     """``rows``, each a flat list of at least one finite JSON number, all
-    of one length, as one float array: one conversion for a whole column."""
+    of one length, as one float array: one conversion for a whole record."""
     try:
         arr = np.asarray(rows)
     except ValueError:   # rows of different lengths or depths
@@ -132,8 +140,7 @@ def _number_rows(rows: list, key: str, where: str) -> np.ndarray:
 def _objects(table) -> tuple:
     """A list of JSON objects checked against ``table``, each read as a tuple."""
     def convert(values: list, key: str, where: str) -> list:
-        rows = iter(zip(*_columns(list(chain.from_iterable(values)), table, where)))
-        return [list(islice(rows, len(v))) for v in values]
+        return [list(zip(*_columns(v, table, where))) for v in values]
     return _of(list), lambda k, v: f"{k!r} must be a list", convert
 
 
@@ -143,32 +150,35 @@ def _columns(entries: list, table, where: str) -> Iterator[list]:
     where the key may be absent, or null if the default is None."""
     for key, (accepts, problem, convert), *default in table:
         try:
-            values = [e.get(key, *default) for e in entries] if default else [e[key] for e in entries]
+            if default:
+                values = [e.get(key, default[0]) for e in entries]
+            else:
+                values = [e[key] for e in entries]
         except (KeyError, TypeError, AttributeError):   # name the first entry at fault
-            bad = next(e for e in entries if type(e) is not dict or not default and key not in e)
-            raise DataError(f"{where}: " + ("expected a JSON object" if type(bad) is not dict
-                                             else f"missing field {key!r}")) from None
+            bad = next(e for e in entries
+                       if type(e) is not dict or not default and key not in e)
+            if type(bad) is not dict:
+                raise DataError(f"{where}: expected a JSON object") from None
+            raise DataError(f"{where}: missing field {key!r}") from None
         checked = [v for v in values if v is not None] if default == [None] else values
         if accepts and not accepts(checked):
-            raise DataError(f"{where}: {problem(key, next(v for v in checked if not accepts([v])))}")
+            bad = next(v for v in checked if not accepts([v]))
+            raise DataError(f"{where}: {problem(key, bad)}")
         if convert and entries:
             values = convert(values, key, where)
         yield values
 
 
-def _records(lines: Iterable[tuple[str, object]], table) -> Iterator[tuple[str, tuple]]:
-    """Each record's ``path:line`` and its values in ``table`` order, checked
-    16 records at a time to share each column's fixed cost; a batch at fault
-    is checked again record by record, so errors come in one-at-a-time order."""
-    lines = iter(lines)
-    while chunk := list(islice(lines, 16)):
-        wheres, recs = zip(*chunk)
-        try:
-            values = list(zip(*_columns(list(recs), table, wheres[0])))
-        except DataError:   # lazily: the loader sees each record before the next is checked
-            values = (next(zip(*_columns([rec], table, where))) for where, rec in chunk)
-        del chunk, recs   # the parsed records die here, before the loader allocates its own
-        yield from zip(wheres, values)
+def _fields(rec, table, where: str) -> tuple:
+    """The values of one record in ``table`` order."""
+    (values,) = zip(*_columns([rec], table, where))
+    return values
+
+
+def _records(path: str, table) -> Iterator[tuple[str, tuple]]:
+    """Each record of the file with its ``path:line``, checked against ``table``."""
+    for where, rec in _read_lines(path):
+        yield where, _fields(rec, table, where)
 
 
 _STRING = (_of(str), lambda k, v: f"{k!r} must be a string, got {v!r}", None)
@@ -184,11 +194,14 @@ _BBOX_FORMAT = ("bbox_format", _one_of("xyxy", "xywh"), "xyxy")
 
 TAGSET_FIELDS = (("tagset", _STRINGS),)
 SENTENCE_FIELDS = (
-    ("id", _STRING), ("tokens", _STRINGS), ("pos", _STRINGS),
+    ("id", _STRING),
+    ("tokens", _STRINGS),
+    ("pos", _STRINGS),
     ("lemmas", _STRINGS, None),   # none: the tokens, lowercased
     ("heads", _list_of("integers", _of(int)), None),
     ("types", _list_of("node types", _one_of(*_NODE_TYPE)[0]), None),
-    ("dep_labels", _STRINGS, None), ("image_id", _STRING))
+    ("dep_labels", _STRINGS, None),
+    ("image_id", _STRING))
 
 
 def load_corpus(path: str) -> tuple[list[Sentence], list[str]]:
@@ -203,10 +216,10 @@ def load_corpus(path: str) -> tuple[list[Sentence], list[str]]:
         if type(rec) is dict and "tagset" in rec and "id" not in rec:
             if tagset is not None:
                 raise DataError(f"{where}: duplicate tagset header")
-            [(_, (tagset,))] = _records([(where, rec)], TAGSET_FIELDS)
+            (tagset,) = _fields(rec, TAGSET_FIELDS, where)
         else:
             lines.append((where, rec))
-    records = list(_records(lines, SENTENCE_FIELDS))
+    records = [(where, _fields(rec, SENTENCE_FIELDS, where)) for where, rec in lines]
     if tagset is None:
         tagset = sorted({p for _, fields in records for p in fields[2]})
     tag_id = {t: i for i, t in enumerate(tagset)}
@@ -265,7 +278,8 @@ def _corner_boxes(raw: Sequence[list], fmt: str, what: str, where: str) -> list[
         corners = np.array(raw, dtype=np.float64).reshape(-1, 4)
     except OverflowError:   # an integer past the float range
         bad = next(box for box in raw if max(map(abs, box)) > sys.float_info.max)
-        raise DataError(f"{where}: bad {what} box (need a list of 4 numbers, got {bad!r})") from None
+        raise DataError(f"{where}: bad {what} box "
+                        f"(need a list of 4 numbers, got {bad!r})") from None
     if fmt == "xywh":
         corners[:, 2:] += corners[:, :2]
     boxes = list(map(tuple, corners.tolist()))
@@ -277,13 +291,16 @@ def _corner_boxes(raw: Sequence[list], fmt: str, what: str, where: str) -> list[
 
 
 REGION_FIELDS = (("bbox", _box("region")), ("feat", _ROWS))
-FEATURES_FIELDS = (("image_id", _STRING), ("regions", _objects(REGION_FIELDS)), _BBOX_FORMAT)
+FEATURES_FIELDS = (
+    ("image_id", _STRING),
+    ("regions", _objects(REGION_FIELDS)),
+    _BBOX_FORMAT)
 
 
 def load_features(path: str) -> dict[str, list[tuple[Box, np.ndarray]]]:
     out: dict[str, list[tuple[Box, np.ndarray]]] = {}
     dim: Optional[int] = None
-    for where, (image_id, regions, fmt) in _records(_read_lines(path), FEATURES_FIELDS):
+    for where, (image_id, regions, fmt) in _records(path, FEATURES_FIELDS):
         if image_id in out:
             raise DataError(f"{where}: duplicate image id {image_id!r}")
         if not regions:
@@ -308,31 +325,46 @@ def save_features(path: str, feats: dict[str, list[tuple[Box, np.ndarray]]]) -> 
 
 # -- scene graphs --------------------------------------------------------
 
-EDGE_ATTR, EDGE_SRC, EDGE_DST = "attr", "src", "dst"
-OBJECT, ATTRIBUTE, RELATIONSHIP = _NODE_TYPE
+EDGE_ATTR = "attr"
+EDGE_SRC = "src"
+EDGE_DST = "dst"
 
-NODE_FIELDS = (("id", _STRING), ("type", _one_of(*_NODE_TYPE)), ("bbox", _box("node"), None),
-               ("label", _STRING, None))
-EDGE_FIELDS = (("src", _STRING), ("dst", _STRING), ("label", _one_of(EDGE_ATTR, EDGE_SRC, EDGE_DST)))
-SCENE_GRAPH_FIELDS = (("image_id", _STRING), ("nodes", _objects(NODE_FIELDS)),
-                      ("edges", _objects(EDGE_FIELDS), []), _BBOX_FORMAT)
+NODE_FIELDS = (
+    ("id", _STRING),
+    ("type", _one_of(*_NODE_TYPE)),
+    ("bbox", _box("node"), None),
+    ("label", _STRING, None))
+EDGE_FIELDS = (
+    ("src", _STRING),
+    ("dst", _STRING),
+    ("label", _one_of(EDGE_ATTR, EDGE_SRC, EDGE_DST)))
+SCENE_GRAPH_FIELDS = (
+    ("image_id", _STRING),
+    ("nodes", _objects(NODE_FIELDS)),
+    ("edges", _objects(EDGE_FIELDS), []),
+    _BBOX_FORMAT)
 
 
 def load_scene_graphs(path: str) -> dict[str, SceneGraph]:
     out: dict[str, SceneGraph] = {}
-    for where, (image_id, nodes, edges, fmt) in _records(_read_lines(path), SCENE_GRAPH_FIELDS):
+    for where, (image_id, nodes, edges, fmt) in _records(path, SCENE_GRAPH_FIELDS):
         if image_id in out:
             raise DataError(f"{where}: duplicate image id {image_id!r}")
+        ids = [n[0] for n in nodes]
+        if len(set(ids)) != len(ids):
+            dup = next(nid for k, nid in enumerate(ids) if nid in ids[:k])
+            raise DataError(f"{where}: duplicate node id {dup!r}")
         owners = {dst: src for src, dst, label in edges if label == EDGE_ATTR}
         srcs = {dst: src for src, dst, label in edges if label == EDGE_SRC}
         dsts = {src: dst for src, dst, label in edges if label == EDGE_DST}
-        boxes = iter(_corner_boxes([n[2] for n in nodes if n[2] is not None], fmt, "node", where))
+        given = [n[2] for n in nodes if n[2] is not None]
+        boxes = iter(_corner_boxes(given, fmt, "node", where))
         objects, attributes, relationships = [], [], []
         for nid, ntype, bbox, label in nodes:
             bbox = None if bbox is None else next(boxes)
-            if ntype == OBJECT:
+            if _NODE_TYPE[ntype] is NodeType.OBJECT:
                 objects.append(SGObject(nid, bbox=bbox, label=label))
-            elif ntype == ATTRIBUTE:
+            elif _NODE_TYPE[ntype] is NodeType.ATTRIBUTE:
                 if nid not in owners:
                     raise DataError(f"{where}: attribute {nid!r} has no owner edge")
                 attributes.append(SGAttribute(nid, owner=owners[nid], label=label))
@@ -375,22 +407,29 @@ FIRST_FIELDS = (("arc", _list_of("integers", _of(int), 2)),
                 ("endpoints", _list_of("strings", _of(str), 2)), ("rel", _STRING))
 SECOND_FIELDS = (("tokens", _list_of("integers", _of(int), 3)),
                  ("nodes", _list_of("strings", _of(str), 3)))
-ALIGNMENT_FIELDS = (("sentence_id", _STRING), ("zero", _objects(ZERO_FIELDS), []),
-                    ("first", _objects(FIRST_FIELDS), []),
-                    ("second", _objects(SECOND_FIELDS), []), ("meta", _OBJECT, None))
+ALIGNMENT_FIELDS = (
+    ("sentence_id", _STRING),
+    ("zero", _objects(ZERO_FIELDS), []),
+    ("first", _objects(FIRST_FIELDS), []),
+    ("second", _objects(SECOND_FIELDS), []),
+    ("meta", _OBJECT, None))
 
 
 def load_alignments(path: str) -> dict[str, VLAlignment]:
     out: dict[str, VLAlignment] = {}
-    for where, (sid, zero, first, second, meta) in _records(_read_lines(path), ALIGNMENT_FIELDS):
+    for where, (sid, zero, first, second, meta) in _records(path, ALIGNMENT_FIELDS):
         if sid in out:
             raise DataError(f"{where}: duplicate sentence id {sid!r}")
-        if len(dict(zero)) != len(zero):
-            raise DataError(f"{where}: duplicate token in 'zero'")
-        out[sid] = VLAlignment(
+        a = VLAlignment(
             sentence_id=sid, zero=dict(zero), meta=meta or {},
             first={tuple(arc): FirstAlignment(rel, tuple(ends)) for arc, ends, rel in first},
             second={tuple(tokens): tuple(nodes) for tokens, nodes in second})
+        for entries, kept, what in ((zero, a.zero, "token in 'zero'"),
+                                    (first, a.first, "arc in 'first'"),
+                                    (second, a.second, "triple in 'second'")):
+            if len(kept) != len(entries):
+                raise DataError(f"{where}: duplicate {what}")
+        out[sid] = a
     return out
 
 
@@ -416,7 +455,7 @@ EMBEDDING_FIELDS = (("word", _STRING), ("vec", _ROWS))
 
 def load_embeddings(path: str) -> tuple[list[str], np.ndarray]:
     words, rows = [], []
-    for where, (word, vec) in _records(_read_lines(path), EMBEDDING_FIELDS):
+    for where, (word, vec) in _records(path, EMBEDDING_FIELDS):
         if rows and vec.size != rows[0].size:
             raise DataError(f"{where}: embedding dim {vec.size} != {rows[0].size}")
         words.append(word)

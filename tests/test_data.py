@@ -242,6 +242,8 @@ class TestValidation:
         ([{"bbox": [0, 0, "1", True], "feat": [1.0]}], BOX),
         ([{"bbox": [0, 0, 1, True], "feat": [1.0]}], BOX),
         ([{"bbox": [0, 0, "1", 1], "feat": [1.0]}], BOX),
+        # a row as long as the valid record's: each record is converted on its own
+        ([{"bbox": [0, 0, 1, 1], "feat": [True]}], FLAT),
     ])
     def test_region_vectors_and_boxes(self, tmp_path, regions, problem):
         path = tmp_path / "feat.jsonl"
@@ -270,6 +272,8 @@ class TestValidation:
         ("12", "every 'vec' must be a flat list of numbers"),
         (None, "every 'vec' must be a flat list of numbers"),
         ([1.0], "embedding dim 1 != 2"),
+        # a row as long as the valid record's: each record is converted on its own
+        ([True, False], "every 'vec' must be a flat list of numbers"),
     ])
     def test_embedding_vectors(self, tmp_path, vec, problem):
         path = tmp_path / "emb.jsonl"
@@ -297,6 +301,15 @@ class TestValidation:
                "edges": [{"src": "o1", "dst": "a1", "label": "attr"}]}
         path.write_text(json.dumps(rec) + "\n", encoding="utf-8")
         with pytest.raises(DataError, match=re.escape(f"{path}:1: {problem}")):
+            load_scene_graphs(str(path))
+
+    def test_duplicate_node_id_is_named(self, tmp_path):
+        path = tmp_path / "sg.jsonl"
+        rec = {"image_id": "i",
+               "nodes": [{"id": "o1", "type": "OBJECT"}, {"id": "o2", "type": "OBJECT"},
+                         {"id": "o1", "type": "OBJECT"}]}
+        path.write_text(json.dumps(rec) + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"{path}:1: duplicate node id 'o1'")):
             load_scene_graphs(str(path))
 
     SENTENCE = {"id": "s", "image_id": "i", "tokens": ["a"], "pos": ["N"]}
@@ -328,6 +341,12 @@ class TestValidation:
          "'endpoints' must list 2 strings, got 3"),
         ({"meta": "rule-based"}, "'meta' must be a JSON object, got 'rule-based'"),
         ({"meta": [1]}, "'meta' must be a JSON object, got [1]"),
+        ({"first": [{"arc": [1, 2], "rel": "r", "endpoints": ["a", "b"]},
+                    {"arc": [1, 2], "rel": "q", "endpoints": ["a", "b"]}]},
+         "duplicate arc in 'first'"),
+        ({"second": [{"tokens": [1, 2, 3], "nodes": ["a", "b", "c"]},
+                     {"tokens": [1, 2, 3], "nodes": ["a", "b", "d"]}]},
+         "duplicate triple in 'second'"),
     ])
     def test_alignment_entries_lose_nothing(self, tmp_path, entry, problem):
         path = tmp_path / "bad.jsonl"
