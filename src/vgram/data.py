@@ -9,6 +9,7 @@ cross-check references (image ids, feature dimensions) eagerly.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from itertools import chain
@@ -115,8 +116,11 @@ def _one_of(*choices: str) -> tuple:
             lambda k, v: f"{k!r} must be one of {', '.join(choices)}, got {v!r}", None)
 
 
+_NUMBERS = _of(int, float)
+
+
 def _box(what: str) -> tuple:
-    return _list_of("numbers", _of(int, float), 4, lambda k, v: (
+    return _list_of("numbers", _NUMBERS, 4, lambda k, v: (
         f"bad {what} box (need a list of 4 numbers, got {v!r})"))
 
 
@@ -127,8 +131,10 @@ def _number_rows(rows: list, key: str, where: str) -> np.ndarray:
         arr = np.asarray(rows)
     except ValueError:   # rows of different lengths or depths
         arr = np.empty(0, dtype=object)
-    # null, strings, objects and true/false leave no numeric dtype
-    if arr.ndim != 2 or arr.dtype.kind not in "iuf" or arr.shape[1] < 1:
+    # null, strings and objects leave no numeric dtype, nor do rows of
+    # true/false alone; true/false among numbers convert, so are looked for
+    if (arr.ndim != 2 or arr.dtype.kind not in "iuf" or arr.shape[1] < 1
+            or not _NUMBERS(chain.from_iterable(rows))):
         raise DataError(f"{where}: every {key!r} must be a flat list of "
                         f"numbers, all of one length")
     arr = arr.astype(np.float64, copy=False)
@@ -273,7 +279,7 @@ def save_corpus(path: str, sentences: Sequence[Sentence], tagset: Sequence[str])
 
 
 def _corner_boxes(raw: Sequence[list], fmt: str, what: str, where: str) -> list[Box]:
-    """Boxes, each a list of 4 JSON numbers, as corner tuples of floats."""
+    """Boxes, each a list of 4 finite JSON numbers, as corner tuples of floats."""
     try:
         corners = np.array(raw, dtype=np.float64).reshape(-1, 4)
     except OverflowError:   # an integer past the float range
@@ -281,9 +287,14 @@ def _corner_boxes(raw: Sequence[list], fmt: str, what: str, where: str) -> list[
         raise DataError(f"{where}: bad {what} box "
                         f"(need a list of 4 numbers, got {bad!r})") from None
     if fmt == "xywh":
-        corners[:, 2:] += corners[:, :2]
+        with np.errstate(over="ignore"):
+            corners[:, 2:] += corners[:, :2]
     boxes = list(map(tuple, corners.tolist()))
-    for (x1, y1, x2, y2), given in zip(boxes, raw):
+    for box, given in zip(boxes, raw):
+        if math.inf in box or -math.inf in box:   # no JSON number; NaN fails below
+            raise DataError(f"{where}: bad {what} box "
+                            f"(need a list of 4 numbers, got {given!r})")
+        x1, y1, x2, y2 = box
         if not (x1 < x2 and y1 < y2):
             raise DataError(f"{where}: bad {what} box (degenerate box {given}: "
                             f"need x1 < x2 and y1 < y2)")

@@ -11,8 +11,10 @@ contrastive matching loss.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -81,6 +83,43 @@ class VisualNode:
     owner: Optional[str] = None
 
 
+class ProposalNodes(Sequence):
+    """The canonical nodes over M proposal boxes as a read-only sequence:
+    M objects, M attributes, the M(M-1) ordered-pair relationships
+    ``rel:i:j`` (row-major, i != j), then the image node. Node k is
+    computed from k and the boxes when it is read; only the image node,
+    whose box is the union of all M, is kept once built."""
+
+    def __init__(self, boxes: Sequence[Box]):
+        self._boxes = boxes
+        self._image: Optional[VisualNode] = None
+
+    def __len__(self) -> int:
+        m = len(self._boxes)
+        return m * m + m + 1
+
+    def __getitem__(self, k) -> VisualNode:
+        boxes, size = self._boxes, len(self)
+        k = operator.index(k)
+        if not -size <= k < size:
+            raise IndexError(f"node index {k} out of range for {size} nodes")
+        k %= size
+        m = len(boxes)
+        if k < m:
+            return VisualNode(f"obj:{k}", NodeType.OBJECT, box=boxes[k])
+        if k < 2 * m:
+            k -= m
+            return VisualNode(f"attr:{k}", NodeType.ATTRIBUTE, box=boxes[k], owner=f"obj:{k}")
+        if k < size - 1:
+            i, j = divmod(k - 2 * m, m - 1)
+            j += j >= i     # skip the diagonal pair (i, i)
+            return VisualNode(f"rel:{i}:{j}", NodeType.RELATIONSHIP,
+                              endpoints=(boxes[i], boxes[j]), src=f"obj:{i}", dst=f"obj:{j}")
+        if self._image is None:
+            self._image = VisualNode("img", NodeType.OBJECT, box=_union_box(boxes))
+        return self._image
+
+
 @dataclass
 class VisualNodeSet:
     """Canonically ordered nodes plus the fixed input rows their features
@@ -90,21 +129,23 @@ class VisualNodeSet:
     A proposal set over M regions keeps the M region features and their
     mean, the image node's row (``regions`` = M), and the M boxes; its
     attribute and relationship rows are learned and ``Model._pad_nodes``
-    computes them per batch. Its node metadata is built from the boxes
-    on the first read of ``nodes``, which training never does. A gold
-    set keeps every node and every node's fixed row (``regions`` = 0).
+    computes them per batch. Its ``nodes`` is a ``ProposalNodes`` view,
+    made on the first read and kept: a node is computed from its index
+    only when read, so a parse reads O(n) of the M² + M + 1 nodes and
+    training none. A gold set keeps every node in a list and every
+    node's fixed row (``regions`` = 0).
     """
 
     image_id: str
     rows: np.ndarray       # (M + 1, feat_dim) proposals, (V, feat_dim) gold
     regions: int = 0
     boxes: Sequence[Box] = ()
-    _nodes: Optional[list[VisualNode]] = None
+    _nodes: Optional[Sequence[VisualNode]] = None
 
     @property
-    def nodes(self) -> list[VisualNode]:
+    def nodes(self) -> Sequence[VisualNode]:
         if self._nodes is None:
-            self._nodes = _proposal_nodes(self.boxes)
+            self._nodes = ProposalNodes(self.boxes)
         return self._nodes
 
     def __len__(self) -> int:
@@ -112,6 +153,9 @@ class VisualNodeSet:
         return m * m + m + 1 if m else len(self.nodes)
 
     def relationship_indices(self) -> np.ndarray:
+        m = self.regions
+        if m:
+            return np.arange(2 * m, m * m + m)
         return np.array([k for k, nd in enumerate(self.nodes)
                          if nd.type is NodeType.RELATIONSHIP], dtype=int)
 
@@ -142,20 +186,6 @@ def arc_index(n: int) -> np.ndarray:
     h, d = np.divmod(np.arange(n * n), n)
     keep = h != d
     return np.stack([h[keep], d[keep]], axis=1) + 1
-
-
-def _proposal_nodes(boxes: Sequence[Box]) -> list[VisualNode]:
-    """Canonical nodes over M proposals: M objects, M attributes,
-    M(M-1) ordered-pair relationships (row-major), the image node."""
-    m = len(boxes)
-    nodes = [VisualNode(f"obj:{k}", NodeType.OBJECT, box=boxes[k]) for k in range(m)]
-    nodes += [VisualNode(f"attr:{k}", NodeType.ATTRIBUTE, box=boxes[k], owner=f"obj:{k}")
-              for k in range(m)]
-    nodes += [VisualNode(f"rel:{i}:{j}", NodeType.RELATIONSHIP,
-                         endpoints=(boxes[i], boxes[j]), src=f"obj:{i}", dst=f"obj:{j}")
-              for i in range(m) for j in range(m) if i != j]
-    nodes.append(VisualNode("img", NodeType.OBJECT, box=_union_box(boxes)))
-    return nodes
 
 
 def pattern_index(n: int) -> np.ndarray:
@@ -625,10 +655,11 @@ class Model:
         if n > self.config.max_parse_len:
             raise ValueError(f"sentence length {n} exceeds the inference cap "
                              f"{self.config.max_parse_len}")
-        heads, alignment = self._decode(tokens, node_set, None, sentence_id)
-        # reversed: the first node of a repeated id wins, as in the argmax order
-        node_type = {nd.id: nd.type for nd in reversed(node_set.nodes)}
-        types = tuple(node_type[alignment.zero[i]] for i in range(1, n + 1))
+        heads, picked, alignment = self._decode(tokens, node_set, None, sentence_id)
+        # the first node of a repeated id wins, as in the argmax order; only
+        # a gold set repeats one (a graph's own "img" next to the image node)
+        first = {} if node_set.regions else {nd.id: nd for nd in reversed(node_set.nodes)}
+        types = tuple(first.get(nd.id, nd).type for nd in picked)
         tree = DependencyTree(tokens=tuple(tokens), heads=tuple(heads),
                               types=types, sentence_id=sentence_id)
         return tree, alignment
@@ -638,13 +669,15 @@ class Model:
                sentence_id: str = "") -> VLAlignment:
         """Grounding for a sentence; a supplied gold tree fixes the arc
         and triple instance set, otherwise the parsed tree does."""
-        return self._decode(tokens, node_set, heads, sentence_id)[1]
+        return self._decode(tokens, node_set, heads, sentence_id)[2]
 
     def _decode(self, tokens: Sequence[Token], node_set: VisualNodeSet,
                 heads: Optional[Sequence[int]], sentence_id: str
-                ) -> tuple[list[int], VLAlignment]:
+                ) -> tuple[list[int], list[VisualNode], VLAlignment]:
         """Encode, decode the Viterbi tree unless ``heads`` is given, and
-        ground its tokens, arcs (on relationship nodes) and patterns."""
+        ground its tokens, arcs (on relationship nodes) and patterns.
+        Also returns each token's argmax node, the only nodes read
+        besides one relationship node per arc."""
         tag_ids = np.array([[t.pos for t in tokens]])
         nodes = self._pad_nodes([node_set])
         contexts, summary = self.encode(self.word_ids(tokens)[None], tag_ids, nodes)
@@ -655,8 +688,8 @@ class Model:
         nodes = self.node_matrix(nodes[0])
         ctx_tok = self._unit(T.matmul(contexts, self.store["match.ctx"])[0])
         sim_tok = self.similarity(ctx_tok, nodes).numpy()
-        zero = {t: node_set.nodes[int(np.argmax(sim_tok[t - 1]))].id
-                for t in inst.zero}
+        picked = [node_set.nodes[k] for k in sim_tok.argmax(axis=1)]
+        zero = {t: picked[t - 1].id for t in inst.zero}
 
         first: dict[tuple[int, int], FirstAlignment] = {}
         rel_idx = node_set.relationship_indices()
@@ -682,8 +715,8 @@ class Model:
                 second[triple] = (r1.src, r1.dst, r2.dst)
             else:                                    # siblings around m
                 second[triple] = (r1.dst, r1.src, r2.dst)
-        return heads, VLAlignment(sentence_id=sentence_id, zero=zero, first=first,
-                                  second=second)
+        return heads, picked, VLAlignment(sentence_id=sentence_id, zero=zero, first=first,
+                                          second=second)
 
     # -- persistence ---------------------------------------------------------
 

@@ -96,3 +96,10 @@ def test_hooks_run_around_train_parse_ground(instrument, dataset, tmp_path):
     assert probe.steps and probe.units and not probe.loss_failures
     parsed = probe.take_parsed()
     assert parsed and all(nodes for _, _, nodes in parsed)
+    # the probe keeps each parse's ``node_set.nodes`` and reads it after the
+    # command returns: it needs len, indexing, iteration and ``.id``
+    for _, alignment, nodes in parsed:
+        ids = [nd.id for nd in nodes]
+        assert len(ids) == len(nodes) and ids[-1] == nodes[len(nodes) - 1].id == "img"
+        assert [nodes[k].id for k in range(len(nodes))] == ids
+        assert set(alignment.zero.values()) <= set(ids)

@@ -244,6 +244,13 @@ class TestValidation:
         ([{"bbox": [0, 0, "1", 1], "feat": [1.0]}], BOX),
         # a row as long as the valid record's: each record is converted on its own
         ([{"bbox": [0, 0, 1, 1], "feat": [True]}], FLAT),
+        # true/false among numbers would convert to 1.0/0.0
+        ([{"bbox": [0, 0, 1, 1], "feat": [1.0, True]}], FLAT),
+        ([{"bbox": [0, 0, 1, 1], "feat": [1.0, 2.0]},
+          {"bbox": [0, 0, 1, 1], "feat": [3, False]}], FLAT),
+        ([{"bbox": [0, 0, float("inf"), 1], "feat": [1.0]}], BOX + "[0, 0, inf, 1])"),
+        ([{"bbox": [0, 0, 1, 1], "feat": [1.0]},
+          {"bbox": [-float("inf"), 0, 1, 1], "feat": [1.0]}], BOX + "[-inf, 0, 1, 1])"),
     ])
     def test_region_vectors_and_boxes(self, tmp_path, regions, problem):
         path = tmp_path / "feat.jsonl"
@@ -253,6 +260,21 @@ class TestValidation:
                         encoding="utf-8")
         with pytest.raises(DataError, match=re.escape(f"{path}:2: {problem}")):
             load_features(str(path))
+
+    @pytest.mark.parametrize("load, rec, problem", [
+        (load_features, {"image_id": "a", "bbox_format": "xywh",
+                         "regions": [{"bbox": [1e308, 0, 1e308, 1], "feat": [1.0]}]},
+         "bad region box (need a list of 4 numbers, got [1e+308, 0, 1e+308, 1])"),
+        (load_scene_graphs, {"image_id": "i", "bbox_format": "xywh",
+                             "nodes": [{"id": "o1", "type": "OBJECT",
+                                        "bbox": [0, -1e308, 1, -1e308]}]},
+         "bad node box (need a list of 4 numbers, got [0, -1e+308, 1, -1e+308])"),
+    ])
+    def test_xywh_box_past_the_float_range(self, tmp_path, load, rec, problem):
+        path = tmp_path / "boxes.jsonl"
+        path.write_text(json.dumps(rec) + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"{path}:1: {problem}")):
+            load(str(path))
 
     def test_region_values_load_as_floats(self, tmp_path):
         path = tmp_path / "feat.jsonl"
@@ -274,6 +296,8 @@ class TestValidation:
         ([1.0], "embedding dim 1 != 2"),
         # a row as long as the valid record's: each record is converted on its own
         ([True, False], "every 'vec' must be a flat list of numbers"),
+        ([1.0, False], "every 'vec' must be a flat list of numbers"),
+        ([True, 2], "every 'vec' must be a flat list of numbers"),
     ])
     def test_embedding_vectors(self, tmp_path, vec, problem):
         path = tmp_path / "emb.jsonl"
@@ -292,6 +316,7 @@ class TestValidation:
         (False, "bad node box (need a list of 4 numbers, got False)"),
         ("", "bad node box (need a list of 4 numbers, got '')"),
         ([0, 0, 1, True], "bad node box (need a list of 4 numbers, got [0, 0, 1, True])"),
+        ([0, 0, float("inf"), 1], "bad node box (need a list of 4 numbers, got [0, 0, inf, 1])"),
     ])
     def test_scene_graph_node_boxes(self, tmp_path, bbox, problem):
         path = tmp_path / "sg.jsonl"

@@ -12,11 +12,13 @@ from vgram.core import (
     SGObject,
     Token,
 )
+from vgram.metrics import resolve_node
 from vgram.model import (
     ATTENTION_MASK,
     Model,
     ModelConfig,
     SentenceBatch,
+    VisualNode,
     arc_index,
     pattern_index,
 )
@@ -79,6 +81,69 @@ class TestVisualNodes:
             "obj:0", "obj:1", "obj:2", "attr:0", "attr:1", "attr:2",
             "rel:0:1", "rel:0:2", "rel:1:0", "rel:1:2", "rel:2:0", "rel:2:1", "img"]
         assert ns.nodes is ns.nodes and len(ns) == 13
+
+    @staticmethod
+    def canonical_nodes(boxes):
+        """The canonical proposal nodes written out: objects, attributes,
+        ordered pairs row-major, the image node over the union box."""
+        m = len(boxes)
+        nodes = [VisualNode(f"obj:{k}", NodeType.OBJECT, box=boxes[k]) for k in range(m)]
+        for k in range(m):
+            nodes.append(VisualNode(f"attr:{k}", NodeType.ATTRIBUTE, box=boxes[k],
+                                    owner=f"obj:{k}"))
+        for i in range(m):
+            for j in range(m):
+                if i != j:
+                    nodes.append(VisualNode(f"rel:{i}:{j}", NodeType.RELATIONSHIP,
+                                            endpoints=(boxes[i], boxes[j]),
+                                            src=f"obj:{i}", dst=f"obj:{j}"))
+        union = (min(b[0] for b in boxes), min(b[1] for b in boxes),
+                 max(b[2] for b in boxes), max(b[3] for b in boxes))
+        nodes.append(VisualNode("img", NodeType.OBJECT, box=union))
+        return nodes
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 7])
+    def test_node_view_matches_canonical_list(self, m):
+        model, _, _ = make_model()
+        rng = np.random.default_rng(m)
+        boxes = [(float(x), float(y), float(x + w), float(y + h)) for x, y, w, h
+                 in rng.integers(1, 50, size=(m, 4))]
+        ns = model.build_visual_nodes("img", [(b, rng.normal(size=DIM)) for b in boxes])
+        expected = self.canonical_nodes(boxes)
+        view = ns.nodes
+        assert view is ns.nodes and not isinstance(view, list)
+        assert len(view) == len(ns) == len(expected) == m * m + m + 1
+        for k, node in enumerate(expected):
+            assert view[k] == node, k
+            assert view[k - len(expected)] == node, k
+        assert list(view) == expected
+        with pytest.raises(IndexError):
+            view[len(expected)]
+        rel = [k for k, nd in enumerate(expected) if nd.type is NodeType.RELATIONSHIP]
+        assert ns.relationship_indices().tolist() == rel
+        # the evaluation side reads the same naming scheme back
+        for node in view:
+            ref = resolve_node(node.id, None, boxes)
+            assert ref is not None and ref.type is node.type, node.id
+            if node.type is NodeType.RELATIONSHIP:
+                assert ref.endpoints == node.endpoints, node.id
+            else:
+                assert ref.box == node.box, node.id
+
+    def test_node_view_two_regions_literal(self):
+        model, _, vectors = make_model()
+        b0, b1 = (0.0, 0.0, 90.0, 90.0), (100.0, 0.0, 190.0, 90.0)
+        ns = model.build_visual_nodes("img", regions_for(vectors, [0, 1]))
+        assert list(ns.nodes) == [
+            VisualNode("obj:0", NodeType.OBJECT, box=b0),
+            VisualNode("obj:1", NodeType.OBJECT, box=b1),
+            VisualNode("attr:0", NodeType.ATTRIBUTE, box=b0, owner="obj:0"),
+            VisualNode("attr:1", NodeType.ATTRIBUTE, box=b1, owner="obj:1"),
+            VisualNode("rel:0:1", NodeType.RELATIONSHIP, endpoints=(b0, b1),
+                       src="obj:0", dst="obj:1"),
+            VisualNode("rel:1:0", NodeType.RELATIONSHIP, endpoints=(b1, b0),
+                       src="obj:1", dst="obj:0"),
+            VisualNode("img", NodeType.OBJECT, box=(0.0, 0.0, 190.0, 90.0))]
 
     def test_dummy_is_mean_of_objects(self):
         model, _, _ = make_model()
@@ -516,6 +581,34 @@ class TestInference:
         a2 = model.ground(tokens, model.build_visual_nodes("img", scaled), heads=[0, 1])
         assert a1.zero == a2.zero
 
+    def test_parse_types_first_node_of_a_repeated_gold_id(self):
+        # the image node's row, the mean of e0 and e1, matches word2 best;
+        # it shares the id "img" with the graph's own attribute node, and
+        # the first node of that id, the attribute, types the token
+        eye = np.eye(DIM)
+        vectors = np.stack([eye[0], eye[1], (eye[0] + eye[1]) / math.sqrt(2), eye[2]])
+        model, vocab, _ = make_model(vectors=vectors)
+        sg = SceneGraph("img", (SGObject("o1", bbox=(0, 0, 9, 9), label=vocab[0]),
+                                SGObject("o2", bbox=(10, 0, 19, 9), label=vocab[1])),
+                        (SGAttribute("img", owner="o1", label=vocab[3]),))
+        ns = model.build_visual_nodes_gold(sg)
+        assert [(nd.id, nd.type) for nd in ns.nodes] == [
+            ("o1", NodeType.OBJECT), ("o2", NodeType.OBJECT),
+            ("img", NodeType.ATTRIBUTE), ("img", NodeType.OBJECT)]
+        tokens = [Token(1, vocab[2], 0, vocab[2]), Token(2, vocab[3], 1, vocab[3]),
+                  Token(3, vocab[0], 2, vocab[0])]
+        tree, align = model.parse(tokens, ns)
+        assert align.zero == {1: "img", 2: "img", 3: "o1"}
+        assert tree.types == (NodeType.ATTRIBUTE, NodeType.ATTRIBUTE, NodeType.OBJECT)
+
+    def test_parse_types_follow_proposal_argmax(self):
+        model, vocab, eye = make_model(vectors=np.eye(DIM)[:3])
+        ns = model.build_visual_nodes("img", regions_for(eye, [2, 0, 1]))
+        tokens = [Token(1, vocab[0], 0, vocab[0]), Token(2, vocab[1], 1, vocab[1])]
+        tree, align = model.parse(tokens, ns)
+        assert align.zero == {1: "obj:1", 2: "obj:2"}
+        assert tree.types == (NodeType.OBJECT, NodeType.OBJECT)
+
     def test_first_alignment_restricted_to_relationships(self):
         model, vocab, vectors = make_model(identity=True)
         ns = model.build_visual_nodes("img", regions_for(vectors, [0, 1]))
@@ -524,6 +617,41 @@ class TestInference:
         rel = align.first[(1, 2)]
         assert rel.relationship.startswith("rel:")
         assert rel.endpoints[0].startswith("obj:")
+
+
+class TestNodeWork:
+    """Parsing and grounding over proposals build O(n) node objects: the
+    n token argmaxes and one relationship node per arc, never all
+    M² + M + 1 nodes of the set (1641 at M = 40)."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        count = [0]
+        init = VisualNode.__init__
+
+        def counting(node, *args, **kwargs):
+            count[0] += 1
+            init(node, *args, **kwargs)
+        monkeypatch.setattr(VisualNode, "__init__", counting)
+        return count
+
+    @pytest.mark.parametrize("call", ["parse", "ground", "ground_gold_tree"])
+    def test_forty_regions(self, built, call):
+        model, vocab, _ = make_model(identity=False, seed=5)
+        rng = np.random.default_rng(7)
+        regions = [((10.0 * k, 0.0, 10.0 * k + 9.0, 9.0), rng.normal(size=DIM))
+                   for k in range(40)]
+        ns = model.build_visual_nodes("img", regions)
+        n = 7
+        tokens = [Token(i + 1, vocab[i % len(vocab)], i % 3, vocab[i % len(vocab)])
+                  for i in range(n)]
+        if call == "parse":
+            _, align = model.parse(tokens, ns)
+        else:
+            heads = [0, 1, 1, 3, 3, 5, 6] if call == "ground_gold_tree" else None
+            align = model.ground(tokens, ns, heads=heads)
+        assert len(align.zero) == n and align.first
+        assert 0 < built[0] <= 2 * n - 1, built[0]
 
 
 class TestPersistence:
