@@ -41,7 +41,7 @@ for arc, fa in sorted(align.first.items()):
 # at sigma 0 the region features equal the word concept embeddings, so
 # nearest neighbor recovers the gold zero alignment exactly
 emb = {w: synth.embeddings[i] for i, w in enumerate(synth.vocab)}
-feats = np.stack([f for _, f in synth.features[s.image_id]])
+feats = synth.features[s.image_id].feats
 hits = 0
 for tok in s.tokens:
     hits += int(np.argmax(feats @ emb[tok.surface])) == tok.index - 1

@@ -137,8 +137,7 @@ def _build_model(cfg, tagset, vocab, vectors, feat_dim) -> Model:
 
 
 def _feat_dim(features) -> int:
-    first = next(iter(features.values()))
-    return first[0][1].size
+    return next(iter(features.values())).feats.shape[1]
 
 
 def _load_checkpoint_into(model: Model, ckpt: Optional[str], cfg_digest: str,
@@ -358,7 +357,7 @@ def cmd_eval(args, cfg) -> int:
         regions = None
         if args.features:
             feats = data_mod.load_features(args.features)
-            regions = {img: [b for b, _ in regs] for img, regs in feats.items()}
+            regions = {img: r.boxes for img, r in feats.items()}
         images = {sid: s.image_id for sid, s in gold_by_id.items()}
         zres = metrics_mod.zero_aa(pred, gold, graphs, images, regions=regions)
         report["zero_aa"] = zres.accuracy

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -140,11 +140,14 @@ def tree_to_instances(tree: DependencyTree | Sequence[int]) -> Instances:
 
     ROOT arcs are excluded from ``first``. Second-order patterns cover
     grandparent chains g->h->d and sibling pairs d1<-h->d2, deduplicated.
+    A ``DependencyTree`` was validated when it was built; a head sequence
+    is validated here.
     """
-    heads = list(tree.heads) if isinstance(tree, DependencyTree) else list(tree)
-    report = validate_tree(heads)
-    if report is not None:
+    if isinstance(tree, DependencyTree):
+        tree = tree.heads
+    elif (report := validate_tree(tree)) is not None:
         raise ValueError(f"invalid tree: {report}")
+    heads = list(tree)
     n = len(heads)
     zero = tuple(range(1, n + 1))
     first = tuple((heads[d - 1], d) for d in range(1, n + 1) if heads[d - 1] != 0)
@@ -182,11 +185,22 @@ def second_order_arcs(heads: Sequence[int], triple: tuple[int, int, int]
 Box = tuple[float, float, float, float]
 
 
-def check_box(bbox: Sequence[float]) -> Box:
-    x1, y1, x2, y2 = (float(v) for v in bbox)
-    if not (x1 < x2 and y1 < y2):
-        raise ValueError(f"degenerate box {bbox}: need x1 < x2 and y1 < y2")
-    return (x1, y1, x2, y2)
+def union_box(boxes: Iterable[Optional[Box]]) -> Optional[Box]:
+    """The smallest box holding every given box; None when none is given."""
+    boxes = [b for b in boxes if b is not None]
+    if not boxes:
+        return None
+    arr = np.asarray(boxes, dtype=float)
+    return (float(arr[:, 0].min()), float(arr[:, 1].min()),
+            float(arr[:, 2].max()), float(arr[:, 3].max()))
+
+
+class Regions(NamedTuple):
+    """One image's M region proposals: M corner boxes and one C-contiguous
+    (M, d) float64 matrix whose row k is the feature of box k."""
+
+    boxes: Sequence[Box]
+    feats: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -194,7 +208,6 @@ class SGObject:
     id: str
     bbox: Optional[Box] = None
     label: Optional[str] = None
-    feature: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -202,7 +215,6 @@ class SGAttribute:
     id: str
     owner: str
     label: Optional[str] = None
-    feature: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -211,15 +223,14 @@ class SGRelationship:
     src: str
     dst: str
     label: Optional[str] = None
-    feature: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
 class SceneGraph:
     """Typed scene-graph node set for one image.
 
-    Gold graphs carry labels and boxes; feature vectors are optional and
-    only required on the model side. Every object owns exactly one
+    Gold graphs carry labels and boxes, which ``data.load_scene_graphs``
+    checks when it reads them. Every object owns exactly one
     attribute node and each ordered object pair has at most one
     relationship node.
     """
@@ -240,9 +251,6 @@ class SceneGraph:
         owners = [a.owner for a in self.attributes]
         if sorted(owners) != sorted(obj_ids):
             raise ValueError(f"{self.image_id}: need exactly one attribute per object")
-        for o in self.objects:
-            if o.bbox is not None:
-                check_box(o.bbox)
         pairs = set()
         for r in self.relationships:
             if r.src not in obj_ids or r.dst not in obj_ids:
@@ -252,9 +260,6 @@ class SceneGraph:
             if (r.src, r.dst) in pairs:
                 raise ValueError(f"{self.image_id}: duplicate relationship for pair {(r.src, r.dst)}")
             pairs.add((r.src, r.dst))
-        dims = {n.feature.shape[-1] for n in self.nodes() if n.feature is not None}
-        if len(dims) > 1:
-            raise ValueError(f"{self.image_id}: mixed feature dimensions {sorted(dims)}")
 
     def nodes(self) -> Iterable[SGObject | SGAttribute | SGRelationship]:
         yield from self.objects
@@ -322,8 +327,8 @@ class VLAlignment:
 
     def validate(self, tree: DependencyTree, sg: SceneGraph) -> None:
         n = len(tree)
-        arcs = set(tree_to_instances(tree).first)
-        triples = set(tree_to_instances(tree).second)
+        inst = tree_to_instances(tree)
+        arcs, triples = set(inst.first), set(inst.second)
         for t, node in self.zero.items():
             if not 1 <= t <= n:
                 raise ValueError(f"{self.sentence_id}: zero entry for missing token {t}")

@@ -23,6 +23,7 @@ from vgram.core import (
     DependencyTree,
     FirstAlignment,
     NodeType,
+    Regions,
     SceneGraph,
     SGAttribute,
     SGObject,
@@ -144,9 +145,10 @@ def _number_rows(rows: list, key: str, where: str) -> np.ndarray:
 
 
 def _objects(table) -> tuple:
-    """A list of JSON objects checked against ``table``, each read as a tuple."""
+    """A list of JSON objects checked against ``table``, read as one column
+    of values per row of the table."""
     def convert(values: list, key: str, where: str) -> list:
-        return [list(zip(*_columns(v, table, where))) for v in values]
+        return [list(_columns(v, table, where)) for v in values]
     return _of(list), lambda k, v: f"{k!r} must be a list", convert
 
 
@@ -308,29 +310,30 @@ FEATURES_FIELDS = (
     _BBOX_FORMAT)
 
 
-def load_features(path: str) -> dict[str, list[tuple[Box, np.ndarray]]]:
-    out: dict[str, list[tuple[Box, np.ndarray]]] = {}
+def load_features(path: str) -> dict[str, Regions]:
+    """Each image id's ``Regions``: its M corner boxes and the one (M, d)
+    float64 matrix of its ``feat`` rows, checked here and nowhere after."""
+    out: dict[str, Regions] = {}
     dim: Optional[int] = None
-    for where, (image_id, regions, fmt) in _records(path, FEATURES_FIELDS):
+    for where, (image_id, (raw_boxes, feats), fmt) in _records(path, FEATURES_FIELDS):
         if image_id in out:
             raise DataError(f"{where}: duplicate image id {image_id!r}")
-        if not regions:
+        if not raw_boxes:
             raise DataError(f"{where}: image {image_id!r} has no regions")
-        raw_boxes, feats = zip(*regions)
         boxes = _corner_boxes(raw_boxes, fmt, "region", where)
-        dim = dim or feats[0].size
-        if feats[0].size != dim:
-            raise DataError(f"{where}: feature dim {feats[0].size} != {dim}")
-        out[image_id] = list(zip(boxes, feats))
+        dim = dim or feats.shape[1]
+        if feats.shape[1] != dim:
+            raise DataError(f"{where}: feature dim {feats.shape[1]} != {dim}")
+        out[image_id] = Regions(boxes, feats)
     return out
 
 
-def save_features(path: str, feats: dict[str, list[tuple[Box, np.ndarray]]]) -> None:
+def save_features(path: str, features: dict[str, Regions]) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        for image_id, regions in feats.items():
+        for image_id, (boxes, feats) in features.items():
             rec = {"image_id": image_id,
-                   "regions": [{"bbox": list(b), "feat": [float(x) for x in v]}
-                               for b, v in regions]}
+                   "regions": [{"bbox": list(b), "feat": v}
+                               for b, v in zip(boxes, feats.tolist())]}
             f.write(json.dumps(rec) + "\n")
 
 
@@ -361,17 +364,18 @@ def load_scene_graphs(path: str) -> dict[str, SceneGraph]:
     for where, (image_id, nodes, edges, fmt) in _records(path, SCENE_GRAPH_FIELDS):
         if image_id in out:
             raise DataError(f"{where}: duplicate image id {image_id!r}")
-        ids = [n[0] for n in nodes]
+        ids, types, bboxes, labels = nodes
         if len(set(ids)) != len(ids):
             dup = next(nid for k, nid in enumerate(ids) if nid in ids[:k])
             raise DataError(f"{where}: duplicate node id {dup!r}")
+        edges = list(zip(*edges))
         owners = {dst: src for src, dst, label in edges if label == EDGE_ATTR}
         srcs = {dst: src for src, dst, label in edges if label == EDGE_SRC}
         dsts = {src: dst for src, dst, label in edges if label == EDGE_DST}
-        given = [n[2] for n in nodes if n[2] is not None]
+        given = [b for b in bboxes if b is not None]
         boxes = iter(_corner_boxes(given, fmt, "node", where))
         objects, attributes, relationships = [], [], []
-        for nid, ntype, bbox, label in nodes:
+        for nid, ntype, bbox, label in zip(ids, types, bboxes, labels):
             bbox = None if bbox is None else next(boxes)
             if _NODE_TYPE[ntype] is NodeType.OBJECT:
                 objects.append(SGObject(nid, bbox=bbox, label=label))
@@ -432,12 +436,13 @@ def load_alignments(path: str) -> dict[str, VLAlignment]:
         if sid in out:
             raise DataError(f"{where}: duplicate sentence id {sid!r}")
         a = VLAlignment(
-            sentence_id=sid, zero=dict(zero), meta=meta or {},
-            first={tuple(arc): FirstAlignment(rel, tuple(ends)) for arc, ends, rel in first},
-            second={tuple(tokens): tuple(nodes) for tokens, nodes in second})
-        for entries, kept, what in ((zero, a.zero, "token in 'zero'"),
-                                    (first, a.first, "arc in 'first'"),
-                                    (second, a.second, "triple in 'second'")):
+            sentence_id=sid, zero=dict(zip(*zero)), meta=meta or {},
+            first={tuple(arc): FirstAlignment(rel, tuple(ends))
+                   for arc, ends, rel in zip(*first)},
+            second={tuple(tokens): tuple(nodes) for tokens, nodes in zip(*second)})
+        for (entries, *_), kept, what in ((zero, a.zero, "token in 'zero'"),
+                                          (first, a.first, "arc in 'first'"),
+                                          (second, a.second, "triple in 'second'")):
             if len(kept) != len(entries):
                 raise DataError(f"{where}: duplicate {what}")
         out[sid] = a
@@ -558,7 +563,7 @@ class SynthData:
     train: list[Sentence]
     dev: list[Sentence]
     test: list[Sentence]
-    features: dict[str, list[tuple[Box, np.ndarray]]]
+    features: dict[str, Regions]
     scene_graphs: dict[str, SceneGraph]
     alignments: dict[str, VLAlignment]
     vocab: list[str]
@@ -653,7 +658,7 @@ def synth_generate(cfg: SynthConfig,
     emb /= np.linalg.norm(emb, axis=1, keepdims=True)
     word_row = {w: i for i, w in enumerate(vocab)}
 
-    features: dict[str, list[tuple[Box, np.ndarray]]] = {}
+    features: dict[str, Regions] = {}
     graphs: dict[str, SceneGraph] = {}
     alignments: dict[str, VLAlignment] = {}
 
@@ -690,17 +695,14 @@ def synth_generate(cfg: SynthConfig,
         sg = SceneGraph(image_id, objects, attributes, tuple(rels))
         graphs[image_id] = sg
 
-        regions = []
-        for i in range(1, n + 1):
-            feat = emb[word_row[words[i - 1]]].copy()
-            if cfg.sigma > 0:
-                feat = feat + rng.normal(0.0, cfg.sigma, cfg.dim)
-            regions.append((_grid_box(i - 1), feat))
-        for k in range(cfg.distractors):
-            feat = rng.normal(size=cfg.dim)
+        feats = emb[[word_row[w] for w in words]]
+        if cfg.sigma > 0:
+            feats += rng.normal(0.0, cfg.sigma, (n, cfg.dim))
+        distractors = rng.normal(size=(cfg.distractors, cfg.dim))
+        for feat in distractors:
             feat /= np.linalg.norm(feat)
-            regions.append((_grid_box(n + k), feat))
-        features[image_id] = regions
+        features[image_id] = Regions([_grid_box(k) for k in range(n + cfg.distractors)],
+                                     np.concatenate([feats, distractors]))
 
         zero = {i: f"o{i}" for i in range(1, n + 1)}
         first = {(h, d): FirstAlignment(relationship=f"r{h}_{d}",

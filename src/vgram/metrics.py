@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from vgram.core import Box, NodeType, SceneGraph, SGAttribute, SGObject, SGRelationship
-from vgram.core import VLAlignment, tree_to_instances
+from vgram.core import VLAlignment, tree_to_instances, union_box
 
 IOU_THRESHOLD = 0.5
 
@@ -113,10 +113,7 @@ def resolve_node(node_id: str, sg: Optional[SceneGraph],
                 return NodeRef(NodeType.RELATIONSHIP,
                                endpoints=(regions[i], regions[j]))
         if node_id == "img" and regions:
-            arr = np.asarray(regions, dtype=float)
-            return NodeRef(NodeType.OBJECT, box=(
-                float(arr[:, 0].min()), float(arr[:, 1].min()),
-                float(arr[:, 2].max()), float(arr[:, 3].max())))
+            return NodeRef(NodeType.OBJECT, box=union_box(regions))
     return None
 
 
@@ -145,7 +142,7 @@ class ZeroResult:
 def zero_aa(pred: dict[str, VLAlignment], gold: dict[str, VLAlignment],
             scene_graphs: dict[str, SceneGraph],
             sentence_images: dict[str, str],
-            regions: Optional[dict[str, list[Box]]] = None) -> ZeroResult:
+            regions: Optional[dict[str, Sequence[Box]]] = None) -> ZeroResult:
     """Zero-order alignment accuracy.
 
     A token is correct when the predicted node overlaps the gold node
@@ -223,7 +220,7 @@ def first_second_aa(pred: dict[str, VLAlignment],
                     trees: dict[str, Sequence[int]],
                     scene_graphs: dict[str, SceneGraph],
                     sentence_images: dict[str, str],
-                    regions: Optional[dict[str, list[Box]]] = None
+                    regions: Optional[dict[str, Sequence[Box]]] = None
                     ) -> tuple[float, float]:
     """First and second-order alignment accuracy from zero groundings.
 

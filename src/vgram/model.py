@@ -25,11 +25,13 @@ from vgram.core import (
     DependencyTree,
     FirstAlignment,
     NodeType,
+    Regions,
     SceneGraph,
     Token,
     VLAlignment,
     second_order_arcs,
     tree_to_instances,
+    union_box,
 )
 from vgram.dmv_graph import BatchCharts, inside_outside
 from vgram.tensor import ParameterStore, Tensor
@@ -116,7 +118,7 @@ class ProposalNodes(Sequence):
             return VisualNode(f"rel:{i}:{j}", NodeType.RELATIONSHIP,
                               endpoints=(boxes[i], boxes[j]), src=f"obj:{i}", dst=f"obj:{j}")
         if self._image is None:
-            self._image = VisualNode("img", NodeType.OBJECT, box=_union_box(boxes))
+            self._image = VisualNode("img", NodeType.OBJECT, box=union_box(boxes))
         return self._image
 
 
@@ -170,15 +172,6 @@ class SentenceBatch:
     node_sets: list[VisualNodeSet]
     sentence_ids: list[str]
     trees: Optional[list[DependencyTree]] = None
-
-
-def _union_box(boxes: Sequence[Box]) -> Optional[Box]:
-    boxes = [b for b in boxes if b is not None]
-    if not boxes:
-        return None
-    arr = np.asarray(boxes, dtype=float)
-    return (float(arr[:, 0].min()), float(arr[:, 1].min()),
-            float(arr[:, 2].max()), float(arr[:, 3].max()))
 
 
 def arc_index(n: int) -> np.ndarray:
@@ -310,61 +303,52 @@ class Model:
 
     # -- visual side -----------------------------------------------------
 
-    def build_visual_nodes(self, image_id: str,
-                           regions: Sequence[tuple[Box, np.ndarray]]) -> VisualNodeSet:
+    def build_visual_nodes(self, image_id: str, regions: Regions) -> VisualNodeSet:
         """Typed node set over M proposals: M objects, M attributes,
         M(M-1) ordered-pair relationships, one full-image dummy node
-        whose row is the mean of the object rows."""
-        if not regions:
+        whose row is the mean of the object rows. The object rows are
+        ``regions.feats``, checked where it was loaded."""
+        feats, m = regions.feats, len(regions.boxes)
+        if not m:
             raise ValueError(f"{image_id}: empty region list")
-        feats = np.stack([f for _, f in regions]).astype(np.float64, copy=False)
         if feats.shape[1] != self.config.feat_dim:
             raise ValueError(f"{image_id}: feature dim {feats.shape[1]} != "
                              f"configured {self.config.feat_dim}")
-        m = len(regions)
         dummy = feats.sum(axis=0, keepdims=True) * (1.0 / m)
         return VisualNodeSet(image_id, np.concatenate([feats, dummy]), regions=m,
-                             boxes=[b for b, _ in regions])
+                             boxes=regions.boxes)
 
-    def build_visual_nodes_gold(self, sg: SceneGraph,
-                                regions: Optional[Sequence[tuple[Box, np.ndarray]]] = None
+    def build_visual_nodes_gold(self, sg: SceneGraph, regions: Optional[Regions] = None
                                 ) -> VisualNodeSet:
         """Node set over a gold scene graph, the gold-reference regime.
 
-        Object features come from the region file when provided (index
-        aligned with the graph's object order), otherwise from the label
-        embedding; attribute and relationship features always embed
-        their labels.
+        Object k's feature is row k of ``regions.feats`` when given
+        (index aligned with the graph's object order), otherwise its
+        label embedding; attribute and relationship features always
+        embed their labels.
         """
         obj_boxes = {o.id: o.bbox for o in sg.objects}
+        given = () if regions is None else regions.feats
         nodes, feats = [], []
         for idx, o in enumerate(sg.objects):
-            if regions is not None and idx < len(regions):
-                feat = np.asarray(regions[idx][1], dtype=float)
-            elif o.feature is not None:
-                feat = o.feature
-            else:
-                feat = self.embed_label(o.label or "")
             nodes.append(VisualNode(o.id, NodeType.OBJECT, box=o.bbox))
-            feats.append(feat)
+            feats.append(given[idx] if idx < len(given) else self.embed_label(o.label or ""))
         for a in sg.attributes:
             nodes.append(VisualNode(a.id, NodeType.ATTRIBUTE,
                                     box=obj_boxes.get(a.owner), owner=a.owner))
-            feats.append(a.feature if a.feature is not None
-                         else self.embed_label(a.label or ""))
+            feats.append(self.embed_label(a.label or ""))
         for r in sg.relationships:
             nodes.append(VisualNode(
                 r.id, NodeType.RELATIONSHIP, src=r.src, dst=r.dst,
                 endpoints=(obj_boxes.get(r.src), obj_boxes.get(r.dst))))
-            feats.append(r.feature if r.feature is not None
-                         else self.embed_label(r.label or ""))
+            feats.append(self.embed_label(r.label or ""))
         mat = np.stack(feats)
         if mat.shape[1] != self.config.feat_dim:
             raise ValueError(f"{sg.image_id}: gold feature dim {mat.shape[1]} != "
                              f"configured {self.config.feat_dim}")
         dummy = mat[:len(sg.objects)].mean(axis=0, keepdims=True)
         nodes.append(VisualNode("img", NodeType.OBJECT,
-                                box=_union_box([o.bbox for o in sg.objects])))
+                                box=union_box(o.bbox for o in sg.objects)))
         return VisualNodeSet(sg.image_id, np.concatenate([mat, dummy]), _nodes=nodes)
 
     def _pad_nodes(self, node_sets: list[VisualNodeSet]
@@ -655,40 +639,39 @@ class Model:
         if n > self.config.max_parse_len:
             raise ValueError(f"sentence length {n} exceeds the inference cap "
                              f"{self.config.max_parse_len}")
-        heads, picked, alignment = self._decode(tokens, node_set, None, sentence_id)
-        # the first node of a repeated id wins, as in the argmax order; only
-        # a gold set repeats one (a graph's own "img" next to the image node)
-        first = {} if node_set.regions else {nd.id: nd for nd in reversed(node_set.nodes)}
-        types = tuple(first.get(nd.id, nd).type for nd in picked)
-        tree = DependencyTree(tokens=tuple(tokens), heads=tuple(heads),
-                              types=types, sentence_id=sentence_id)
-        return tree, alignment
+        return self._decode(tokens, node_set, None, sentence_id)
 
     def ground(self, tokens: Sequence[Token], node_set: VisualNodeSet,
                heads: Optional[Sequence[int]] = None,
                sentence_id: str = "") -> VLAlignment:
         """Grounding for a sentence; a supplied gold tree fixes the arc
         and triple instance set, otherwise the parsed tree does."""
-        return self._decode(tokens, node_set, heads, sentence_id)[2]
+        return self._decode(tokens, node_set, heads, sentence_id)[1]
 
     def _decode(self, tokens: Sequence[Token], node_set: VisualNodeSet,
                 heads: Optional[Sequence[int]], sentence_id: str
-                ) -> tuple[list[int], list[VisualNode], VLAlignment]:
+                ) -> tuple[DependencyTree, VLAlignment]:
         """Encode, decode the Viterbi tree unless ``heads`` is given, and
-        ground its tokens, arcs (on relationship nodes) and patterns.
-        Also returns each token's argmax node, the only nodes read
-        besides one relationship node per arc."""
+        ground its tokens, arcs (on relationship nodes) and patterns. The
+        tree's node types are those of the tokens' argmax nodes, the only
+        nodes read besides one relationship node per arc; building the
+        tree is the one check of its heads."""
         tag_ids = np.array([[t.pos for t in tokens]])
         nodes = self._pad_nodes([node_set])
         contexts, summary = self.encode(self.word_ids(tokens)[None], tag_ids, nodes)
         if heads is None:
             heads, _ = chart.viterbi(self.sentence_scores(tag_ids[0], summary))
-        heads = list(heads)
-        inst = tree_to_instances(heads)
         nodes = self.node_matrix(nodes[0])
         ctx_tok = self._unit(T.matmul(contexts, self.store["match.ctx"])[0])
         sim_tok = self.similarity(ctx_tok, nodes).numpy()
         picked = [node_set.nodes[k] for k in sim_tok.argmax(axis=1)]
+        # the first node of a repeated id wins, as in the argmax order; only
+        # a gold set repeats one (a graph's own "img" next to the image node)
+        first_of = {} if node_set.regions else {nd.id: nd for nd in reversed(node_set.nodes)}
+        tree = DependencyTree(tokens=tuple(tokens), heads=tuple(heads),
+                              types=tuple(first_of.get(nd.id, nd).type for nd in picked),
+                              sentence_id=sentence_id)
+        inst = tree_to_instances(tree)
         zero = {t: picked[t - 1].id for t in inst.zero}
 
         first: dict[tuple[int, int], FirstAlignment] = {}
@@ -707,16 +690,16 @@ class Model:
 
         second: dict[tuple[int, int, int], tuple[str, str, str]] = {}
         for triple in inst.second:
-            arc1, arc2 = second_order_arcs(heads, triple)
+            arc1, arc2 = second_order_arcs(tree.heads, triple)
             r1, r2 = arc_to_rel.get(arc1), arc_to_rel.get(arc2)
             if r1 is None or r2 is None:
                 continue
-            if heads[triple[1] - 1] == triple[0]:   # chain g -> m -> y
+            if tree.heads[triple[1] - 1] == triple[0]:   # chain g -> m -> y
                 second[triple] = (r1.src, r1.dst, r2.dst)
             else:                                    # siblings around m
                 second[triple] = (r1.dst, r1.src, r2.dst)
-        return heads, picked, VLAlignment(sentence_id=sentence_id, zero=zero, first=first,
-                                          second=second)
+        return tree, VLAlignment(sentence_id=sentence_id, zero=zero, first=first,
+                                 second=second)
 
     # -- persistence ---------------------------------------------------------
 

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from vgram.core import Box
+from vgram.core import Regions
 from vgram.data import Sentence
 from vgram.metrics import dda_uda
 from vgram.model import Model, SentenceBatch, VisualNodeSet
@@ -60,9 +60,12 @@ class EpochStats:
 
 
 class Trainer:
+    """Trains ``model`` on ``sentences``; ``features`` maps image ids to
+    their ``Regions``, as ``data.load_features`` returns them."""
+
     def __init__(self, model: Model,
                  sentences: Sequence[Sentence],
-                 features: dict[str, list[tuple[Box, np.ndarray]]],
+                 features: dict[str, Regions],
                  settings: TrainSettings,
                  dev: Optional[Sequence[Sentence]] = None):
         self.model = model

@@ -7,12 +7,15 @@ hooks read-only and run them around a tiny train, parse and ground.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
 import vgram.cli
+import vgram.data
+from vgram.model import Model, ModelConfig
 
 BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
 SMALL = ["--set", "synth_sentences=24", "--set", "synth_dev=6",
@@ -103,3 +106,25 @@ def test_hooks_run_around_train_parse_ground(instrument, dataset, tmp_path):
         assert len(ids) == len(nodes) and ids[-1] == nodes[len(nodes) - 1].id == "img"
         assert [nodes[k].id for k in range(len(nodes))] == ids
         assert set(alignment.zero.values()) <= set(ids)
+
+
+def test_hook_counts_read_the_program(instrument, dataset):
+    """``_load`` counts ``len`` of what ``data.load_features`` returns as
+    its records, one per image id; ``_visual_nodes`` counts
+    ``len(Model.build_visual_nodes(...))`` as the nodes of one image."""
+    path = str(dataset / "features.jsonl")
+    image_ids = [json.loads(line)["image_id"]
+                 for line in Path(path).read_text(encoding="utf-8").splitlines()]
+    features = vgram.data.load_features(path)
+    assert isinstance(features, dict) and list(features) == image_ids
+    vocab, vectors = vgram.data.load_embeddings(str(dataset / "embeddings.jsonl"))
+    model = Model(ModelConfig(word_dim=8, feat_dim=8), vocab, vectors)
+    tracer = instrument.Tracer()
+    instrument._load("load_features")(tracer, (path,), {}, features, 0.0)
+    assert tracer.count["data.load_features.records"] == len(image_ids)
+    for image_id, regions in list(features.items())[:3]:
+        ns = model.build_visual_nodes(image_id, regions)
+        before = tracer.count["computed.visual_nodes"]
+        instrument._visual_nodes(tracer, (model, image_id, regions), {}, ns, 0.0)
+        m = len(regions.boxes)
+        assert tracer.count["computed.visual_nodes"] - before == m * m + m + 1 == len(ns.nodes)

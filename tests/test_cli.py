@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from vgram import core, data
 from vgram.cli import main
+from vgram.core import validate_tree
 from vgram.config import ConfigError, digest, resolve
 
 SMALL = ["--set", "synth_sentences=24", "--set", "synth_dev=6",
@@ -254,3 +256,22 @@ def test_parse_workers_match_serial(dataset, tmp_path):
     assert main(["parse"] + args + ["--out", str(out1)] + DIMS) == 0
     assert main(["parse"] + args + ["--out", str(out2), "--workers", "2"] + DIMS) == 0
     assert out1.read_text() == out2.read_text()
+
+
+def test_parse_checks_each_tree_at_most_twice(dataset, tmp_path, monkeypatch):
+    """``vgram parse`` checks a sentence's heads once when the corpus
+    loads and once more when the parsed tree is built, nowhere else."""
+    corpus = str(dataset / "corpus.test.jsonl")
+    sentences, _ = data.load_corpus(corpus)
+    calls = []
+
+    def counting(heads, n=None):
+        calls.append(len(heads))
+        return validate_tree(heads, n)
+    monkeypatch.setattr(core, "validate_tree", counting)
+    monkeypatch.setattr(data, "validate_tree", counting)
+    assert main(["parse", "--corpus", corpus, "--workers", "1",
+                 "--features", str(dataset / "features.jsonl"),
+                 "--embeddings", str(dataset / "embeddings.jsonl"),
+                 "--out", str(tmp_path / "pred.jsonl")] + DIMS) == 0
+    assert len(calls) == 2 * len(sentences)

@@ -162,12 +162,6 @@ class TestSceneGraph:
         with pytest.raises(ValueError):
             bad.validate()
 
-    def test_degenerate_box_rejected(self):
-        sg = SceneGraph("img", (SGObject("o0", bbox=(5, 0, 5, 10)),),
-                        (SGAttribute("a0", owner="o0"),))
-        with pytest.raises(ValueError):
-            sg.validate()
-
     def test_node_types(self):
         sg = _toy_sg()
         assert sg.node_type("o0") is NodeType.OBJECT

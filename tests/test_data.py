@@ -57,10 +57,10 @@ class TestRoundTrips:
         save_features(path, synth.features)
         loaded = load_features(path)
         assert loaded.keys() == synth.features.keys()
-        key = next(iter(loaded))
-        for (b1, f1), (b2, f2) in zip(loaded[key], synth.features[key]):
-            assert b1 == b2
-            np.testing.assert_allclose(f1, f2)
+        for image_id, regions in loaded.items():
+            assert regions.boxes == synth.features[image_id].boxes
+            assert regions.feats.shape == (len(regions.boxes), 8)
+            np.testing.assert_array_equal(regions.feats, synth.features[image_id].feats)
 
     def test_scene_graphs(self, synth, tmp_path):
         path = str(tmp_path / "sg.jsonl")
@@ -209,7 +209,7 @@ class TestValidation:
                "regions": [{"bbox": [10, 20, 30, 40], "feat": [1.0]}]}
         path.write_text(json.dumps(rec) + "\n", encoding="utf-8")
         loaded = load_features(str(path))
-        assert loaded["a"][0][0] == (10, 20, 40, 60)
+        assert loaded["a"].boxes == [(10, 20, 40, 60)]
 
     FLAT = "every 'feat' must be a flat list of numbers, all of one length"
     BOX = "bad region box (need a list of 4 numbers, got "
@@ -281,11 +281,12 @@ class TestValidation:
         rec = {"image_id": "a", "regions": [{"bbox": [0, 0, 1, 1], "feat": [1, 2]},
                                             {"bbox": [1, 1, 2, 2], "feat": [3.5, 4]}]}
         path.write_text(json.dumps(rec) + "\n", encoding="utf-8")
-        (b1, f1), (b2, f2) = load_features(str(path))["a"]
-        assert b1 == (0.0, 0.0, 1.0, 1.0) and b2 == (1.0, 1.0, 2.0, 2.0)
-        assert all(type(v) is float for v in b1 + b2)
-        assert f1.dtype == np.float64 and f1.shape == (2,)
-        np.testing.assert_array_equal(np.stack([f1, f2]), [[1, 2], [3.5, 4]])
+        boxes, feats = load_features(str(path))["a"]
+        assert boxes == [(0.0, 0.0, 1.0, 1.0), (1.0, 1.0, 2.0, 2.0)]
+        assert all(type(box) is tuple and type(v) is float for box in boxes for v in box)
+        assert feats.dtype == np.float64 and feats.shape == (2, 2)
+        assert feats.flags.c_contiguous
+        np.testing.assert_array_equal(feats, [[1, 2], [3.5, 4]])
 
     @pytest.mark.parametrize("vec, problem", [
         ([1.0, None], "every 'vec' must be a flat list of numbers"),
@@ -421,8 +422,7 @@ class TestSynth:
     def test_sigma_zero_nearest_neighbor_recovers_alignment(self, synth):
         emb_of = {w: synth.embeddings[i] for i, w in enumerate(synth.vocab)}
         for s in synth.train:
-            regions = synth.features[s.image_id]
-            feats = np.stack([f for _, f in regions])
+            feats = synth.features[s.image_id].feats
             for tok in s.tokens:
                 sims = feats @ emb_of[tok.surface]
                 assert f"o{int(np.argmax(sims)) + 1}" == synth.alignments[s.id].zero[tok.index]

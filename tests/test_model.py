@@ -7,6 +7,7 @@ import vgram.tensor as T
 from vgram import chart
 from vgram.core import (
     NodeType,
+    Regions,
     SceneGraph,
     SGAttribute,
     SGObject,
@@ -41,8 +42,16 @@ def make_model(vocab_size=6, identity=True, seed=0, vectors=None, **kw):
 
 
 def regions_for(vectors, idxs):
-    return [((100.0 * k, 0.0, 100.0 * k + 90.0, 90.0), vectors[i])
-            for k, i in enumerate(idxs)]
+    """One grid-cell region per index, its feature that row of ``vectors``."""
+    idxs = list(idxs)
+    return Regions([(100.0 * k, 0.0, 100.0 * k + 90.0, 90.0) for k in range(len(idxs))],
+                   vectors[idxs])
+
+
+def row_regions(m, rng):
+    """M side-by-side boxes with random features."""
+    return Regions([(10.0 * k, 0.0, 10.0 * k + 9.0, 9.0) for k in range(m)],
+                   rng.normal(size=(m, DIM)))
 
 
 def toy_batch(model, vectors, sentences):
@@ -60,10 +69,7 @@ def toy_batch(model, vectors, sentences):
 class TestVisualNodes:
     def test_node_count_m50(self):
         model, _, _ = make_model()
-        rng = np.random.default_rng(0)
-        regions = [((10.0 * k, 0.0, 10.0 * k + 9.0, 9.0), rng.normal(size=DIM))
-                   for k in range(50)]
-        ns = model.build_visual_nodes("img", regions)
+        ns = model.build_visual_nodes("img", row_regions(50, np.random.default_rng(0)))
         assert len(ns) == 50 * 50 + 50 + 1 == 2551
 
     def test_node_count_m1(self):
@@ -108,7 +114,7 @@ class TestVisualNodes:
         rng = np.random.default_rng(m)
         boxes = [(float(x), float(y), float(x + w), float(y + h)) for x, y, w, h
                  in rng.integers(1, 50, size=(m, 4))]
-        ns = model.build_visual_nodes("img", [(b, rng.normal(size=DIM)) for b in boxes])
+        ns = model.build_visual_nodes("img", Regions(boxes, rng.normal(size=(m, DIM))))
         expected = self.canonical_nodes(boxes)
         view = ns.nodes
         assert view is ns.nodes and not isinstance(view, list)
@@ -148,20 +154,27 @@ class TestVisualNodes:
     def test_dummy_is_mean_of_objects(self):
         model, _, _ = make_model()
         f = np.ones(DIM)
-        regions = [((0.0, 0.0, 9.0, 9.0), f), ((10.0, 0.0, 19.0, 9.0), -f)]
+        regions = Regions([(0.0, 0.0, 9.0, 9.0), (10.0, 0.0, 19.0, 9.0)], np.stack([f, -f]))
         ns = model.build_visual_nodes("img", regions)
         feats, _ = model._pad_nodes([ns])
         np.testing.assert_allclose(feats.numpy()[-1], np.zeros(DIM))
 
+    def test_object_rows_are_the_region_matrix(self):
+        model, _, vectors = make_model()
+        regions = regions_for(vectors, [2, 0, 1])
+        ns = model.build_visual_nodes("img", regions)
+        np.testing.assert_array_equal(ns.rows[:3], regions.feats)
+        assert ns.boxes is regions.boxes
+
     def test_empty_regions_rejected(self):
         model, _, _ = make_model()
         with pytest.raises(ValueError, match="empty region"):
-            model.build_visual_nodes("img", [])
+            model.build_visual_nodes("img", Regions([], np.empty((0, DIM))))
 
     def test_dim_mismatch_rejected(self):
         model, _, _ = make_model()
         with pytest.raises(ValueError, match="feature dim"):
-            model.build_visual_nodes("img", [((0, 0, 1, 1), np.ones(DIM + 1))])
+            model.build_visual_nodes("img", Regions([(0, 0, 1, 1)], np.ones((1, DIM + 1))))
 
 
 class TestEncoder:
@@ -484,7 +497,7 @@ class TestMatching:
     def test_self_similarity_one(self):
         model, _, _ = make_model()
         f = np.array([3.0, 4.0] + [0.0] * (DIM - 2))
-        ns = model.build_visual_nodes("img", [((0.0, 0.0, 9.0, 9.0), f)])
+        ns = model.build_visual_nodes("img", Regions([(0.0, 0.0, 9.0, 9.0)], f[None]))
         nodes = model.node_matrix(model._pad_nodes([ns])[0])
         assert np.linalg.norm(nodes.numpy(), axis=1) == pytest.approx(1.0)
         sim = model.similarity(model._unit(Tensor(f[None])), nodes).numpy()
@@ -565,9 +578,7 @@ class TestInference:
 
     def test_tie_breaks_to_first_node(self):
         model, vocab, vectors = make_model(identity=True)
-        regions = [((0.0, 0.0, 9.0, 9.0), vectors[1]),
-                   ((10.0, 0.0, 19.0, 9.0), vectors[1])]
-        ns = model.build_visual_nodes("img", regions)
+        ns = model.build_visual_nodes("img", regions_for(vectors, [1, 1]))
         tokens = [Token(1, vocab[1], 0, vocab[1])]
         align = model.ground(tokens, ns, heads=[0])
         assert align.zero[1] == "obj:0"
@@ -577,7 +588,7 @@ class TestInference:
         tokens = [Token(1, vocab[0], 0, vocab[0]), Token(2, vocab[1], 1, vocab[1])]
         regions = regions_for(vectors, [0, 1])
         a1 = model.ground(tokens, model.build_visual_nodes("img", regions), heads=[0, 1])
-        scaled = [(b, 7.5 * f) for b, f in regions]
+        scaled = regions._replace(feats=7.5 * regions.feats)
         a2 = model.ground(tokens, model.build_visual_nodes("img", scaled), heads=[0, 1])
         assert a1.zero == a2.zero
 
@@ -618,6 +629,14 @@ class TestInference:
         assert rel.relationship.startswith("rel:")
         assert rel.endpoints[0].startswith("obj:")
 
+    @pytest.mark.parametrize("heads", [[2, 1], [0, 0], [0], [0, 1, 1]])
+    def test_ground_rejects_invalid_heads(self, heads):
+        model, vocab, vectors = make_model()
+        ns = model.build_visual_nodes("img", regions_for(vectors, [0, 1]))
+        tokens = [Token(1, vocab[0], 0, vocab[0]), Token(2, vocab[1], 1, vocab[1])]
+        with pytest.raises(ValueError, match="invalid tree"):
+            model.ground(tokens, ns, heads=heads)
+
 
 class TestNodeWork:
     """Parsing and grounding over proposals build O(n) node objects: the
@@ -638,10 +657,7 @@ class TestNodeWork:
     @pytest.mark.parametrize("call", ["parse", "ground", "ground_gold_tree"])
     def test_forty_regions(self, built, call):
         model, vocab, _ = make_model(identity=False, seed=5)
-        rng = np.random.default_rng(7)
-        regions = [((10.0 * k, 0.0, 10.0 * k + 9.0, 9.0), rng.normal(size=DIM))
-                   for k in range(40)]
-        ns = model.build_visual_nodes("img", regions)
+        ns = model.build_visual_nodes("img", row_regions(40, np.random.default_rng(7)))
         n = 7
         tokens = [Token(i + 1, vocab[i % len(vocab)], i % 3, vocab[i % len(vocab)])
                   for i in range(n)]
