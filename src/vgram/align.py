@@ -3,19 +3,24 @@
 Two stages. Rewriting assigns every token a node type and a content
 parent from a declarative first-match-wins rule file over (dependency
 label, head POS, dependent POS), so attributes and function words share
-their noun head's grounding area. Alignment then scores lemmas against
-scene-graph labels (exact lemma match first, embedding cosine second),
-resolves attributes inside their parent object's subtree, relationships
-among edges incident to already-aligned objects, and maps each tree arc
-to the relationship node its endpoints induce.
+their noun head's grounding area. A ``RuleSet`` scans its rules in file
+order once per distinct key and looks the answer up after that, so the
+first match is the same as a scan per token. Alignment then scores
+lemmas against scene-graph labels (exact lemma match first, embedding
+cosine second; each ``Similarity`` scores a pair once), resolves
+attributes inside their parent object's subtree, relationships among
+edges incident to already-aligned objects, and maps each tree arc to
+the relationship node its endpoints induce, reading the scene graph's
+relationship indexes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
+from functools import cache
 from importlib import resources
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -58,7 +63,40 @@ def _glob(patterns: str, value: str) -> bool:
     return any(fnmatchcase(value, p) for p in patterns.split(","))
 
 
-def parse_rules(text: str) -> list[RewriteRule]:
+class RuleSet(tuple):
+    """Rewrite rules in file order that answer each key once.
+
+    ``match(label, head_pos, dep_pos)`` gives the first matching rule
+    (None when no rule matches) and whether any rule's label glob knows
+    the label. The first time a key is seen the rules are scanned in
+    order; the answer is kept and looked up after that.
+    """
+
+    def __new__(cls, rules: Iterable[RewriteRule]):
+        self = super().__new__(cls, rules)
+        self._memo: dict[tuple[str, str, str], tuple[Optional[RewriteRule], bool]] = {}
+        return self
+
+    def match(self, label: str, head_pos: str, dep_pos: str
+              ) -> tuple[Optional[RewriteRule], bool]:
+        key = (label, head_pos, dep_pos)
+        answer = self._memo.get(key)
+        if answer is None:
+            rule = next((r for r in self if r.matches(label, head_pos, dep_pos)), None)
+            known = rule is not None or any(_glob(r.label_glob, label) for r in self)
+            answer = self._memo[key] = (rule, known)
+        return answer
+
+
+def _globs(field: str, lineno: int) -> str:
+    """A comma-separated glob list with the spaces around each glob removed."""
+    patterns = [p.strip() for p in field.split(",")]
+    if not all(patterns):
+        raise ValueError(f"rules:{lineno}: empty glob in {field!r}")
+    return ",".join(patterns)
+
+
+def parse_rules(text: str) -> RuleSet:
     rules = []
     counts: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -87,20 +125,27 @@ def parse_rules(text: str) -> list[RewriteRule]:
         counts[category] = counts.get(category, 0) + 1
         rules.append(RewriteRule(
             id=f"{category.lower()}-{counts[category]}", category=category,
-            label_glob=label_glob, head_pos_glob=head_glob,
-            dep_pos_glob=dep_glob, node_type=node_type, parent=parent))
+            label_glob=_globs(label_glob, lineno),
+            head_pos_glob=_globs(head_glob, lineno),
+            dep_pos_glob=_globs(dep_glob, lineno), node_type=node_type, parent=parent))
     if not rules:
         raise ValueError("empty rule file")
-    return rules
+    return RuleSet(rules)
 
 
-def load_rules(path: Optional[str] = None) -> list[RewriteRule]:
+@cache
+def _default_rules() -> RuleSet:
+    return parse_rules(
+        resources.files("vgram.resources").joinpath("default.rules").read_text())
+
+
+def load_rules(path: Optional[str] = None) -> RuleSet:
+    """The rules of ``path``; without one, the packaged default set,
+    read once per process and shared, memo included."""
     if path is None:
-        text = resources.files("vgram.resources").joinpath("default.rules").read_text()
-    else:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
-    return parse_rules(text)
+        return _default_rules()
+    with open(path, encoding="utf-8") as f:
+        return parse_rules(f.read())
 
 
 def _is_noun(pos: str) -> bool:
@@ -117,7 +162,7 @@ class Rewritten:
     warnings: tuple[str, ...]
 
 
-def classify_types(sentence: Sentence, rules: Sequence[RewriteRule]
+def classify_types(sentence: Sentence, rules: RuleSet
                    ) -> tuple[list[NodeType], list[str], list[Optional[str]], list[str]]:
     """Per-token node types and parent directives by first matching rule.
 
@@ -137,14 +182,14 @@ def classify_types(sentence: Sentence, rules: Sequence[RewriteRule]
         head = sentence.heads[d - 1]
         head_pos = sentence.pos_tags[head - 1] if head else "ROOT"
         dep_pos = sentence.pos_tags[d - 1]
-        rule = next((r for r in rules if r.matches(label, head_pos, dep_pos)), None)
+        rule, known = rules.match(label, head_pos, dep_pos)
         if rule is not None:
             types.append(rule.node_type or NodeType.OBJECT)
             directives.append(rule.parent)
             matched.append(rule.id)
             continue
         matched.append(None)
-        if not any(_glob(r.label_glob, label) for r in rules):
+        if not known:
             warnings.append(f"{sentence.id}: unknown dependency label {label!r} "
                             f"on token {d}, using default rule")
         if _is_noun(dep_pos):
@@ -199,8 +244,7 @@ def identify_parents(sentence: Sentence, types: Sequence[NodeType],
     return parents
 
 
-def rewrite(sentence: Sentence, rules: Optional[Sequence[RewriteRule]] = None
-            ) -> Rewritten:
+def rewrite(sentence: Sentence, rules: Optional[RuleSet] = None) -> Rewritten:
     """Full rewriting stage: type classification + parent identification."""
     rules = load_rules() if rules is None else rules
     types, directives, matched, warnings = classify_types(sentence, rules)
@@ -210,14 +254,22 @@ def rewrite(sentence: Sentence, rules: Optional[Sequence[RewriteRule]] = None
 
 
 class Similarity:
-    """Exact lemma match scores 1.0, otherwise embedding cosine."""
+    """Exact lemma match scores 1.0, otherwise embedding cosine; each
+    pair is scored once and its score kept."""
 
     def __init__(self, vocab: Sequence[str], vectors: np.ndarray):
         norms = np.linalg.norm(vectors, axis=1, keepdims=True)
         norms[norms == 0] = 1.0
         self._rows = {w: vectors[i] / norms[i] for i, w in enumerate(vocab)}
+        self._memo: dict[tuple[Optional[str], Optional[str]], float] = {}
 
     def __call__(self, a: Optional[str], b: Optional[str]) -> float:
+        score = self._memo.get((a, b))
+        if score is None:
+            score = self._memo[(a, b)] = self._score(a, b)
+        return score
+
+    def _score(self, a: Optional[str], b: Optional[str]) -> float:
         if not a or not b:
             return 0.0
         a, b = a.casefold(), b.casefold()
@@ -283,13 +335,14 @@ def align_dt_sg(sentence: Sentence, rewritten: Rewritten, sg: SceneGraph,
                 continue
             cands = []
             for o in sg.objects:
-                base = sim(lemma[d], o.label)
-                bonus = 0.0
-                incident = [r for r in sg.relationships if o.id in (r.src, r.dst)]
-                for r in incident:
-                    for nb in neighbors[d]:
-                        bonus = max(bonus, NEIGHBOR_BONUS * sim(lemma[nb], r.label))
-                cands.append((o.id, base + bonus if base >= threshold else base))
+                score = sim(lemma[d], o.label)
+                if score >= threshold:  # only a usable score gets the bonus
+                    bonus = 0.0
+                    for r in sg.incident(o.id):
+                        for nb in neighbors[d]:
+                            bonus = max(bonus, NEIGHBOR_BONUS * sim(lemma[nb], r.label))
+                    score += bonus
+                cands.append((o.id, score))
             top = ranked(cands)
             if top:
                 zero[d] = top[0]
@@ -322,7 +375,7 @@ def align_dt_sg(sentence: Sentence, rewritten: Rewritten, sg: SceneGraph,
             unaligned.append(d)
 
     first: dict[tuple[int, int], FirstAlignment] = {}
-    inst = tree_to_instances(list(heads))
+    inst = tree_to_instances(sentence.tree())
     for (h, d) in inst.first:
         zh, zd = zero.get(h), zero.get(d)
         if zh is None or zd is None:
@@ -330,11 +383,9 @@ def align_dt_sg(sentence: Sentence, rewritten: Rewritten, sg: SceneGraph,
         nh, nd = sg.node(zh), sg.node(zd)
         rel: Optional[SGRelationship] = None
         if isinstance(nh, SGObject) and isinstance(nd, SGObject):
-            rel = next((r for r in sg.relationships
-                        if (r.src, r.dst) == (zh, zd)), None)
+            rel = sg.relationship(zh, zd)
             if rel is None:
-                rel = next((r for r in sg.relationships
-                            if (r.src, r.dst) == (zd, zh)), None)
+                rel = sg.relationship(zd, zh)
         elif isinstance(nh, SGRelationship) and isinstance(nd, SGObject):
             rel = nh if zd in (nh.src, nh.dst) else None
         elif isinstance(nd, SGRelationship) and isinstance(nh, SGObject):
@@ -358,7 +409,7 @@ def align_dt_sg(sentence: Sentence, rewritten: Rewritten, sg: SceneGraph,
 
 
 def align_sentence(sentence: Sentence, sg: SceneGraph, sim: Similarity,
-                   rules: Optional[Sequence[RewriteRule]] = None,
+                   rules: Optional[RuleSet] = None,
                    k: int = 1) -> tuple[Rewritten, AlignResult]:
     rewritten = rewrite(sentence, rules)
     result = align_dt_sg(sentence, rewritten, sg, sim, k=k)

@@ -373,9 +373,9 @@ def cmd_eval(args, cfg) -> int:
         for sid in gold_by_id:
             if tree_source is not None and sid in tree_source \
                     and tree_source[sid].heads is not None:
-                trees[sid] = tree_source[sid].heads
+                trees[sid] = tree_source[sid].tree()
             elif gold_by_id[sid].heads is not None:
-                trees[sid] = gold_by_id[sid].heads
+                trees[sid] = gold_by_id[sid].tree()
         first, second = metrics_mod.first_second_aa(pred, trees, graphs, images,
                                                     regions=regions)
         report["first_aa"] = first

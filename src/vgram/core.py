@@ -232,7 +232,8 @@ class SceneGraph:
     Gold graphs carry labels and boxes, which ``data.load_scene_graphs``
     checks when it reads them. Every object owns exactly one
     attribute node and each ordered object pair has at most one
-    relationship node.
+    relationship node. The relationships are indexed once, by ordered
+    endpoint pair and by incident object.
     """
 
     image_id: str
@@ -242,6 +243,16 @@ class SceneGraph:
 
     def __post_init__(self):
         object.__setattr__(self, "_by_id", {n.id: n for n in self.nodes()})
+        by_pair: dict[tuple[str, str], SGRelationship] = {}
+        incident: dict[str, list[SGRelationship]] = {}
+        for r in self.relationships:
+            by_pair.setdefault((r.src, r.dst), r)
+            incident.setdefault(r.src, []).append(r)
+            if r.dst != r.src:
+                incident.setdefault(r.dst, []).append(r)
+        object.__setattr__(self, "_by_pair", by_pair)
+        object.__setattr__(self, "_incident",
+                           {node: tuple(rels) for node, rels in incident.items()})
 
     def validate(self) -> None:
         ids = [n.id for n in self.nodes()]
@@ -268,6 +279,14 @@ class SceneGraph:
 
     def node(self, node_id: str):
         return self._by_id.get(node_id)
+
+    def relationship(self, src: str, dst: str) -> Optional[SGRelationship]:
+        """The first relationship from ``src`` to ``dst``, if any."""
+        return self._by_pair.get((src, dst))
+
+    def incident(self, node_id: str) -> tuple[SGRelationship, ...]:
+        """Relationships with ``node_id`` as an endpoint, in graph order."""
+        return self._incident.get(node_id, ())
 
     def node_type(self, node_id: str) -> Optional[NodeType]:
         n = self.node(node_id)
@@ -297,9 +316,7 @@ class SceneGraph:
                 if x.owner == y.id:
                     return True
         if isinstance(na, SGObject) and isinstance(nb, SGObject):
-            for r in self.relationships:
-                if {r.src, r.dst} == {a, b}:
-                    return True
+            return (a, b) in self._by_pair or (b, a) in self._by_pair
         return False
 
 

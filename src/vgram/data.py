@@ -31,7 +31,6 @@ from vgram.core import (
     Token,
     VLAlignment,
     tree_to_instances,
-    validate_tree,
 )
 
 
@@ -56,11 +55,16 @@ class Sentence:
         return len(self.tokens)
 
     def tree(self) -> DependencyTree:
-        if self.heads is None:
-            raise DataError(f"{self.id}: no tree annotation")
-        return DependencyTree(tokens=self.tokens, heads=self.heads,
-                              types=self.types, labels=self.dep_labels,
-                              sentence_id=self.id)
+        """The annotated tree, checked when it is first built and kept."""
+        tree = self.__dict__.get("_tree")
+        if tree is None:
+            if self.heads is None:
+                raise DataError(f"{self.id}: no tree annotation")
+            tree = DependencyTree(tokens=self.tokens, heads=self.heads,
+                                  types=self.types, labels=self.dep_labels,
+                                  sentence_id=self.id)
+            object.__setattr__(self, "_tree", tree)
+        return tree
 
 
 def _read_lines(path: str) -> Iterable[tuple[str, object]]:
@@ -246,17 +250,22 @@ def load_corpus(path: str) -> tuple[list[Sentence], list[str]]:
             lemmas = [w.lower() for w in words]
         elif len(lemmas) != len(words):
             raise DataError(f"{where}: {len(lemmas)} lemmas for {len(words)} tokens")
+        for name, extra in (("types", types), ("dep_labels", labels)):
+            if extra is not None and len(extra) != len(words):
+                raise DataError(f"{where}: {len(extra)} {name} for {len(words)} tokens")
         tokens = tuple(Token(i + 1, w, tag_id[p], lemma)
                        for i, (w, p, lemma) in enumerate(zip(words, pos, lemmas)))
-        if heads is not None:
-            heads = tuple(heads)
-            report = validate_tree(heads, len(tokens))
-            if report is not None:
-                raise DataError(f"{where}: invalid tree: {report}")
-        sentences.append(Sentence(
-            id=sid, image_id=image_id, tokens=tokens, pos_tags=tuple(pos), heads=heads,
+        sentence = Sentence(
+            id=sid, image_id=image_id, tokens=tokens, pos_tags=tuple(pos),
+            heads=None if heads is None else tuple(heads),
             types=None if types is None else tuple(map(_NODE_TYPE.__getitem__, types)),
-            dep_labels=None if labels is None else tuple(labels)))
+            dep_labels=None if labels is None else tuple(labels))
+        if heads is not None:
+            try:
+                sentence.tree()  # checks the heads once; later users read it
+            except ValueError as e:
+                raise DataError(f"{where}: {e}") from None
+        sentences.append(sentence)
     return sentences, tagset
 
 

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from vgram.core import Box, NodeType, SceneGraph, SGAttribute, SGObject, SGRelationship
-from vgram.core import VLAlignment, tree_to_instances, union_box
+from vgram.core import DependencyTree, VLAlignment, tree_to_instances, union_box
 
 IOU_THRESHOLD = 0.5
 
@@ -217,7 +217,7 @@ def _match_gold_node(node_id: str, sg: SceneGraph,
 
 
 def first_second_aa(pred: dict[str, VLAlignment],
-                    trees: dict[str, Sequence[int]],
+                    trees: dict[str, DependencyTree | Sequence[int]],
                     scene_graphs: dict[str, SceneGraph],
                     sentence_images: dict[str, str],
                     regions: Optional[dict[str, Sequence[Box]]] = None
@@ -227,17 +227,19 @@ def first_second_aa(pred: dict[str, VLAlignment],
     A first-order instance is correct when the groundings of its two
     tokens are adjacent in the gold graph (one relationship hop); a
     second-order instance is correct when the middle token's grounding
-    is adjacent to both outer groundings, either orientation.
+    is adjacent to both outer groundings, either orientation. A
+    ``DependencyTree`` was checked when it was built; head sequences
+    are checked here.
     """
     first_correct = first_total = second_correct = second_total = 0
-    for sid, heads in trees.items():
+    for sid, tree in trees.items():
         align = pred.get(sid)
         image = sentence_images.get(sid)
         sg = scene_graphs.get(image)
         if sg is None:
             continue
         boxes = regions.get(image) if regions is not None else None
-        inst = tree_to_instances(list(heads))
+        inst = tree_to_instances(tree)
 
         def gold_node_of(token: int) -> Optional[str]:
             if align is None or token not in align.zero:

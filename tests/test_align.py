@@ -1,7 +1,15 @@
+import dataclasses
+import itertools
+from fnmatch import fnmatchcase
+from importlib import resources
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vgram.align import (
+    CATEGORIES,
     Similarity,
     align_dt_sg,
     align_sentence,
@@ -17,8 +25,8 @@ from vgram.core import (
     SGObject,
     SGRelationship,
 )
-from vgram.data import Sentence
 from vgram.core import Token
+from vgram.data import Sentence, SynthConfig, synth_generate
 
 
 def sent(words, pos, heads, labels, sid="s0", image="img0", lemmas=None):
@@ -33,12 +41,16 @@ def rules():
     return load_rules()
 
 
-@pytest.fixture()
-def sim():
+def toy_similarity():
     vocab = ["dog", "puppy", "table", "brown", "chase", "cat"]
     vecs = np.eye(6)
     vecs[1] = np.array([0.9, 0.1, 0, 0, 0, 0])  # puppy close to dog
     return Similarity(vocab, vecs)
+
+
+@pytest.fixture()
+def sim():
+    return toy_similarity()
 
 
 class TestRuleFile:
@@ -232,3 +244,101 @@ class TestAlignment:
         s = sent(["dog"], ["NN"], [0], ["root"])
         _, res = align_sentence(s, sg, sim, rules)
         assert res.alignment.meta["ruleset"] == "reconstructed-defaults"
+
+
+class TestGlobLists:
+    def test_spaces_around_globs_are_removed(self):
+        (rule,) = parse_rules("OBJ-ATTR | amod | * | VBG, VBN | type=ATTRIBUTE")
+        assert rule.dep_pos_glob == "VBG,VBN"
+        assert rule.matches("amod", "NN", "VBN")
+
+    def test_empty_glob_rejected(self):
+        with pytest.raises(ValueError, match="rules:2: empty glob"):
+            parse_rules("# header\nREL-OBJ | dobj | VB* | NN*, | type=OBJECT")
+
+
+def test_default_rules_read_once_per_process():
+    assert load_rules() is load_rules()
+    s = sent(["dog"], ["NN"], [0], ["root"])
+    assert rewrite(s) == rewrite(s, load_rules())
+
+
+# -- memo equivalence --------------------------------------------------
+
+LABELS = ["amod", "det", "nsubj", "prep", "root", "conj", "zzz", "qqq"]
+TAGS = ["NN", "NNS", "NN3", "PRP$", "VBZ", "VBN", "JJ", "IN", "DT", "RB", "XX", "ROOT"]
+GLOBS = st.sampled_from(["*", "NN*", "VB?", "J*", "IN,TO", "ROOT", "DT", "X*,NN"])
+
+
+def first_match_scan(rules, label, head_pos, dep_pos):
+    rule = next((r for r in rules if r.matches(label, head_pos, dep_pos)), None)
+    known = any(fnmatchcase(label, p) for r in rules for p in r.label_glob.split(","))
+    return rule, known
+
+
+@st.composite
+def rule_texts(draw):
+    lines = []
+    for _ in range(draw(st.integers(1, 8))):
+        label = draw(st.sampled_from(LABELS[:6] + ["*", "n*", "amod,det"]))
+        lines.append(f"{draw(st.sampled_from(CATEGORIES))} | {label} | "
+                     f"{draw(GLOBS)} | {draw(GLOBS)} | type=OBJECT")
+    return "\n".join(lines)
+
+
+# every key over these names: unknown labels, the ROOT head sentinel
+KEYS = list(itertools.product(LABELS, TAGS, TAGS[:-1]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(rule_texts(), st.permutations(KEYS))
+def test_rule_set_answers_like_a_first_match_scan(text, keys):
+    rules = parse_rules(text)
+    for _ in range(2):  # cold, then from the memo
+        for key in keys:
+            assert rules.match(*key) == first_match_scan(rules, *key)
+
+
+def test_default_rules_answer_like_a_first_match_scan():
+    rules = load_rules()
+    for key in KEYS + KEYS:
+        assert rules.match(*key) == first_match_scan(rules, *key)
+
+
+def test_warm_similarity_scores_equal_fresh_ones():
+    warm = toy_similarity()
+    words = ["dog", "Dog", "DOG", "puppy", "Puppy", "cat", "zebra", "", None]
+    pairs = [(a, b) for a in words for b in words]
+    for a, b in pairs:
+        warm(a, b)
+    for a, b in pairs:
+        score, fresh = warm(a, b), toy_similarity()(a, b)
+        assert type(score) is float
+        assert np.float64(score).tobytes() == np.float64(fresh).tobytes()
+    assert warm("Dog", "dog") == warm("puppy", "Puppy") == 1.0
+    assert warm(None, "dog") == warm("", "dog") == warm("zebra", "dog") == 0.0
+
+
+def test_shared_caches_align_like_fresh_ones():
+    synth = synth_generate(SynthConfig(seed=0))
+    text = resources.files("vgram.resources").joinpath("default.rules").read_text()
+    sentences = []
+    for i, s in enumerate(synth.test):
+        if i % 3 == 0:  # unknown labels exercise the warning path
+            labels = tuple("zzz" if h else lab for h, lab in zip(s.heads, s.dep_labels))
+            s = dataclasses.replace(s, dep_labels=labels)
+        sentences.append(s)
+    shared_rules = parse_rules(text)
+    shared_sim = Similarity(synth.vocab, synth.embeddings)
+    warned = 0
+    for s in sentences:
+        sg = synth.scene_graphs[s.image_id]
+        rw1, res1 = align_sentence(s, sg, shared_sim, shared_rules)
+        rw2, res2 = align_sentence(s, sg, Similarity(synth.vocab, synth.embeddings),
+                                   parse_rules(text))
+        assert rw1 == rw2
+        assert res1.alignment == res2.alignment
+        assert res1.unaligned == res2.unaligned
+        assert res1.warnings == res2.warnings
+        warned += len(res1.warnings)
+    assert warned > 0

@@ -269,9 +269,33 @@ def test_parse_checks_each_tree_at_most_twice(dataset, tmp_path, monkeypatch):
         calls.append(len(heads))
         return validate_tree(heads, n)
     monkeypatch.setattr(core, "validate_tree", counting)
-    monkeypatch.setattr(data, "validate_tree", counting)
     assert main(["parse", "--corpus", corpus, "--workers", "1",
                  "--features", str(dataset / "features.jsonl"),
                  "--embeddings", str(dataset / "embeddings.jsonl"),
                  "--out", str(tmp_path / "pred.jsonl")] + DIMS) == 0
+    assert len(calls) == 2 * len(sentences)
+
+
+def test_align_and_eval_check_each_tree_once(dataset, tmp_path, monkeypatch):
+    """``vgram align`` and ``vgram eval`` check a corpus tree's heads when
+    the corpus loads, and the aligner and metrics trust the loaded tree."""
+    corpus = str(dataset / "corpus.test.jsonl")
+    sentences, _ = data.load_corpus(corpus)
+    calls = []
+
+    def counting(heads, n=None):
+        calls.append(len(heads))
+        return validate_tree(heads, n)
+    monkeypatch.setattr(core, "validate_tree", counting)
+    pred = str(tmp_path / "align.jsonl")
+    assert main(["align", "--corpus", corpus,
+                 "--scene-graphs", str(dataset / "scene_graphs.jsonl"),
+                 "--embeddings", str(dataset / "embeddings.jsonl"),
+                 "--out", pred]) == 0
+    assert len(calls) == len(sentences)
+    calls.clear()
+    assert main(["eval", "--gold-corpus", corpus, "--pred-trees", corpus,
+                 "--pred-align", pred,
+                 "--gold-align", str(dataset / "alignments.jsonl"),
+                 "--scene-graphs", str(dataset / "scene_graphs.jsonl")]) == 0
     assert len(calls) == 2 * len(sentences)

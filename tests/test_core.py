@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vgram.core import (
     DependencyTree,
@@ -176,3 +178,43 @@ class TestSceneGraph:
         assert sg.adjacent("a0", "o0")
         assert not sg.adjacent("a0", "o1")
         assert not sg.adjacent("a0", "r0")
+
+
+@st.composite
+def loose_graphs(draw):
+    """Unvalidated graphs: duplicate pairs and self loops included."""
+    k = draw(st.integers(1, 5))
+    objects = tuple(SGObject(f"o{i}") for i in range(k))
+    attributes = tuple(SGAttribute(f"a{i}", owner=f"o{i}") for i in range(k))
+    ends = st.integers(0, k - 1)
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=8))
+    rels = tuple(SGRelationship(f"r{n}", src=f"o{i}", dst=f"o{j}")
+                 for n, (i, j) in enumerate(pairs))
+    return SceneGraph("img", objects, attributes, rels)
+
+
+def scan_adjacent(sg, a, b):
+    na, nb = sg.node(a), sg.node(b)
+    if na is None or nb is None or a == b:
+        return False
+    for x, y in ((na, nb), (nb, na)):
+        if isinstance(x, SGRelationship) and isinstance(y, SGObject) \
+                and y.id in (x.src, x.dst):
+            return True
+        if isinstance(x, SGAttribute) and isinstance(y, SGObject) and x.owner == y.id:
+            return True
+    if isinstance(na, SGObject) and isinstance(nb, SGObject):
+        return any({r.src, r.dst} == {a, b} for r in sg.relationships)
+    return False
+
+
+@settings(max_examples=80, deadline=None)
+@given(loose_graphs())
+def test_relationship_indexes_agree_with_a_scan(sg):
+    ids = [n.id for n in sg.nodes()] + ["missing"]
+    for a in ids:
+        assert sg.incident(a) == tuple(r for r in sg.relationships if a in (r.src, r.dst))
+        for b in ids:
+            assert sg.adjacent(a, b) == scan_adjacent(sg, a, b)
+            assert sg.relationship(a, b) is next(
+                (r for r in sg.relationships if (r.src, r.dst) == (a, b)), None)

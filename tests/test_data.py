@@ -193,6 +193,17 @@ class TestValidation:
         with pytest.raises(DataError, match=f"{path}:1: 1 lemmas for 3 tokens"):
             load_corpus(str(path))
 
+    @pytest.mark.parametrize("field,values", [("types", ["OBJECT"]),
+                                              ("dep_labels", ["root", "det", "amod", "x"])])
+    def test_type_and_label_count_mismatch_rejected(self, tmp_path, field, values):
+        path = tmp_path / "bad.jsonl"
+        rec = {"id": "s0", "image_id": "i0", "tokens": ["a", "b", "c"],
+               "pos": ["NN0", "NN0", "NN0"], "heads": [0, 1, 1], field: values}
+        path.write_text(json.dumps(rec) + "\n", encoding="utf-8")
+        with pytest.raises(DataError,
+                           match=f"{path}:1: {len(values)} {field} for 3 tokens"):
+            load_corpus(str(path))
+
     def test_feature_dim_mismatch(self, tmp_path):
         path = tmp_path / "feat.jsonl"
         recs = [
