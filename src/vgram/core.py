@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -86,7 +87,7 @@ def validate_tree(heads: Sequence[int], n: Optional[int] = None) -> Optional[str
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DependencyTree:
     """A projective dependency tree over a tokenized caption.
 
@@ -232,8 +233,9 @@ class SceneGraph:
     Gold graphs carry labels and boxes, which ``data.load_scene_graphs``
     checks when it reads them. Every object owns exactly one
     attribute node and each ordered object pair has at most one
-    relationship node. The relationships are indexed once, by ordered
-    endpoint pair and by incident object.
+    relationship node. The relationships are indexed by ordered
+    endpoint pair and by incident object, each index built once, when
+    it is first read, so loading a graph builds neither.
     """
 
     image_id: str
@@ -243,16 +245,22 @@ class SceneGraph:
 
     def __post_init__(self):
         object.__setattr__(self, "_by_id", {n.id: n for n in self.nodes()})
+
+    @cached_property
+    def _by_pair(self) -> dict[tuple[str, str], SGRelationship]:
         by_pair: dict[tuple[str, str], SGRelationship] = {}
-        incident: dict[str, list[SGRelationship]] = {}
         for r in self.relationships:
             by_pair.setdefault((r.src, r.dst), r)
+        return by_pair
+
+    @cached_property
+    def _incident(self) -> dict[str, tuple[SGRelationship, ...]]:
+        incident: dict[str, list[SGRelationship]] = {}
+        for r in self.relationships:
             incident.setdefault(r.src, []).append(r)
             if r.dst != r.src:
                 incident.setdefault(r.dst, []).append(r)
-        object.__setattr__(self, "_by_pair", by_pair)
-        object.__setattr__(self, "_incident",
-                           {node: tuple(rels) for node, rels in incident.items()})
+        return {node: tuple(rels) for node, rels in incident.items()}
 
     def validate(self) -> None:
         ids = [n.id for n in self.nodes()]
