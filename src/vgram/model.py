@@ -540,8 +540,7 @@ class Model:
                        ) -> tuple[Tensor, Tensor, np.ndarray, np.ndarray]:
         """Projected token, arc, and second-order contexts plus the
         ``arc_index`` and ``pattern_index`` rows beyond the first n."""
-        batch, n, _ = contexts.shape
-        dim = self.config.match_dim
+        n = contexts.shape[1]
         ctx_tok = T.matmul(contexts, self.store["match.ctx"])
         arc_tbl = self.arc_contexts(contexts)
         pairs = arc_index(n)
@@ -551,12 +550,10 @@ class Model:
             parts.append(arc_tbl[:, pairs[:, 0] - 1, pairs[:, 1] - 1])
         if len(triples):
             pos = triples - 1
-            pair_rows = T.concat([arc_tbl[:, pos[:, 0, 0], pos[:, 0, 1]],
-                                  arc_tbl[:, pos[:, 1, 0], pos[:, 1, 1]]], axis=2)
-            flat = T.reshape(pair_rows, (batch * len(triples), 2 * dim))
-            second = T.mlp(flat, [(self.store["second.w1"], self.store["second.b1"]),
-                                  (self.store["second.w2"], self.store["second.b2"])])
-            parts.append(T.reshape(second, (batch, len(triples), dim)))
+            parts.append(T.pair_mlp(arc_tbl, (slice(None), pos[:, 0, 0], pos[:, 0, 1]),
+                                    (slice(None), pos[:, 1, 0], pos[:, 1, 1]),
+                                    self.store["second.w1"], self.store["second.b1"],
+                                    self.store["second.w2"], self.store["second.b2"]))
         return T.concat(parts, axis=1), arc_tbl, pairs, triples
 
     def context_weights(self, posteriors: Tensor, n: int,

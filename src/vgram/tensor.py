@@ -11,8 +11,16 @@ contrastive loss). ``max_similarity`` scores the rows in blocks that
 fit the cache, one matmul per block against all images of one node
 count. Every gather (``getitem``, ``take``) scatters its gradient back
 with one ``bincount`` over the flat cells it read.
+
+Two fused ops stand for chains that would otherwise keep several
+copies of the largest rows on the tape, with the same numbers bit for
+bit: ``pair_mlp`` (two gathers, their concat and a two-layer ``mlp``)
+keeps only its rectified hidden rows and its output, and gathers its
+input rows again in backward; ``l2_normalize`` keeps only its output and
+the norms.
 Forward results are checked finite after every op, so a NaN trips
-immediately at its source instead of three modules later.
+immediately at its source instead of three modules later; the error
+names the op that made it.
 
 Gradient ownership: backward hands one array, or views of it, to
 several tensors (``add`` of equal shapes gives both operands the same
@@ -188,7 +196,13 @@ def as_tensor(x) -> Tensor:
 
 
 def _make(data, parents, backward) -> Tensor:
-    return Tensor(data, _parents=tuple(parents), _backward=backward)
+    """The tape tensor an op made; non-finite ``data`` raises naming the
+    op, the function whose ``backward`` closure this is."""
+    try:
+        return Tensor(data, _parents=tuple(parents), _backward=backward)
+    except FloatingPointError:
+        op = backward.__qualname__.partition(".")[0]
+        raise FloatingPointError(f"non-finite values from {op}") from None
 
 
 # -- elementwise ------------------------------------------------------
@@ -415,7 +429,8 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
-    denom = a.size if axis is None else a.shape[axis]
+    axes = range(a.ndim) if axis is None else axis if isinstance(axis, tuple) else (axis,)
+    denom = math.prod(a.shape[ax] for ax in axes)
     return mul(tsum(a, axis, keepdims), 1.0 / denom)
 
 
@@ -458,7 +473,7 @@ def max_similarity(rows, nodes, counts: Sequence[int]) -> Tensor:
     matrix outgrows the cache and each block is reduced while it is
     still warm. The tape keeps only the argmax node rows; backward
     gathers through them block by block and scatters onto the nodes one
-    image at a time.
+    feature column at a time.
     """
     rows, nodes = as_tensor(rows), as_tensor(nodes)
     count, dim = rows.shape
@@ -484,14 +499,14 @@ def max_similarity(rows, nodes, counts: Sequence[int]) -> Tensor:
                 grad[blk] = np.einsum("rb,rbk->rk", g[blk], nodes.data[args[blk]])
             rows.accumulate(grad)
         if nodes.requires_grad:
-            grad = np.empty_like(nodes.data)
-            cols = np.arange(dim)
-            for b, v in enumerate(counts):
-                # scatter-add of the weighted rows onto their argmax node
-                flat = ((args[:, b] - bounds[b])[:, None] * dim + cols).ravel()
-                grad[bounds[b]:bounds[b + 1]] = np.bincount(
-                    flat, (g[:, b, None] * rows.data).ravel(),
-                    minlength=v * dim).reshape(v, dim)
+            # scatter-add of the weighted rows onto their argmax nodes, one
+            # column at a time over every (row, image) pair: a node belongs
+            # to one image, so each cell sums its rows in ascending order
+            grad = np.empty(nodes.shape)
+            targets = args.ravel()
+            for k in range(dim):
+                grad[:, k] = np.bincount(targets, (g * rows.data[:, k, None]).ravel(),
+                                         minlength=len(grad))
             nodes.accumulate(grad)
 
     return _make(out_data, (rows, nodes), backward)
@@ -524,8 +539,24 @@ def softmax(a, axis: int = -1) -> Tensor:
 
 
 def l2_normalize(a, axis: int = -1, eps: float = 1e-12) -> Tensor:
-    norm = sqrt(add(tsum(mul(a, a), axis=axis, keepdims=True), eps))
-    return div(a, norm)
+    """``a / sqrt(sum(a * a, axis) + eps)`` as one op that keeps its
+    output and the norms. Backward replays the arithmetic of the chain
+    mul, tsum, add, sqrt, div in its tape's order: ``a`` gets ``g /
+    norm`` first, then the two ``a * a`` terms."""
+    a = as_tensor(a)
+    norm = np.sqrt((a.data * a.data).sum(axis=axis, keepdims=True) + eps)
+    if not np.isfinite(norm).all():
+        raise FloatingPointError("non-finite values from l2_normalize (norm)")
+    out_data = a.data / norm
+
+    def backward(g):
+        a.accumulate(g / norm)
+        g_norm = _unbroadcast(-g * a.data / (norm * norm), norm.shape)
+        square = np.broadcast_to(g_norm * 0.5 / norm, a.shape) * a.data
+        a.accumulate(square)
+        a.accumulate(square)
+
+    return _make(out_data, (a,), backward)
 
 
 # -- layers -----------------------------------------------------------
@@ -549,6 +580,65 @@ def mlp(x: Tensor, layers: Sequence[tuple[Tensor, Tensor]]) -> Tensor:
         if i + 1 < len(layers):
             h = relu(h)
     return h
+
+
+def pair_mlp(table, first, second, w1, b1, w2, b2) -> Tensor:
+    """``mlp(concat([table[first], table[second]], axis=-1), [(w1, b1),
+    (w2, b2)])`` as one op, for keys ``first`` and ``second`` into the
+    leading axes of ``table``; shape ``table[first].shape[:-1] + (out,)``.
+
+    The two gathers go straight into one C-order buffer, so the (rows,
+    2d) input is a view of it and the layers run the same numpy calls as
+    ``mlp``. The tape keeps only the rectified hidden rows and the
+    output; backward gathers the input rows again for ``w1``'s gradient.
+    Backward replays the unfused chain's arithmetic in its tape's order:
+    b2, w2, the relu mask, b1, w1, then ``table``'s two halves, first
+    then second.
+    """
+    table, w1, b1, w2, b2 = (as_tensor(t) for t in (table, w1, b1, w2, b2))
+    width = table.shape[-1]
+
+    def gathered() -> np.ndarray:
+        left = table.data[first]
+        rows = np.empty(left.shape[:-1] + (2 * width,))
+        rows[..., :width] = left
+        del left
+        rows[..., width:] = table.data[second]
+        return rows
+
+    rows = gathered()
+    lead = rows.shape[:-1]
+    pre = np.matmul(rows.reshape(-1, 2 * width), w1.data)
+    del rows
+    pre += b1.data
+    if not np.isfinite(pre).all():
+        raise FloatingPointError("non-finite values from pair_mlp (pre-activation)")
+    hidden = np.where(pre > 0, pre, 0.0)
+    del pre
+    out = np.matmul(hidden, w2.data)
+    out += b2.data
+
+    def backward(g):
+        g = g.reshape(-1, g.shape[-1])
+        if b2.requires_grad:
+            b2.accumulate(_unbroadcast(g, b2.shape))
+        if w2.requires_grad:
+            w2.accumulate(np.matmul(np.swapaxes(hidden, -1, -2), g))
+        g_pre = np.matmul(g, np.swapaxes(w2.data, -1, -2))
+        g_pre *= hidden > 0
+        if b1.requires_grad:
+            b1.accumulate(_unbroadcast(g_pre, b1.shape))
+        if w1.requires_grad:
+            rows = gathered().reshape(-1, 2 * width)
+            w1.accumulate(np.matmul(np.swapaxes(rows, -1, -2), g_pre))
+            del rows
+        if table.requires_grad:
+            g_rows = np.matmul(g_pre, np.swapaxes(w1.data, -1, -2)).reshape(lead + (-1,))
+            del g_pre
+            table.accumulate(_scatter_add(table.shape, first, g_rows[..., :width]))
+            table.accumulate(_scatter_add(table.shape, second, g_rows[..., width:]))
+
+    return _make(out.reshape(lead + out.shape[-1:]), (table, w1, b1, w2, b2), backward)
 
 
 def attention(query: Tensor, keys: Tensor, values: Tensor,

@@ -137,15 +137,19 @@ class Trainer:
         clips = []
         for group in self._batches():
             batch = self._assemble(group)
-            if warmup:
-                loss = self.model.harmonic_loss(batch)
-                clips.append(self._step(loss))
-                del loss    # no tensor of this step outlives it
-                continue
             lam = self.settings.lambda_cl if len(group) >= 2 else 0.0
-            total, mle_val, cl_val = self.model.total_loss(batch, lambda_cl=lam)
-            clips.append(self._step(total))
-            del total
+            try:
+                if warmup:
+                    loss = self.model.harmonic_loss(batch)
+                else:
+                    loss, mle_val, cl_val = self.model.total_loss(batch, lambda_cl=lam)
+                clips.append(self._step(loss))
+            except FloatingPointError as err:
+                raise FloatingPointError(
+                    f"{err} in the batch of sentences {batch.sentence_ids}") from err
+            del loss    # no tensor of this step outlives it
+            if warmup:
+                continue
             mle_sum += mle_val * len(group)
             cl_sum += cl_val * len(group)
             count += len(group)

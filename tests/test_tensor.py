@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vgram.tensor as T
+from vgram.model import pattern_index
 from vgram.tensor import ParameterStore, Tensor, adam_step
 
 
@@ -104,6 +105,14 @@ class TestBasicOps:
         a = rng.normal(size=(4, 5))
         check_grads(lambda x: T.tsum(T.mul(T.tmean(x, axis=1), 3.0)), [a])
         check_grads(lambda x: T.tsum(T.tmax(x, axis=1)), [a])
+        # a tuple of axes, as tsum takes it: divided by the reduced sizes
+        b = rng.normal(size=(2, 3, 4))
+        np.testing.assert_allclose(T.tmean(Tensor(b), axis=(1, 2)).data, b.mean(axis=(1, 2)),
+                                   rtol=1e-15)
+        np.testing.assert_allclose(T.tmean(Tensor(b), axis=(0, 2), keepdims=True).data,
+                                   b.mean(axis=(0, 2), keepdims=True), rtol=1e-15)
+        weights = rng.normal(size=2)
+        check_grads(lambda x: T.tsum(T.mul(T.tmean(x, axis=(1, 2)), weights)), [b])
 
     @pytest.mark.parametrize("axis", [0, 1])
     @pytest.mark.parametrize("keepdims", [False, True])
@@ -412,6 +421,103 @@ class TestComposedNetwork:
             return T.tsum(T.logsumexp(h, axis=-1))
 
         check_grads(loss, [x, w1, b1, w2, b2, w3, b3], rtol=1e-5, atol=1e-7)
+
+
+def pair_mlp_chain(table, first, second, w1, b1, w2, b2):
+    """The unfused tape chain ``pair_mlp`` stands for: two gathers, their
+    concat, the concat's (rows, 2d) reshape, ``mlp`` and the reshape back."""
+    rows = T.concat([table[first], table[second]], axis=-1)
+    lead = rows.shape[:-1]
+    out = T.mlp(T.reshape(rows, (-1, rows.shape[-1])), [(w1, b1), (w2, b2)])
+    return T.reshape(out, lead + out.shape[-1:])
+
+
+def l2_chain(a, axis=-1, eps=1e-12):
+    """The unfused tape chain ``l2_normalize`` stands for."""
+    norm = T.sqrt(T.add(T.tsum(T.mul(a, a), axis=axis, keepdims=True), eps))
+    return T.div(a, norm)
+
+
+def pattern_keys(n):
+    """``pair_mlp``'s two keys into a (B, n, n, d) arc table, over every
+    second-order pattern of an n-token sentence, as the model gathers them."""
+    pos = pattern_index(n) - 1
+    return ((slice(None), pos[:, 0, 0], pos[:, 0, 1]),
+            (slice(None), pos[:, 1, 0], pos[:, 1, 1]))
+
+
+class TestFusedOps:
+    @staticmethod
+    def run(op, arrays, weights, args=(), table_grad=True):
+        """Forward value and every gradient of ``sum(op(...) * weights)``."""
+        ts = [Tensor(x, requires_grad=table_grad or i > 0) for i, x in enumerate(arrays)]
+        out = op(ts[0], *args, *ts[1:])
+        T.tsum(T.mul(out, weights)).backward()
+        return out.data, [t.grad for t in ts]
+
+    @staticmethod
+    def mlp_inputs(rng, batch, n, dim=32, hidden=32):
+        table = rng.normal(size=(batch, n, n, dim))
+        return [table, rng.uniform(-0.2, 0.2, (2 * dim, hidden)), rng.normal(size=hidden) * 0.1,
+                rng.uniform(-0.2, 0.2, (hidden, dim)), rng.normal(size=dim) * 0.1]
+
+    @pytest.mark.parametrize("n", [3, 10])
+    @pytest.mark.parametrize("table_grad", [True, False])
+    def test_pair_mlp_bitwise_equals_chain(self, n, table_grad):
+        rng = np.random.default_rng(20 + n)
+        arrays = self.mlp_inputs(rng, 16, n)
+        first, second = pattern_keys(n)
+        weights = rng.normal(size=(16, len(pattern_index(n)), 32))
+        out, grads = self.run(T.pair_mlp, arrays, weights, (first, second), table_grad)
+        ref_out, ref_grads = self.run(pair_mlp_chain, arrays, weights, (first, second),
+                                      table_grad)
+        assert out.shape == (16, len(pattern_index(n)), 32)
+        np.testing.assert_array_equal(out, ref_out)
+        assert (grads[0] is None) == (not table_grad)
+        for g, ref in zip(grads, ref_grads):
+            assert (g is None and ref is None) or np.array_equal(g, ref)
+
+    @pytest.mark.parametrize("rows", [16 * 18, 16 * 1180])   # B * C at n = 3 and n = 10
+    def test_l2_normalize_bitwise_equals_chain(self, rows):
+        rng = np.random.default_rng(rows)
+        a = rng.normal(size=(rows, 32))
+        weights = rng.normal(size=(rows, 32))
+        out, grads = self.run(T.l2_normalize, [a], weights)
+        ref_out, ref_grads = self.run(l2_chain, [a], weights)
+        np.testing.assert_array_equal(out, ref_out)
+        np.testing.assert_array_equal(grads[0], ref_grads[0])
+
+    def test_pair_mlp_gradcheck(self):
+        rng = np.random.default_rng(23)
+        arrays = self.mlp_inputs(rng, 2, 3, dim=3, hidden=4)
+        first, second = pattern_keys(3)
+        # keep every pre-activation off the relu kink
+        left, right = arrays[0][first], arrays[0][second]
+        pre = np.concatenate([left, right], axis=-1) @ arrays[1] + arrays[2]
+        assert np.abs(pre).min() > 1e-3
+        weights = rng.normal(size=(2, len(pattern_index(3)), 3))
+        check_grads(lambda *ts: T.tsum(T.mul(T.pair_mlp(ts[0], first, second, *ts[1:]),
+                                             weights)), arrays)
+
+    @pytest.mark.parametrize("axis", [0, -1])
+    def test_l2_normalize_gradcheck(self, axis):
+        rng = np.random.default_rng(24)
+        weights = rng.normal(size=(3, 4))
+        check_grads(lambda x: T.tsum(T.mul(T.l2_normalize(x, axis=axis), weights)),
+                    [rng.normal(size=(3, 4))], rtol=1e-5)
+
+    def test_non_finite_names_the_op(self):
+        rng = np.random.default_rng(25)
+        arrays = self.mlp_inputs(rng, 2, 3, dim=3, hidden=4)
+        arrays[0][:] = 1e10
+        arrays[1][0, 0] = 1e300     # finite, but its products overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="from pair_mlp"):
+                T.pair_mlp(*arrays[:1], *pattern_keys(3), *arrays[1:])
+            with pytest.raises(FloatingPointError, match="from l2_normalize"):
+                T.l2_normalize(Tensor([1e200, 1.0]))
+            with pytest.raises(FloatingPointError, match="from log"):
+                T.log(Tensor([-1.0, 1.0]))
 
 
 def scalar_biaffine(us, vs, w1, w2, b) -> np.ndarray:
