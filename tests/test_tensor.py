@@ -137,6 +137,9 @@ class TestBasicOps:
         check_grads(lambda x: T.tsum(T.mul(T.log_softmax(x, axis=-1), 0.5)), [a])
         check_grads(lambda x: T.tsum(T.mul(T.l2_normalize(x), np.ones((3, 4)))), [a],
                     rtol=1e-5)
+        weights = rng.normal(size=(3, 4))
+        check_grads(lambda x: T.tsum(T.mul(T.l2_normalize(x, axis=0), weights)), [a],
+                    rtol=1e-5)
 
     def test_nan_trips_error(self):
         with pytest.raises(FloatingPointError):
@@ -498,13 +501,6 @@ class TestFusedOps:
         weights = rng.normal(size=(2, len(pattern_index(3)), 3))
         check_grads(lambda *ts: T.tsum(T.mul(T.pair_mlp(ts[0], first, second, *ts[1:]),
                                              weights)), arrays)
-
-    @pytest.mark.parametrize("axis", [0, -1])
-    def test_l2_normalize_gradcheck(self, axis):
-        rng = np.random.default_rng(24)
-        weights = rng.normal(size=(3, 4))
-        check_grads(lambda x: T.tsum(T.mul(T.l2_normalize(x, axis=axis), weights)),
-                    [rng.normal(size=(3, 4))], rtol=1e-5)
 
     def test_non_finite_names_the_op(self):
         rng = np.random.default_rng(25)

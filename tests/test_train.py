@@ -3,9 +3,8 @@ import math
 import os
 import tracemalloc
 
-import pytest
-
 import numpy as np
+import pytest
 
 from vgram.config import resolve, to_model_config
 from vgram.core import Regions
