@@ -5,16 +5,23 @@ ROOT, tokens are 1-based). Scene graphs are typed node sets (OBJECT,
 ATTRIBUTE, RELATIONSHIP) over image regions. Alignments map tree
 instances (tokens, arcs, token triples) onto scene-graph nodes.
 
+This module owns the visual-node vocabulary: the ids of proposal nodes
+(``ProposalNodes``), the image node, and every node's geometry, gold
+(``SceneGraph.visual_node``) or proposal. The model grounds onto these
+nodes and the metrics score them; neither names or parses a node id.
+
 All types are immutable after construction and safe to share across
 threads.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -205,6 +212,88 @@ class Regions(NamedTuple):
 
 
 @dataclass(frozen=True)
+class VisualNode:
+    """One typed visual node with enough geometry to evaluate grounding:
+    an object's or attribute's box (an attribute's is its owner's), a
+    relationship's (src box, dst box)."""
+
+    id: str
+    type: NodeType
+    box: Optional[Box] = None
+    endpoints: Optional[tuple[Optional[Box], Optional[Box]]] = None
+    src: Optional[str] = None
+    dst: Optional[str] = None
+    owner: Optional[str] = None
+
+
+def image_node(boxes: Iterable[Optional[Box]]) -> VisualNode:
+    """The whole-image node ``img``: an object over the union of ``boxes``."""
+    return VisualNode("img", NodeType.OBJECT, box=union_box(boxes))
+
+
+class ProposalNodes(Sequence):
+    """The canonical nodes over M proposal boxes as a read-only sequence:
+    M objects ``obj:K``, M attributes ``attr:K``, the M(M-1) ordered-pair
+    relationships ``rel:I:J`` (row-major, I != J), then the image node
+    ``img``; no boxes, no nodes. Node k is computed from k and the boxes
+    when it is read; only the image node is kept once built."""
+
+    def __init__(self, boxes: Sequence[Box]):
+        self._boxes = boxes
+        self._image: Optional[VisualNode] = None
+
+    def __len__(self) -> int:
+        m = len(self._boxes)
+        return m * m + m + 1 if m else 0
+
+    def __getitem__(self, k) -> VisualNode:
+        boxes, size = self._boxes, len(self)
+        k = operator.index(k)
+        if not -size <= k < size:
+            raise IndexError(f"node index {k} out of range for {size} nodes")
+        k %= size
+        m = len(boxes)
+        if k < m:
+            return VisualNode(f"obj:{k}", NodeType.OBJECT, box=boxes[k])
+        if k < 2 * m:
+            k -= m
+            return VisualNode(f"attr:{k}", NodeType.ATTRIBUTE, box=boxes[k], owner=f"obj:{k}")
+        if k < size - 1:
+            i, j = divmod(k - 2 * m, m - 1)
+            j += j >= i     # skip the diagonal pair (i, i)
+            return VisualNode(f"rel:{i}:{j}", NodeType.RELATIONSHIP,
+                              endpoints=(boxes[i], boxes[j]), src=f"obj:{i}", dst=f"obj:{j}")
+        if self._image is None:
+            self._image = image_node(boxes)
+        return self._image
+
+    def find(self, node_id: str) -> Optional[VisualNode]:
+        """The node whose id is ``node_id``, or None; the inverse of
+        indexing. The id is read as the index it would have, and that
+        node is returned only if its id is ``node_id``, so exactly the
+        ids that indexing produces resolve."""
+        m, size = len(self._boxes), len(self)
+        kind, *parts = node_id.split(":")
+        try:
+            nums = [int(p) for p in parts]
+        except ValueError:
+            return None
+        if node_id == "img":
+            k = size - 1
+        elif kind in ("obj", "attr") and len(nums) == 1:
+            k = nums[0] + (m if kind == "attr" else 0)
+        elif kind == "rel" and len(nums) == 2:
+            i, j = nums
+            k = 2 * m + i * (m - 1) + j - (j > i)
+        else:
+            return None
+        if not 0 <= k < size:
+            return None
+        node = self[k]
+        return node if node.id == node_id else None
+
+
+@dataclass(frozen=True)
 class SGObject:
     id: str
     bbox: Optional[Box] = None
@@ -296,15 +385,23 @@ class SceneGraph:
         """Relationships with ``node_id`` as an endpoint, in graph order."""
         return self._incident.get(node_id, ())
 
-    def node_type(self, node_id: str) -> Optional[NodeType]:
+    def visual_node(self, node_id: str) -> Optional[VisualNode]:
+        """Node ``node_id`` with its geometry, or None: an attribute takes
+        its owner's box, a relationship its endpoints' boxes; a box is
+        None where the graph gives none or the id names no object."""
         n = self.node(node_id)
         if isinstance(n, SGObject):
-            return NodeType.OBJECT
+            return VisualNode(n.id, NodeType.OBJECT, box=n.bbox)
         if isinstance(n, SGAttribute):
-            return NodeType.ATTRIBUTE
+            return VisualNode(n.id, NodeType.ATTRIBUTE, box=self._box(n.owner), owner=n.owner)
         if isinstance(n, SGRelationship):
-            return NodeType.RELATIONSHIP
+            return VisualNode(n.id, NodeType.RELATIONSHIP, src=n.src, dst=n.dst,
+                              endpoints=(self._box(n.src), self._box(n.dst)))
         return None
+
+    def _box(self, node_id: str) -> Optional[Box]:
+        n = self.node(node_id)
+        return n.bbox if isinstance(n, SGObject) else None
 
     def adjacent(self, a: str, b: str) -> bool:
         """Structural adjacency between two nodes.

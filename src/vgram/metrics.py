@@ -5,25 +5,24 @@ node against the gold node by box overlap (IoU at 0.5) plus node-type
 agreement, with relationship nodes judged on both endpoint boxes.
 First/second-order accuracy asks whether the zero-order groundings of
 an instance's tokens stay adjacent in the gold scene graph.
+
+``vgram.core`` owns node ids and node geometry: a node id resolves
+through ``SceneGraph.visual_node`` or ``ProposalNodes.find``, and this
+module only scores the ``VisualNode`` it gets back.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from vgram.core import Box, NodeType, SceneGraph, SGAttribute, SGObject, SGRelationship
-from vgram.core import DependencyTree, VLAlignment, tree_to_instances, union_box
+from vgram.core import Box, NodeType, ProposalNodes, SceneGraph, VisualNode
+from vgram.core import DependencyTree, VLAlignment, tree_to_instances
 
 IOU_THRESHOLD = 0.5
-
-_PROPOSAL_OBJ = re.compile(r"^obj:(\d+)$")
-_PROPOSAL_ATTR = re.compile(r"^attr:(\d+)$")
-_PROPOSAL_REL = re.compile(r"^rel:(\d+):(\d+)$")
 
 
 def iou(a: Sequence[float], b: Sequence[float]) -> float:
@@ -74,61 +73,26 @@ def dda_uda(pred: Sequence[Sequence[int]], gold: Sequence[Sequence[int]],
     return correct_d / total, correct_u / total
 
 
-@dataclass(frozen=True)
-class NodeRef:
-    """Geometry and type of a grounded node, however it is referenced."""
-
-    type: NodeType
-    box: Optional[Box] = None
-    endpoints: Optional[tuple[Box, Box]] = None
-
-
 def resolve_node(node_id: str, sg: Optional[SceneGraph],
-                 regions: Optional[Sequence[Box]] = None) -> Optional[NodeRef]:
-    """Geometry for a node id: a gold scene-graph id, or a proposal id
-    of the form obj:K / attr:K / rel:I:J / img over the region list."""
-    if sg is not None:
-        node = sg.node(node_id)
-        if isinstance(node, SGObject):
-            return NodeRef(NodeType.OBJECT, box=node.bbox)
-        if isinstance(node, SGAttribute):
-            owner = sg.node(node.owner)
-            return NodeRef(NodeType.ATTRIBUTE, box=owner.bbox if owner else None)
-        if isinstance(node, SGRelationship):
-            src, dst = sg.node(node.src), sg.node(node.dst)
-            if src is None or dst is None:
-                return None
-            return NodeRef(NodeType.RELATIONSHIP, endpoints=(src.bbox, dst.bbox))
-    if regions is not None:
-        m = _PROPOSAL_OBJ.match(node_id)
-        if m and int(m.group(1)) < len(regions):
-            return NodeRef(NodeType.OBJECT, box=regions[int(m.group(1))])
-        m = _PROPOSAL_ATTR.match(node_id)
-        if m and int(m.group(1)) < len(regions):
-            return NodeRef(NodeType.ATTRIBUTE, box=regions[int(m.group(1))])
-        m = _PROPOSAL_REL.match(node_id)
-        if m:
-            i, j = int(m.group(1)), int(m.group(2))
-            if i < len(regions) and j < len(regions):
-                return NodeRef(NodeType.RELATIONSHIP,
-                               endpoints=(regions[i], regions[j]))
-        if node_id == "img" and regions:
-            return NodeRef(NodeType.OBJECT, box=union_box(regions))
-    return None
+                 regions: Optional[Sequence[Box]] = None) -> Optional[VisualNode]:
+    """The node a grounding names: a gold scene-graph id, or else a
+    proposal id over the region list; None for any other id."""
+    node = sg.visual_node(node_id) if sg is not None else None
+    if node is None and regions is not None:
+        node = ProposalNodes(regions).find(node_id)
+    return node
 
 
-def _grounding_correct(pred: NodeRef, gold: NodeRef) -> bool:
-    if pred.type is not gold.type:
-        return False
-    if gold.type is NodeType.RELATIONSHIP:
-        if pred.endpoints is None or gold.endpoints is None:
-            return False
-        return all(
-            a is not None and b is not None and iou(a, b) >= IOU_THRESHOLD
-            for a, b in zip(pred.endpoints, gold.endpoints))
-    if pred.box is None or gold.box is None:
-        return False
-    return iou(pred.box, gold.box) >= IOU_THRESHOLD
+def _overlap(a: VisualNode, b: VisualNode) -> float:
+    """IoU of two nodes' boxes, for relationships the smaller IoU of the
+    two endpoint pairs; 0 where a box is missing."""
+    pairs = zip(a.endpoints, b.endpoints) if a.type is NodeType.RELATIONSHIP \
+        else ((a.box, b.box),)
+    return min(iou(x, y) if x is not None and y is not None else 0.0 for x, y in pairs)
+
+
+def _grounding_correct(pred: VisualNode, gold: VisualNode) -> bool:
+    return pred.type is gold.type and _overlap(pred, gold) >= IOU_THRESHOLD
 
 
 @dataclass
@@ -181,39 +145,17 @@ def zero_aa(pred: dict[str, VLAlignment], gold: dict[str, VLAlignment],
 def _match_gold_node(node_id: str, sg: SceneGraph,
                      regions: Optional[Sequence[Box]]) -> Optional[str]:
     """Identify a predicted node with a gold node: directly by id, or by
-    best box overlap at the threshold among same-type gold nodes."""
+    best box overlap at the threshold among same-type gold nodes, the
+    first in graph order on ties."""
     if sg.node(node_id) is not None:
         return node_id
     ref = resolve_node(node_id, None, regions)
     if ref is None:
         return None
-    best: Optional[str] = None
-    best_val = 0.0
-
-    def consider(cand_id: str, val: float) -> None:
-        nonlocal best, best_val
-        if val >= IOU_THRESHOLD and (best is None or val > best_val):
-            best, best_val = cand_id, val
-
-    if ref.type is NodeType.OBJECT and ref.box is not None:
-        for o in sg.objects:
-            if o.bbox is not None:
-                consider(o.id, iou(ref.box, o.bbox))
-    elif ref.type is NodeType.ATTRIBUTE and ref.box is not None:
-        for a in sg.attributes:
-            owner = sg.node(a.owner)
-            if owner is not None and owner.bbox is not None:
-                consider(a.id, iou(ref.box, owner.bbox))
-    elif ref.type is NodeType.RELATIONSHIP and ref.endpoints is not None:
-        for r in sg.relationships:
-            src, dst = sg.node(r.src), sg.node(r.dst)
-            if None in (src, dst) or src.bbox is None or dst.bbox is None:
-                continue
-            if None in ref.endpoints:
-                continue
-            consider(r.id, min(iou(a, b) for a, b in
-                               zip(ref.endpoints, (src.bbox, dst.bbox))))
-    return best
+    gold = (sg.visual_node(n.id) for n in sg.nodes())
+    scored = [(_overlap(ref, g), g.id) for g in gold if g.type is ref.type]
+    best_val, best = max(scored, key=lambda s: s[0], default=(0.0, None))
+    return best if best_val >= IOU_THRESHOLD else None
 
 
 def first_second_aa(pred: dict[str, VLAlignment],

@@ -11,7 +11,6 @@ contrastive matching loss.
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
@@ -25,13 +24,15 @@ from vgram.core import (
     DependencyTree,
     FirstAlignment,
     NodeType,
+    ProposalNodes,
     Regions,
     SceneGraph,
     Token,
+    VisualNode,
     VLAlignment,
+    image_node,
     second_order_arcs,
     tree_to_instances,
-    union_box,
 )
 from vgram.dmv_graph import BatchCharts, inside_outside
 from vgram.tensor import ParameterStore, Tensor
@@ -70,56 +71,6 @@ class ModelConfig:
             if len(dims) != 1:
                 raise ValueError(
                     "identity_init needs word_dim == hidden_dim == feat_dim == match_dim")
-
-
-@dataclass(frozen=True)
-class VisualNode:
-    """One typed visual node with enough geometry to evaluate grounding."""
-
-    id: str
-    type: NodeType
-    box: Optional[Box] = None
-    endpoints: Optional[tuple[Box, Box]] = None
-    src: Optional[str] = None
-    dst: Optional[str] = None
-    owner: Optional[str] = None
-
-
-class ProposalNodes(Sequence):
-    """The canonical nodes over M proposal boxes as a read-only sequence:
-    M objects, M attributes, the M(M-1) ordered-pair relationships
-    ``rel:i:j`` (row-major, i != j), then the image node. Node k is
-    computed from k and the boxes when it is read; only the image node,
-    whose box is the union of all M, is kept once built."""
-
-    def __init__(self, boxes: Sequence[Box]):
-        self._boxes = boxes
-        self._image: Optional[VisualNode] = None
-
-    def __len__(self) -> int:
-        m = len(self._boxes)
-        return m * m + m + 1
-
-    def __getitem__(self, k) -> VisualNode:
-        boxes, size = self._boxes, len(self)
-        k = operator.index(k)
-        if not -size <= k < size:
-            raise IndexError(f"node index {k} out of range for {size} nodes")
-        k %= size
-        m = len(boxes)
-        if k < m:
-            return VisualNode(f"obj:{k}", NodeType.OBJECT, box=boxes[k])
-        if k < 2 * m:
-            k -= m
-            return VisualNode(f"attr:{k}", NodeType.ATTRIBUTE, box=boxes[k], owner=f"obj:{k}")
-        if k < size - 1:
-            i, j = divmod(k - 2 * m, m - 1)
-            j += j >= i     # skip the diagonal pair (i, i)
-            return VisualNode(f"rel:{i}:{j}", NodeType.RELATIONSHIP,
-                              endpoints=(boxes[i], boxes[j]), src=f"obj:{i}", dst=f"obj:{j}")
-        if self._image is None:
-            self._image = VisualNode("img", NodeType.OBJECT, box=union_box(boxes))
-        return self._image
 
 
 @dataclass
@@ -327,28 +278,17 @@ class Model:
         label embedding; attribute and relationship features always
         embed their labels.
         """
-        obj_boxes = {o.id: o.bbox for o in sg.objects}
+        nodes = [sg.visual_node(n.id) for n in sg.nodes()]
         given = () if regions is None else regions.feats
-        nodes, feats = [], []
-        for idx, o in enumerate(sg.objects):
-            nodes.append(VisualNode(o.id, NodeType.OBJECT, box=o.bbox))
-            feats.append(given[idx] if idx < len(given) else self.embed_label(o.label or ""))
-        for a in sg.attributes:
-            nodes.append(VisualNode(a.id, NodeType.ATTRIBUTE,
-                                    box=obj_boxes.get(a.owner), owner=a.owner))
-            feats.append(self.embed_label(a.label or ""))
-        for r in sg.relationships:
-            nodes.append(VisualNode(
-                r.id, NodeType.RELATIONSHIP, src=r.src, dst=r.dst,
-                endpoints=(obj_boxes.get(r.src), obj_boxes.get(r.dst))))
-            feats.append(self.embed_label(r.label or ""))
+        feats = [given[idx] if idx < len(given) else self.embed_label(o.label or "")
+                 for idx, o in enumerate(sg.objects)]
+        feats += [self.embed_label(n.label or "") for n in sg.attributes + sg.relationships]
         mat = np.stack(feats)
         if mat.shape[1] != self.config.feat_dim:
             raise ValueError(f"{sg.image_id}: gold feature dim {mat.shape[1]} != "
                              f"configured {self.config.feat_dim}")
         dummy = mat[:len(sg.objects)].mean(axis=0, keepdims=True)
-        nodes.append(VisualNode("img", NodeType.OBJECT,
-                                box=union_box(o.bbox for o in sg.objects)))
+        nodes.append(image_node(o.bbox for o in sg.objects))
         return VisualNodeSet(sg.image_id, np.concatenate([mat, dummy]), _nodes=nodes)
 
     def _pad_nodes(self, node_sets: list[VisualNodeSet]

@@ -1,17 +1,23 @@
+import ast
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vgram
 from vgram.core import (
     DependencyTree,
     NodeType,
+    ProposalNodes,
     SceneGraph,
     SGAttribute,
     SGObject,
     SGRelationship,
     Token,
+    VisualNode,
+    image_node,
     second_order_arcs,
     tree_to_instances,
     validate_tree,
@@ -164,11 +170,19 @@ class TestSceneGraph:
         with pytest.raises(ValueError):
             bad.validate()
 
-    def test_node_types(self):
+    def test_visual_node(self):
         sg = _toy_sg()
-        assert sg.node_type("o0") is NodeType.OBJECT
-        assert sg.node_type("a0") is NodeType.ATTRIBUTE
-        assert sg.node_type("r0") is NodeType.RELATIONSHIP
+        box0, box1 = (0, 0, 10, 10), (20, 0, 30, 10)
+        assert sg.visual_node("o0") == VisualNode("o0", NodeType.OBJECT, box=box0)
+        assert sg.visual_node("a1") == VisualNode("a1", NodeType.ATTRIBUTE, box=box1,
+                                                  owner="o1")
+        assert sg.visual_node("r0") == VisualNode("r0", NodeType.RELATIONSHIP,
+                                                  endpoints=(box0, box1), src="o0", dst="o1")
+        assert [sg.visual_node(n.id).type for n in sg.nodes()] == [
+            NodeType.OBJECT, NodeType.OBJECT, NodeType.ATTRIBUTE, NodeType.ATTRIBUTE,
+            NodeType.RELATIONSHIP]
+        for unknown in ("o9", "img", "obj:0", ""):
+            assert sg.visual_node(unknown) is None
 
     def test_adjacency(self):
         sg = _toy_sg()
@@ -178,6 +192,57 @@ class TestSceneGraph:
         assert sg.adjacent("a0", "o0")
         assert not sg.adjacent("a0", "o1")
         assert not sg.adjacent("a0", "r0")
+
+
+def _boxes(m):
+    return [(float(k), 0.0, float(10 + 2 * k), float(10 + k)) for k in range(m)]
+
+
+class TestProposalNodes:
+    @pytest.mark.parametrize("m", [1, 2, 3, 7])
+    def test_every_node_finds_itself(self, m):
+        nodes = ProposalNodes(_boxes(m))
+        assert len(nodes) == m * m + m + 1
+        for node in nodes:
+            assert nodes.find(node.id) == node, node.id
+        assert nodes.find("img") == image_node(_boxes(m))
+
+    @pytest.mark.parametrize("node_id", [
+        "rel:2:2", "obj:01", "attr:0002", "obj:\u0661", "obj:-1", "rel:1:0:0", "obj:",
+        "obj:3", "attr:3", "rel:0:3", "rel:3:0", "obj:+1", "obj: 1", "attr:1_0",
+        "obj:0:1", "rel:1", "img:0", "obj", "o1", ""])
+    def test_ids_outside_the_grammar_resolve_to_none(self, node_id):
+        assert ProposalNodes(_boxes(3)).find(node_id) is None
+
+    def test_no_boxes_no_nodes(self):
+        nodes = ProposalNodes([])
+        assert len(nodes) == 0 and list(nodes) == []
+        assert nodes.find("img") is None and nodes.find("obj:0") is None
+
+
+def _node_id_literals(path):
+    """String constants of a module that spell a visual-node id: f-string
+    parts included, docstrings skipped."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    docstrings = {id(n.body[0].value) for n in ast.walk(tree)
+                  if isinstance(n, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                    ast.AsyncFunctionDef))
+                  and n.body and isinstance(n.body[0], ast.Expr)
+                  and isinstance(n.body[0].value, ast.Constant)}
+    return [(node.lineno, node.value) for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and id(node) not in docstrings
+            and (node.value == "img" or node.value.startswith(("obj:", "attr:", "rel:")))]
+
+
+def test_node_ids_are_spelled_only_in_core():
+    src = Path(vgram.__file__).parent
+    found = [f"{path.name}:{line}: {value!r}" for path in sorted(src.glob("*.py"))
+             if path.name != "core.py" for line, value in _node_id_literals(path)]
+    assert found == []
+    # the scan sees the vocabulary where it lives
+    in_core = {value for _, value in _node_id_literals(src / "core.py")}
+    assert in_core >= {"obj:", "attr:", "rel:", "img"}
 
 
 @st.composite

@@ -132,6 +132,19 @@ class TestZeroAA:
                       self.gold, self.graphs, self.images, regions=regions)
         assert res.accuracy == 1.0
 
+    def test_proposal_ids_outside_the_grammar_score_wrong(self):
+        # over one region there is no relationship node: rel:0:0 names
+        # nothing, though the pair (region 0, region 0) would cover r12
+        sg = SceneGraph("img0", (SGObject("o1", bbox=(0, 0, 100, 90)),
+                                 SGObject("o2", bbox=(0, 0, 100, 80))),
+                        (SGAttribute("a1", owner="o1"), SGAttribute("a2", owner="o2")),
+                        (SGRelationship("r12", src="o1", dst="o2"),))
+        res = zero_aa({"s0": align({1: "rel:0:0", 2: "obj:0"})},
+                      {"s0": align({1: "r12", 2: "o1"})}, {"img0": sg}, self.images,
+                      regions={"img0": [(0, 0, 100, 90)]})
+        assert res.evaluated == 2
+        assert res.by_type["RELATIONSHIP"] == (0, 1) and res.by_type["OBJECT"] == (1, 1)
+
     def test_token_missing_from_gold_excluded(self):
         gold = {"s0": align({1: "o1"})}
         res = zero_aa({"s0": align({1: "o1", 2: "o2"})}, gold,

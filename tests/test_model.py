@@ -13,7 +13,6 @@ from vgram.core import (
     SGObject,
     Token,
 )
-from vgram.metrics import resolve_node
 from vgram.model import (
     ATTENTION_MASK,
     Model,
@@ -127,14 +126,6 @@ class TestVisualNodes:
             view[len(expected)]
         rel = [k for k, nd in enumerate(expected) if nd.type is NodeType.RELATIONSHIP]
         assert ns.relationship_indices().tolist() == rel
-        # the evaluation side reads the same naming scheme back
-        for node in view:
-            ref = resolve_node(node.id, None, boxes)
-            assert ref is not None and ref.type is node.type, node.id
-            if node.type is NodeType.RELATIONSHIP:
-                assert ref.endpoints == node.endpoints, node.id
-            else:
-                assert ref.box == node.box, node.id
 
     def test_node_view_two_regions_literal(self):
         model, _, vectors = make_model()
