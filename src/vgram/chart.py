@@ -8,10 +8,11 @@ later ones (non-adjacent). A tree's score is the sum of its root,
 attach, and stop/continue terms.
 
 One span-length recursion, :func:`span_recursion`, serves every chart
-computation. It is parametrised by a :class:`Semiring`: log-sum-exp on
-tape tensors gives the log partition and, through an explicit outside
-pass, the arc posteriors (:mod:`vgram.dmv_graph`); max with argmax
-backpointers on plain arrays gives the Viterbi tree (:func:`viterbi`).
+computation, on plain arrays. It is parametrised by a :class:`Semiring`:
+log-sum-exp, keeping each merge's softmax weights, gives the log
+partition and, through the outside sweep of :mod:`vgram.dmv_graph` over
+those weights, the arc posteriors; max with argmax backpointers gives
+the Viterbi tree (:func:`viterbi`).
 
 The recursion uses a split-head decomposition: each head owns a left
 and a right cone that grow independently, so it stays O(n^3). Each
@@ -39,8 +40,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-
-from vgram.tensor import Tensor
 
 NEG = -1.0e30
 _IMPOSSIBLE = -1.0e25
@@ -125,16 +124,31 @@ class Semiring:
     """How :func:`span_recursion` joins candidates and stores rows.
 
     ``merge`` reduces axis 1, (B, K, ...) -> (B, ...), and returns the
-    reduced values with the index of the winning candidate (None when
-    the semiring keeps no backpointers). ``cat`` joins rows along axis 1.
+    reduced values with what the semiring keeps of the candidates: the
+    index of the winner for :data:`MAX`, the softmax weights for
+    :data:`LOGSUMEXP`. ``cat`` joins rows along axis 1.
     """
 
     merge: Callable
     cat: Callable
 
 
-MAX = Semiring(merge=lambda x: (x.max(axis=1), x.argmax(axis=1)),
-               cat=lambda parts: np.concatenate(parts, axis=1))
+def _cat_rows(parts):
+    return np.concatenate(parts, axis=1)
+
+
+def _logsumexp(x):
+    """Log-sum-exp over axis 1 with :func:`vgram.tensor.logsumexp`'s
+    arithmetic, and the candidates' softmax weights."""
+    top = x.max(axis=1, keepdims=True)
+    top = np.where(np.isfinite(top), top, 0.0)
+    shifted = np.exp(x - top)
+    total = shifted.sum(axis=1, keepdims=True)
+    return (top + np.log(total))[:, 0], shifted / total
+
+
+MAX = Semiring(merge=lambda x: (x.max(axis=1), x.argmax(axis=1)), cat=_cat_rows)
+LOGSUMEXP = Semiring(merge=_logsumexp, cat=_cat_rows)
 
 
 @dataclass
@@ -143,10 +157,10 @@ class SpanTables:
 
     flat: dict              # table name -> rows stored back to back, (B, cells)
     first: np.ndarray       # first[L]: where row L starts (ir/il: first[L] - n)
-    back: dict[str, list]   # "ir", "il", "ro", "lo" -> winner index by span length
-    root_terms: object      # (B, n): root r plus both of its closed cones
-    total: object           # (B,): root_terms merged
-    root_arg: object        # (B,) winning root index - 1, or None
+    back: dict[str, list]   # "ir", "il", "ro", "lo" -> merge args by span length
+    root_terms: np.ndarray  # (B, n): root r plus both of its closed cones
+    total: np.ndarray       # (B,): root_terms merged
+    root_arg: np.ndarray    # the root merge's arg
 
 
 def _gathers(first: np.ndarray, length: int):
@@ -176,10 +190,11 @@ def span_recursion(sr: Semiring, attach, stop, cont, root) -> SpanTables:
     """Fill every chart table, shortest spans first, under semiring ``sr``.
 
     The score tables are those of :class:`DmvScores` with a leading batch
-    axis: attach (B, n+1, n+1), stop/cont (B, n+1, 2, 2), root (B, n+1);
-    all tape Tensors or all ndarrays. Candidates are laid out in a fixed
-    order: ascending split point for arcs, ascending dependent position
-    for cone extensions, ascending root index.
+    axis: attach (B, n+1, n+1), stop/cont (B, n+1, 2, 2), root (B, n+1).
+    Candidates are laid out in a fixed order: ascending split point for
+    arcs, ascending dependent position for cone extensions, ascending
+    root index. So are the merges: ir, il, ro, lo for each span length,
+    shortest first, then the root.
     """
     n = root.shape[1] - 1
     if n < 1:
@@ -218,27 +233,24 @@ def span_recursion(sr: Semiring, attach, stop, cont, root) -> SpanTables:
                       total=total, root_arg=root_arg)
 
 
-def _batch_of_one(scores: DmvScores, wrap=np.asarray) -> tuple:
-    return tuple(wrap(a[None]) for a in
-                 (scores.attach, scores.stop, scores.cont, scores.root))
+def _batch_of_one(scores: DmvScores) -> tuple:
+    return tuple(a[None] for a in (scores.attach, scores.stop, scores.cont, scores.root))
 
 
 def log_partition(scores: DmvScores) -> float:
-    """Log-sum over all single-root projective trees (no gradients)."""
-    from vgram.dmv_graph import inside_outside   # it builds on this module
-    out = inside_outside(*_batch_of_one(scores, Tensor), need_posteriors=False)
-    return float(out.log_partition.numpy()[0])
+    """Log-sum over all single-root projective trees."""
+    return float(span_recursion(LOGSUMEXP, *_batch_of_one(scores)).total[0])
 
 
 def arc_posteriors(scores: DmvScores) -> np.ndarray:
     """Marginal arc probabilities P[h][d] under the chart distribution.
 
     Row 0 holds ROOT-arc posteriors; columns sum to 1 over heads. This
-    is the explicit outside pass of :func:`vgram.dmv_graph.inside_outside`
-    on one sentence, without gradients.
+    is the outside sweep of :func:`vgram.dmv_graph.inside_outside` on one
+    sentence.
     """
-    from vgram.dmv_graph import inside_outside
-    return inside_outside(*_batch_of_one(scores, Tensor)).posteriors.numpy()[0]
+    from vgram.dmv_graph import posteriors   # it builds on this module
+    return posteriors(span_recursion(LOGSUMEXP, *_batch_of_one(scores)))[0]
 
 
 def viterbi(scores: DmvScores) -> tuple[list[int], float]:

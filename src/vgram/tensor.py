@@ -10,7 +10,8 @@ laid one after another, with a sparse argmax backward, for the
 contrastive loss). ``max_similarity`` scores the rows in blocks that
 fit the cache, one matmul per block against all images of one node
 count. Every gather (``getitem``, ``take``) scatters its gradient back
-with one ``bincount`` over the flat cells it read.
+with ``bincount``: one over the flat cells it read, or, when it selects
+whole rows, one per column over the rows it read.
 
 Two fused ops stand for chains that would otherwise keep several
 copies of the largest rows on the tape, with the same numbers bit for
@@ -303,7 +304,12 @@ def matmul(a, b) -> Tensor:
         if a.requires_grad:
             ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
             a.accumulate(_unbroadcast(ga, a.shape))
-        if b.requires_grad:
+        if b.requires_grad and b.ndim == 2 < a.ndim:
+            # a batched x @ W: one GEMM over the flattened batch rows, not
+            # a (B, K, N) stack of per-batch gradients summed afterwards
+            b.accumulate(np.matmul(a.data.reshape(-1, a.shape[-1]).T,
+                                   g.reshape(-1, g.shape[-1])))
+        elif b.requires_grad:
             gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
             b.accumulate(_unbroadcast(gb, b.shape))
 
@@ -381,12 +387,40 @@ def getitem(a, key) -> Tensor:
 def _scatter_add(shape: tuple[int, ...], key, g: np.ndarray) -> np.ndarray:
     """Zeros of ``shape`` with ``g`` summed in at ``key``, each cell in
     gather order: ``np.add.at``'s result, as one ``bincount`` over the
-    flat cells the key selects."""
+    flat cells the key selects. A key that leaves the last axis whole
+    selects rows: it indexes the rows only and runs one ``bincount`` per
+    column, so no index or copy the size of ``g`` is made."""
+    if _rows_only(key, len(shape)) and shape[-1]:
+        rows = math.prod(shape[:-1])
+        picked = np.arange(rows).reshape(shape[:-1])[key].ravel()
+        cols = g.reshape(-1, shape[-1])
+        out = np.empty((rows, shape[-1]))
+        for k in range(shape[-1]):
+            out[:, k] = np.bincount(picked, cols[:, k], minlength=rows)
+        return out.reshape(shape)
     size = math.prod(shape)
     cells = np.arange(size).reshape(shape)[key]
     # bincount of an empty selection is int64, whatever the weights
     return np.bincount(np.ravel(cells), np.ravel(g), minlength=size).astype(
         np.float64, copy=False).reshape(shape)
+
+
+def _rows_only(key, ndim: int) -> bool:
+    """Whether ``key`` indexes only leading axes of an ``ndim``-axis array:
+    no ``None`` or ``...``, and fewer axes consumed than it has."""
+    parts = key if isinstance(key, tuple) else (key,)
+    consumed = 0
+    for part in parts:
+        if part is None or part is Ellipsis:
+            return False
+        if isinstance(part, slice):
+            consumed += 1
+            continue
+        part = np.asarray(part)
+        if part.dtype == bool and part.ndim == 0:   # adds an axis, as None does
+            return False
+        consumed += part.ndim if part.dtype == bool else 1
+    return consumed < ndim
 
 
 def put_at(values, key, shape: tuple[int, ...]) -> Tensor:

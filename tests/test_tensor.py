@@ -70,6 +70,18 @@ class TestBasicOps:
         fn = getattr(T, op if op != "matmul" else "matmul")
         check_grads(lambda x, y: T.tsum(fn(x, y)), [a, b])
 
+    def test_batched_weight_gradient_matches_per_batch_sum(self):
+        # x @ W with a 2-D W: one GEMM over the flattened rows gives the
+        # per-batch gradients' sum, up to summation order
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.normal(size=(3, 5, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+        g = rng.normal(size=(3, 5, 6))
+        T.matmul(x, w).backward(g)
+        want = sum(x.data[b].T @ g[b] for b in range(3))
+        np.testing.assert_allclose(w.grad, want, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(x.grad, g @ w.data.T, rtol=1e-13, atol=1e-13)
+
     def test_broadcast_add(self):
         rng = np.random.default_rng(1)
         check_grads(lambda x, y: T.tsum(T.mul(T.add(x, y), T.add(x, y))),
@@ -401,6 +413,19 @@ class TestScatterAdd:
         got = T._scatter_add(shape, key, g)
         assert got.dtype == np.float64
         np.testing.assert_array_equal(got, add_at(shape, key, g))
+
+    @pytest.mark.parametrize("key", [
+        (np.array([4, 1, 4, 4, 0]),),
+        (slice(None), np.array([[2, 0], [2, 2]])),
+        (np.array([3, 3, 1])[:, None], np.array([1, 1])[None, :]),
+    ])
+    def test_row_keys_match_add_at_with_repeats(self, key):
+        # keys that leave the last axis whole scatter per column, in
+        # gather order: bit for bit what np.add.at sums
+        shape = (5, 3, 4)
+        assert T._rows_only(key, len(shape))
+        g = np.random.default_rng(3).normal(size=np.zeros(shape)[key].shape)
+        np.testing.assert_array_equal(T._scatter_add(shape, key, g), add_at(shape, key, g))
 
     def test_take_backward_sums_repeats(self):
         emb = Tensor(np.zeros((4, 2)), requires_grad=True)

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import vgram.tensor as T
 from vgram.config import resolve, to_model_config
 from vgram.core import Regions
 from vgram.data import SynthConfig, synth_generate
@@ -125,6 +126,23 @@ class TestTrainer:
             trainer.run_epoch()
         message = str(err.value)
         assert f"from {op}" in message
+        assert any(repr(s.id) in message for s in tiny.train), message
+
+    def test_overflowing_chart_names_inside_outside_and_batch(self, tiny, monkeypatch):
+        # finite attach scores near 1e308 whose chart sums overflow
+        model = build_model(tiny)
+        scores = model.decoder_scores
+
+        def huge(*args):
+            attach, stop, cont, root = scores(*args)
+            return T.add(attach, 1e308), stop, cont, root
+
+        monkeypatch.setattr(model, "decoder_scores", huge)
+        trainer = Trainer(model, tiny.train, tiny.features, settings())
+        with pytest.raises(FloatingPointError) as err:
+            trainer.run_epoch()
+        message = str(err.value)
+        assert "from inside_outside" in message
         assert any(repr(s.id) in message for s in tiny.train), message
 
     def test_empty_corpus_rejected(self, tiny):
