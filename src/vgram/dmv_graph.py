@@ -166,7 +166,8 @@ def inside_outside(attach: Tensor, stop: Tensor, cont: Tensor, root: Tensor,
     """
     leaves = (attach, stop, cont, root)
     batch, n = root.shape[0], root.shape[1] - 1
-    with np.errstate(over="ignore", invalid="ignore"):   # non-finite trips in _make
+    # an overflow shows as a non-finite result, which _make reports
+    with np.errstate(over="ignore", invalid="ignore"):
         tables = span_recursion(LOGSUMEXP, *(t.data for t in leaves))
         weights = tables.root_arg
         data = tables.total
