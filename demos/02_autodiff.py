@@ -3,8 +3,8 @@
 
 The tensor core is a small reverse-mode tape over numpy in double
 precision. This script differentiates a few classics, checks one
-against the analytic answer, and runs the adaptive-moment optimizer on
-a quadratic bowl.
+against the analytic answer, shows that backward consumes its tape, and
+runs the adaptive-moment optimizer on a quadratic bowl.
 """
 
 import numpy as np
@@ -41,7 +41,8 @@ def loss_of(wa, ba):
     return T.tsum(T.logsumexp(h, axis=-1)).item()
 
 
-T.tsum(T.logsumexp(T.relu(T.add(T.matmul(inp, w), b)), axis=-1)).backward()
+loss = T.tsum(T.logsumexp(T.relu(T.add(T.matmul(inp, w), b)), axis=-1))
+loss.backward()
 eps = 1e-6
 fd = np.zeros((3, 3))
 for i in range(3):
@@ -51,6 +52,15 @@ for i in range(3):
         wm[i, j] -= eps
         fd[i, j] = (loss_of(wp, b.numpy()) - loss_of(wm, b.numpy())) / (2 * eps)
 print("\nmax |tape - finite difference| on W:", np.abs(w.grad - fd).max())
+
+# backward consumes the tape as it goes: the loss keeps its value, but
+# its graph is gone, so a second backward through it raises
+try:
+    loss.backward()
+except RuntimeError as err:
+    print("second backward through the same graph:", err)
+else:
+    raise SystemExit("a second backward ran through a consumed graph")
 
 # thirty optimizer steps down a quadratic
 store = ParameterStore()

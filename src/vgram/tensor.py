@@ -33,6 +33,14 @@ to ``backward`` is never written.
 Interior gradients are dropped as soon as backward has propagated them;
 leaves (parameters) keep theirs and accumulate over backward calls
 until ``ParameterStore.zero_grad``.
+
+The tape lives until backward has passed it, not until the loss is
+dropped. Backward consumes each interior node once its backward has
+run: the node lets go of its closure and parents, so every forward
+array is freed as soon as the last backward that reads it is done,
+while the caller still holds the loss. A consumed tensor keeps its
+value, but a later backward that reaches it raises ``RuntimeError``
+naming its op; one graph takes one backward.
 """
 
 from __future__ import annotations
@@ -67,8 +75,13 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+def _op_name(backward: Callable) -> str:
+    """The op whose ``backward`` closure this is."""
+    return backward.__qualname__.partition(".")[0]
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "_spent")
 
     def __init__(self, data, requires_grad: bool = False,
                  _parents: tuple = (), _backward: Optional[Callable] = None):
@@ -79,6 +92,7 @@ class Tensor:
         self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
         self._parents = _parents if self.requires_grad else ()
         self._backward = _backward if self.requires_grad else None
+        self._spent: Optional[str] = None   # the op, once a backward consumed it
 
     # -- introspection ------------------------------------------------
 
@@ -125,6 +139,9 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._spent:
+                raise RuntimeError(f"backward reached the output of {node._spent}, "
+                                   f"whose tape an earlier backward consumed")
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
@@ -134,11 +151,16 @@ class Tensor:
             if node._parents:   # stale if an earlier backward was interrupted
                 node.grad = None
         self.grad = grad
-        for node in reversed(order):
+        # taken off the list one at a time, so a node nothing else holds
+        # is freed, with its value and closure, once its backward has run
+        while order:
+            node = order.pop()
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-            if node._parents:   # propagated: only leaves keep a gradient
+            if node._parents:   # consumed: only leaves keep a gradient
                 node.grad = None
+                node._spent = _op_name(node._backward)
+                node._parents, node._backward = (), None
 
     def accumulate(self, grad: np.ndarray) -> None:
         # ``grad`` may be shared with other tensors, so it is kept, never
@@ -202,8 +224,7 @@ def _make(data, parents, backward) -> Tensor:
     try:
         return Tensor(data, _parents=tuple(parents), _backward=backward)
     except FloatingPointError:
-        op = backward.__qualname__.partition(".")[0]
-        raise FloatingPointError(f"non-finite values from {op}") from None
+        raise FloatingPointError(f"non-finite values from {_op_name(backward)}") from None
 
 
 # -- elementwise ------------------------------------------------------
@@ -584,11 +605,15 @@ def l2_normalize(a, axis: int = -1, eps: float = 1e-12) -> Tensor:
     out_data = a.data / norm
 
     def backward(g):
-        a.accumulate(g / norm)
         g_norm = _unbroadcast(-g * a.data / (norm * norm), norm.shape)
         square = np.broadcast_to(g_norm * 0.5 / norm, a.shape) * a.data
-        a.accumulate(square)
-        a.accumulate(square)
+        # the three terms summed in one fresh buffer, in accumulate's order
+        grad = np.divide(g, norm, order="C")
+        if a.grad is not None:
+            np.add(a.grad, grad, out=grad)
+        grad += square
+        grad += square
+        a.grad = grad
 
     return _make(out_data, (a,), backward)
 
@@ -865,6 +890,8 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], str]:
         name = take(unpack("<H")).decode("utf-8")
         shape = tuple(unpack("<I") for _ in range(unpack("<B")))
         data = np.frombuffer(take(4 * math.prod(shape)), dtype="<f4").reshape(shape)
+        if not np.isfinite(data).all():
+            raise ValueError(f"{path}: non-finite values in parameter {name}")
         params[name] = data.astype(np.float64)
     if pos != len(raw):
         raise ValueError(f"{path}: {len(raw) - pos} trailing bytes after the last parameter")

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from vgram import core, data
@@ -246,6 +247,24 @@ def test_checkpoint_digest_guard(dataset, tmp_path):
     # different config -> digest mismatch -> data error unless overridden
     assert main(base + DIMS + ["--set", "lr=0.9"]) == 2
     assert main(base + DIMS + ["--set", "lr=0.9", "--allow-digest-mismatch"]) == 0
+
+
+def test_non_finite_checkpoint_is_data_error(dataset, tmp_path, capsys):
+    run = tmp_path / "run"
+    args = ["--corpus", str(dataset / "corpus.test.jsonl"),
+            "--features", str(dataset / "features.jsonl"),
+            "--embeddings", str(dataset / "embeddings.jsonl")]
+    assert main(["train"] + args + ["--out", str(run), "--set", "epochs=1"] + DIMS) == 0
+    ckpt = run / "ckpt_final.bin"
+    raw = ckpt.read_bytes()
+    ckpt.write_bytes(raw[:-4] + np.array([np.nan], dtype="<f4").tobytes())
+    capsys.readouterr()
+    rc = main(["parse"] + args + ["--ckpt", str(ckpt), "--out", str(tmp_path / "pred.jsonl"),
+                                  "--allow-digest-mismatch"] + DIMS)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"data error: {ckpt}: non-finite values in parameter" in err
+    assert "Traceback" not in err
 
 
 def test_parse_workers_match_serial(dataset, tmp_path):

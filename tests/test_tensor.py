@@ -1,6 +1,7 @@
 import math
 import os
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -166,15 +167,30 @@ class TestBasicOps:
         with pytest.raises(ValueError):
             Tensor(np.ones(())).backward()
 
-    def test_second_backward_through_shared_tensors_is_fresh(self):
-        # x sits on both tapes; its gradient from the first backward must
-        # not be propagated again by the second
+    def test_second_backward_through_a_consumed_tensor_raises(self):
+        # x sits on both tapes; the first backward consumed it, so the
+        # second cannot reach w through it and says so
         w = Tensor(np.ones((2, 2)), requires_grad=True)
         x = T.matmul(np.ones((1, 2)), w)
-        for _ in range(2):
-            w.grad = None
+        loss = T.tsum(T.mul(x, 1.0))
+        loss.backward()
+        np.testing.assert_array_equal(w.grad, np.ones((2, 2)))
+        with pytest.raises(RuntimeError, match="output of matmul"):
             T.tsum(T.mul(x, 1.0)).backward()
-            np.testing.assert_array_equal(w.grad, np.ones((2, 2)))
+        with pytest.raises(RuntimeError, match="output of tsum"):
+            loss.backward()
+        np.testing.assert_array_equal(w.grad, np.ones((2, 2)))
+
+    def test_backward_frees_the_tape_while_the_loss_is_held(self):
+        w = Tensor(np.ones((3, 4)), requires_grad=True)
+        h = T.relu(T.matmul(np.ones((5, 3)), w))
+        freed = weakref.ref(h.data)
+        loss = T.tsum(h)
+        del h
+        loss.backward()
+        assert freed() is None
+        assert loss._parents == () and loss._backward is None
+        np.testing.assert_array_equal(w.grad, np.full((3, 4), 5.0))
 
     def test_leaves_accumulate_across_backwards(self):
         w = Tensor(np.ones(3), requires_grad=True)
@@ -213,9 +229,9 @@ class TestGradientOwnership:
         h = T.relu(T.linear(x, w, b))
         mixed = T.concat([h, T.swapaxes(T.stack([h, h], axis=2), 1, 2)[:, 0]], axis=1)
         loss = T.tsum(T.logsumexp(mixed, axis=-1))
+        # backward consumes the tape, so collect it first
+        interior = [t for t in tape_of(loss) if t._parents]
         loss.backward()
-        tape = tape_of(loss)
-        interior = [t for t in tape if t._parents]
         assert len(interior) > 8
         assert all(t.grad is None for t in interior)
         assert w.grad is not None and b.grad is not None
@@ -724,6 +740,14 @@ class TestCheckpoint:
         with open(path, "wb") as f:
             f.write(raw + b"\0")
         with pytest.raises(ValueError, match=f"{path}: 1 trailing bytes"):
+            T.load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        path, raw = self._saved(tmp_path)
+        with open(path, "wb") as f:   # the last float32 is b's last entry
+            f.write(raw[:-4] + np.array([value], dtype="<f4").tobytes())
+        with pytest.raises(ValueError, match=f"{path}: non-finite values in parameter b"):
             T.load_checkpoint(path)
 
     @pytest.mark.parametrize("values,message", [
