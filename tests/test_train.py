@@ -166,8 +166,20 @@ def default_model(world):
 
 
 class TestStepMemory:
-    """The tape's gradients are freed as backward spends them, and no
-    step's tape outlives the step."""
+    """The tape's gradients are freed as backward spends them, the tape
+    itself as backward passes it, and no step's tape outlives the step."""
+
+    @staticmethod
+    def peaks(model, batch) -> tuple[int, int]:
+        """Traced peak bytes of one joint forward, and of it plus backward."""
+        tracemalloc.start()
+        try:
+            total, _, _ = model.total_loss(batch, lambda_cl=0.5)
+            forward_peak = tracemalloc.get_traced_memory()[1]
+            total.backward()
+            return forward_peak, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_backward_peak_near_forward_peak(self, desk, n):
@@ -175,22 +187,16 @@ class TestStepMemory:
         trainer = Trainer(model, desk.train, desk.features, TrainSettings())
         batch = trainer._assemble([s for s in desk.train if len(s) == n][:16])
         assert len(batch.sentence_ids) == 16
-        tracemalloc.start()
-        try:
-            total, _, _ = model.total_loss(batch, lambda_cl=0.5)
-            forward_peak = tracemalloc.get_traced_memory()[1]
-            total.backward()
-            step_peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        forward_peak, step_peak = self.peaks(model, batch)
         # holding every interior gradient until the end doubles the peak
         assert step_peak < 1.5 * forward_peak
 
     @staticmethod
-    def random_batch(desk, model, n=8, regions=10):
-        """A random B = 16 batch of length ``n`` on images of ``regions``
-        regions (the default world's n plus 2 distractors at n = 8)."""
+    def random_batch(desk, model):
+        """A random B = 16 batch at n = 8 on images of 10 regions (the
+        default world's n plus 2 distractors)."""
         rng = np.random.default_rng(8)
+        n, regions = 8, 10
         boxes = [(0.0, 0.0, 1.0, 1.0)] * regions
         return SentenceBatch(
             word_ids=rng.integers(1, len(desk.vocab) + 1, (16, n)),
@@ -205,15 +211,7 @@ class TestStepMemory:
         tape: about 1.05x at n = 8, 1.37x when the whole tape lived until
         the step's end."""
         model = default_model(desk)
-        batch = self.random_batch(desk, model)
-        tracemalloc.start()
-        try:
-            total, _, _ = model.total_loss(batch, lambda_cl=0.5)
-            forward_peak = tracemalloc.get_traced_memory()[1]
-            total.backward()
-            step_peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        forward_peak, step_peak = self.peaks(model, self.random_batch(desk, model))
         assert step_peak < 1.2 * forward_peak, \
             f"step peak {step_peak / 2**20:.1f} MB, forward {forward_peak / 2**20:.1f} MB"
 
