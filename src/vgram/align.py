@@ -158,12 +158,11 @@ class Rewritten:
 
     types: tuple[NodeType, ...]
     parent_of: tuple[int, ...]
-    matched_rules: tuple[Optional[str], ...]
     warnings: tuple[str, ...]
 
 
 def classify_types(sentence: Sentence, rules: RuleSet
-                   ) -> tuple[list[NodeType], list[str], list[Optional[str]], list[str]]:
+                   ) -> tuple[list[NodeType], list[str], list[str]]:
     """Per-token node types and parent directives by first matching rule.
 
     Tokens no rule covers fall to the default: nouns become OBJECT
@@ -175,7 +174,6 @@ def classify_types(sentence: Sentence, rules: RuleSet
     n = len(sentence)
     types: list[NodeType] = []
     directives: list[str] = []
-    matched: list[Optional[str]] = []
     warnings: list[str] = []
     for d in range(1, n + 1):
         label = sentence.dep_labels[d - 1]
@@ -186,9 +184,7 @@ def classify_types(sentence: Sentence, rules: RuleSet
         if rule is not None:
             types.append(rule.node_type or NodeType.OBJECT)
             directives.append(rule.parent)
-            matched.append(rule.id)
             continue
-        matched.append(None)
         if not known:
             warnings.append(f"{sentence.id}: unknown dependency label {label!r} "
                             f"on token {d}, using default rule")
@@ -198,7 +194,7 @@ def classify_types(sentence: Sentence, rules: RuleSet
         else:
             types.append(NodeType.OBJECT)
             directives.append("head")
-    return types, directives, matched, warnings
+    return types, directives, warnings
 
 
 def identify_parents(sentence: Sentence, types: Sequence[NodeType],
@@ -247,10 +243,10 @@ def identify_parents(sentence: Sentence, types: Sequence[NodeType],
 def rewrite(sentence: Sentence, rules: Optional[RuleSet] = None) -> Rewritten:
     """Full rewriting stage: type classification + parent identification."""
     rules = load_rules() if rules is None else rules
-    types, directives, matched, warnings = classify_types(sentence, rules)
+    types, directives, warnings = classify_types(sentence, rules)
     parents = identify_parents(sentence, types, directives)
     return Rewritten(types=tuple(types), parent_of=tuple(parents),
-                     matched_rules=tuple(matched), warnings=tuple(warnings))
+                     warnings=tuple(warnings))
 
 
 class Similarity:

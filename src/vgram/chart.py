@@ -8,11 +8,12 @@ later ones (non-adjacent). A tree's score is the sum of its root,
 attach, and stop/continue terms.
 
 One span-length recursion, :func:`span_recursion`, serves every chart
-computation, on plain arrays. It is parametrised by a :class:`Semiring`:
-log-sum-exp, keeping each merge's softmax weights, gives the log
-partition and, through the outside sweep of :mod:`vgram.dmv_graph` over
-those weights, the arc posteriors; max with argmax backpointers gives
-the Viterbi tree (:func:`viterbi`).
+computation, on plain arrays. It takes the merge that joins each item's
+candidates: :func:`LOGSUMEXP`, keeping each merge's softmax weights,
+gives the log partition and, through the outside sweep of
+:mod:`vgram.dmv_graph` over those weights, the arc posteriors;
+:func:`MAX` with argmax backpointers gives the Viterbi tree
+(:func:`viterbi`).
 
 The recursion uses a split-head decomposition: each head owns a left
 and a right cone that grow independently, so it stays O(n^3). Each
@@ -27,8 +28,8 @@ table holds one row per span length L, indexed by span start i:
              when the item extends the head's cone (il: arc i+L -> i)
 
 Rows are stored back to back in one flat array per table, so each
-merged table takes one gather per operand table and one semiring merge
-per span length.
+merged table takes one gather per operand table and one merge per span
+length.
 
 Everything is log-space double precision. Impossible items carry a
 large negative sentinel rather than -inf so sums never produce NaN.
@@ -119,25 +120,7 @@ def score_tree(scores: DmvScores, heads: Sequence[int]) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class Semiring:
-    """How :func:`span_recursion` joins candidates and stores rows.
-
-    ``merge`` reduces axis 1, (B, K, ...) -> (B, ...), and returns the
-    reduced values with what the semiring keeps of the candidates: the
-    index of the winner for :data:`MAX`, the softmax weights for
-    :data:`LOGSUMEXP`. ``cat`` joins rows along axis 1.
-    """
-
-    merge: Callable
-    cat: Callable
-
-
-def _cat_rows(parts):
-    return np.concatenate(parts, axis=1)
-
-
-def _logsumexp(x):
+def LOGSUMEXP(x):
     """Log-sum-exp over axis 1 with :func:`vgram.tensor.logsumexp`'s
     arithmetic, and the candidates' softmax weights."""
     top = x.max(axis=1, keepdims=True)
@@ -147,8 +130,9 @@ def _logsumexp(x):
     return (top + np.log(total))[:, 0], shifted / total
 
 
-MAX = Semiring(merge=lambda x: (x.max(axis=1), x.argmax(axis=1)), cat=_cat_rows)
-LOGSUMEXP = Semiring(merge=_logsumexp, cat=_cat_rows)
+def MAX(x):
+    """Max over axis 1, and the index of the winner."""
+    return x.max(axis=1), x.argmax(axis=1)
 
 
 @dataclass
@@ -186,8 +170,10 @@ def _root_cones(first: np.ndarray):
     return first, first[::-1] + np.arange(len(first))
 
 
-def span_recursion(sr: Semiring, attach, stop, cont, root) -> SpanTables:
-    """Fill every chart table, shortest spans first, under semiring ``sr``.
+def span_recursion(merge: Callable, attach, stop, cont, root) -> SpanTables:
+    """Fill every chart table, shortest spans first, joining each item's
+    candidates with ``merge``: (B, K, ...) -> (B, ...) reduced over axis 1,
+    and what it keeps of the candidates (:func:`MAX`, :func:`LOGSUMEXP`).
 
     The score tables are those of :class:`DmvScores` with a leading batch
     axis: attach (B, n+1, n+1), stop/cont (B, n+1, 2, 2), root (B, n+1).
@@ -205,22 +191,22 @@ def span_recursion(sr: Semiring, attach, stop, cont, root) -> SpanTables:
             "ir": attach[:, 0, :0], "il": attach[:, 0, :0]}   # no row 0: empty
     back: dict[str, list] = {name: [None] for name in ("ir", "il", "ro", "lo")}
 
-    def merge(name, cands):
-        value, arg = sr.merge(cands)
+    def merged(name, cands):
+        value, arg = merge(cands)
         back[name].append(arg)
         return value
 
     def push(name, row):
-        flat[name] = sr.cat([flat[name], row])
+        flat[name] = np.concatenate([flat[name], row], axis=1)
 
     for length in range(1, n):
         near, far, arc_r, arc_l, left, right = _gathers(first, length)
-        push("ir", merge("ir", flat["roc"][:, near] + flat["lc"][:, far])
+        push("ir", merged("ir", flat["roc"][:, near] + flat["lc"][:, far])
              + attach[:, left, right])
-        push("il", merge("il", flat["rc"][:, near] + flat["loc"][:, far])
+        push("il", merged("il", flat["rc"][:, near] + flat["loc"][:, far])
              + attach[:, right, left])
-        ro = merge("ro", flat["ir"][:, arc_r] + flat["rc"][:, far])
-        lo = merge("lo", flat["il"][:, arc_l] + flat["lc"][:, near])
+        ro = merged("ro", flat["ir"][:, arc_r] + flat["rc"][:, far])
+        lo = merged("lo", flat["il"][:, arc_l] + flat["lc"][:, near])
         push("rc", ro + stop[:, left, RIGHT, NONADJ])
         push("lc", lo + stop[:, right, LEFT, NONADJ])
         push("roc", ro + cont[:, left, RIGHT, NONADJ])
@@ -228,7 +214,7 @@ def span_recursion(sr: Semiring, attach, stop, cont, root) -> SpanTables:
 
     to_lc, to_rc = _root_cones(first)
     root_terms = (root[:, 1:] + flat["lc"][:, to_lc]) + flat["rc"][:, to_rc]
-    total, root_arg = sr.merge(root_terms)
+    total, root_arg = merge(root_terms)
     return SpanTables(flat=flat, first=first, back=back, root_terms=root_terms,
                       total=total, root_arg=root_arg)
 
@@ -254,7 +240,7 @@ def arc_posteriors(scores: DmvScores) -> np.ndarray:
 
 
 def viterbi(scores: DmvScores) -> tuple[list[int], float]:
-    """Best tree and its score: the max semiring plus a backtrace.
+    """Best tree and its score: :func:`MAX` merges plus a backtrace.
 
     Ties go to the first candidate in :func:`span_recursion`'s order,
     so results are deterministic: the smaller split point, then the

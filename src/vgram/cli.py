@@ -24,7 +24,7 @@ from vgram import metrics as metrics_mod
 from vgram.config import ConfigError
 from vgram.data import DataError, Sentence
 from vgram.model import Model, VisualNodeSet
-from vgram.train import Trainer, TrainSettings
+from vgram.train import Trainer
 
 log = logging.getLogger("vgram")
 
@@ -248,6 +248,7 @@ def cmd_align(args, cfg) -> int:
 
 
 def cmd_train(args, cfg) -> int:
+    settings = config_mod.to_train_settings(cfg)
     sentences, tagset = data_mod.load_corpus(args.corpus)
     features = data_mod.load_features(args.features)
     vocab, vectors = data_mod.load_embeddings(args.embeddings)
@@ -261,12 +262,6 @@ def cmd_train(args, cfg) -> int:
     cfg_digest = _log_run(cfg, [args.corpus, args.features, args.embeddings,
                                 args.dev_corpus])
     model = _build_model(cfg, tagset, vocab, vectors, _feat_dim(features))
-    settings = TrainSettings(
-        lr=float(cfg["lr"]), batch_size=int(cfg["batch_size"]),
-        epochs=int(cfg["epochs"]),
-        harmonic_warmup_epochs=int(cfg["harmonic_warmup_epochs"]),
-        grad_clip=float(cfg["grad_clip"]), lambda_cl=float(cfg["lambda"]),
-        seed=int(cfg["seed"]))
     trainer = Trainer(model, sentences, features, settings, dev=dev)
     trainer.train(out_dir=args.out, config_digest=cfg_digest)
     return 0

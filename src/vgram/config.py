@@ -14,6 +14,7 @@ from typing import Optional
 
 from vgram.data import SynthConfig
 from vgram.model import ModelConfig
+from vgram.train import TrainSettings
 
 DEFAULTS: dict[str, object] = {
     # optimization
@@ -138,13 +139,23 @@ def to_model_config(cfg: dict[str, object], tag_count: int, word_dim: int,
         normalize_sim=bool(cfg["normalize_sim"]),
         identity_init=bool(cfg["identity_init"]),
         finetune_word_emb=bool(cfg["finetune_word_emb"]),
-        lambda_cl=float(cfg["lambda"]), second_order=bool(cfg["second_order"]),
-        max_train_len=int(cfg["max_train_len"]),
+        second_order=bool(cfg["second_order"]),
         max_parse_len=int(cfg["max_parse_len"]), seed=int(cfg["seed"]))
 
 
+def to_train_settings(cfg: dict[str, object]) -> TrainSettings:
+    lam = float(cfg["lambda"])
+    if not 0.0 <= lam <= 1.0:
+        raise ConfigError(f"lambda must be in [0, 1], got {lam}")
+    return TrainSettings(
+        lr=float(cfg["lr"]), batch_size=int(cfg["batch_size"]), epochs=int(cfg["epochs"]),
+        harmonic_warmup_epochs=int(cfg["harmonic_warmup_epochs"]),
+        grad_clip=float(cfg["grad_clip"]), lambda_cl=lam,
+        max_train_len=int(cfg["max_train_len"]), seed=int(cfg["seed"]))
+
+
 def to_synth_config(cfg: dict[str, object]) -> SynthConfig:
-    return SynthConfig(
+    synth = SynthConfig(
         tag_count=int(cfg["synth_tags"]),
         concentration=float(cfg["synth_concentration"]),
         sentences=int(cfg["synth_sentences"]), dev_sentences=int(cfg["synth_dev"]),
@@ -153,3 +164,8 @@ def to_synth_config(cfg: dict[str, object]) -> SynthConfig:
         dim=int(cfg["synth_dim"]), sigma=float(cfg["synth_sigma"]),
         distractors=int(cfg["synth_distractors"]),
         words_per_tag=int(cfg["synth_words_per_tag"]), seed=int(cfg["seed"]))
+    try:
+        synth.validate()
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
+    return synth

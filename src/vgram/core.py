@@ -99,16 +99,13 @@ class DependencyTree:
     """A projective dependency tree over a tokenized caption.
 
     ``heads`` has one entry per token (0 = ROOT). ``types`` carries the
-    per-token node type once assigned by the rewriting rules and
-    ``parent_of`` the content-word parent (self for noun-phrase heads).
-    ``labels`` holds typed dependency labels when the corpus provides
-    silver trees.
+    per-token node type once assigned. ``labels`` holds typed dependency
+    labels when the corpus provides silver trees.
     """
 
     tokens: tuple[Token, ...]
     heads: tuple[int, ...]
     types: Optional[tuple[NodeType, ...]] = None
-    parent_of: Optional[tuple[int, ...]] = None
     labels: Optional[tuple[str, ...]] = None
     sentence_id: str = ""
 
@@ -116,8 +113,7 @@ class DependencyTree:
         report = validate_tree(self.heads, len(self.tokens))
         if report is not None:
             raise ValueError(f"invalid tree ({self.sentence_id or '?'}): {report}")
-        for name, extra in (("types", self.types), ("parent_of", self.parent_of),
-                            ("labels", self.labels)):
+        for name, extra in (("types", self.types), ("labels", self.labels)):
             if extra is not None and len(extra) != len(self.tokens):
                 raise ValueError(f"{name} length does not match token count")
 

@@ -1,8 +1,8 @@
 """Batched inside/outside over the valence chart, as one tape op.
 
-The inside pass is :func:`vgram.chart.span_recursion` under the
-plain-numpy :data:`vgram.chart.LOGSUMEXP` semiring, whose merges keep
-their candidates' softmax weights. The outside pass, :func:`outside`, is
+The inside pass is :func:`vgram.chart.span_recursion` with the
+plain-numpy :func:`vgram.chart.LOGSUMEXP` merge, which keeps its
+candidates' softmax weights. The outside pass, :func:`outside`, is
 the reverse sweep of that recursion: lengths descending, on the same
 flat tables and the same :func:`vgram.chart._gathers` indices, each
 merge hands both operands of every candidate the merge's adjoint times
@@ -35,8 +35,8 @@ from typing import Optional
 import numpy as np
 
 import vgram.tensor as T
-from vgram.chart import (LEFT, LOGSUMEXP, RIGHT, Semiring, SpanTables, _cat_rows,
-                         _gathers, _root_cones, span_recursion)
+from vgram.chart import (LEFT, LOGSUMEXP, RIGHT, SpanTables, _gathers, _root_cones,
+                         span_recursion)
 from vgram.tensor import Tensor
 
 
@@ -46,7 +46,6 @@ class BatchCharts:
 
     log_partition: Tensor              # (B,)
     posteriors: Optional[Tensor]       # (B, n+1, n+1); row 0 = ROOT arcs
-    n: int
 
 
 def _cone_cells(first: np.ndarray):
@@ -60,7 +59,7 @@ def _cone_cells(first: np.ndarray):
 
 def outside(tables: SpanTables, top: np.ndarray,
             tangent: Optional[SpanTables] = None) -> dict:
-    """Adjoint of every flat cell of a :data:`LOGSUMEXP` run, given
+    """Adjoint of every flat cell of a :func:`LOGSUMEXP` run, given
     ``top``, the adjoint of its root terms: (B, n), or (2, B, n) with a
     ``tangent`` run. Returns table name -> adjoint, shaped like ``top``
     with the cells last.
@@ -115,7 +114,7 @@ def _arc_table(first: np.ndarray, root: np.ndarray, ir: np.ndarray,
 
 
 def posteriors(tables: SpanTables) -> np.ndarray:
-    """Arc posteriors (B, n+1, n+1) of a :data:`LOGSUMEXP` run."""
+    """Arc posteriors (B, n+1, n+1) of a :func:`LOGSUMEXP` run."""
     root = tables.root_arg
     adj = outside(tables, root)
     return _arc_table(tables.first, root, adj["ir"], adj["il"])
@@ -136,7 +135,7 @@ def _tangent(tables: SpanTables, g_mu: np.ndarray) -> SpanTables:
         return merged, merged
 
     still = np.zeros(g_mu.shape[:1] + (n + 1, 2, 2))
-    return span_recursion(Semiring(merge=merge, cat=_cat_rows), g_mu, still, still, g_mu[:, 0])
+    return span_recursion(merge, g_mu, still, still, g_mu[:, 0])
 
 
 def _valence_sums(first: np.ndarray, right_adj: np.ndarray,
@@ -199,6 +198,6 @@ def inside_outside(attach: Tensor, stop: Tensor, cont: Tensor, root: Tensor,
 
     joint = T._make(data, leaves, backward)
     if not need_posteriors:
-        return BatchCharts(log_partition=joint, posteriors=None, n=n)
+        return BatchCharts(log_partition=joint, posteriors=None)
     return BatchCharts(log_partition=joint[:, 0],
-                       posteriors=T.reshape(joint[:, 1:], (batch, n + 1, n + 1)), n=n)
+                       posteriors=T.reshape(joint[:, 1:], (batch, n + 1, n + 1)))

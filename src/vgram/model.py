@@ -20,7 +20,6 @@ import numpy as np
 import vgram.tensor as T
 from vgram import chart
 from vgram.core import (
-    Box,
     DependencyTree,
     FirstAlignment,
     NodeType,
@@ -57,15 +56,11 @@ class ModelConfig:
     normalize_sim: bool = True
     identity_init: bool = False
     finetune_word_emb: bool = False
-    lambda_cl: float = 0.5
     second_order: bool = True
-    max_train_len: int = 20
     max_parse_len: int = 60
     seed: int = 0
 
     def validate(self) -> None:
-        if not 0.0 <= self.lambda_cl <= 1.0:
-            raise ValueError(f"lambda must be in [0, 1], got {self.lambda_cl}")
         if self.identity_init:
             dims = {self.word_dim, self.hidden_dim, self.feat_dim, self.match_dim}
             if len(dims) != 1:
@@ -82,24 +77,17 @@ class VisualNodeSet:
     A proposal set over M regions keeps the M region features and their
     mean, the image node's row (``regions`` = M), and the M boxes; its
     attribute and relationship rows are learned and ``Model._pad_nodes``
-    computes them per batch. Its ``nodes`` is a ``ProposalNodes`` view,
-    made on the first read and kept: a node is computed from its index
-    only when read, so a parse reads O(n) of the M² + M + 1 nodes and
-    training none. A gold set keeps every node in a list and every
-    node's fixed row (``regions`` = 0).
+    computes them per batch. Its ``nodes`` is a ``ProposalNodes`` view
+    over the boxes: a node is computed from its index only when read, so
+    a parse reads O(n) of the M² + M + 1 nodes and training none. A gold
+    set keeps every node in a list and every node's fixed row
+    (``regions`` = 0).
     """
 
     image_id: str
     rows: np.ndarray       # (M + 1, feat_dim) proposals, (V, feat_dim) gold
+    nodes: Sequence[VisualNode]
     regions: int = 0
-    boxes: Sequence[Box] = ()
-    _nodes: Optional[Sequence[VisualNode]] = None
-
-    @property
-    def nodes(self) -> Sequence[VisualNode]:
-        if self._nodes is None:
-            self._nodes = ProposalNodes(self.boxes)
-        return self._nodes
 
     def __len__(self) -> int:
         m = self.regions
@@ -122,7 +110,6 @@ class SentenceBatch:
     tag_ids: np.ndarray    # (B, n)
     node_sets: list[VisualNodeSet]
     sentence_ids: list[str]
-    trees: Optional[list[DependencyTree]] = None
 
 
 def arc_index(n: int) -> np.ndarray:
@@ -266,8 +253,8 @@ class Model:
             raise ValueError(f"{image_id}: feature dim {feats.shape[1]} != "
                              f"configured {self.config.feat_dim}")
         dummy = feats.sum(axis=0, keepdims=True) * (1.0 / m)
-        return VisualNodeSet(image_id, np.concatenate([feats, dummy]), regions=m,
-                             boxes=regions.boxes)
+        return VisualNodeSet(image_id, np.concatenate([feats, dummy]),
+                             ProposalNodes(regions.boxes), regions=m)
 
     def build_visual_nodes_gold(self, sg: SceneGraph, regions: Optional[Regions] = None
                                 ) -> VisualNodeSet:
@@ -289,7 +276,7 @@ class Model:
                              f"configured {self.config.feat_dim}")
         dummy = mat[:len(sg.objects)].mean(axis=0, keepdims=True)
         nodes.append(image_node(o.bbox for o in sg.objects))
-        return VisualNodeSet(sg.image_id, np.concatenate([mat, dummy]), _nodes=nodes)
+        return VisualNodeSet(sg.image_id, np.concatenate([mat, dummy]), nodes)
 
     def _pad_nodes(self, node_sets: list[VisualNodeSet]
                    ) -> tuple[Tensor, np.ndarray]:
@@ -356,8 +343,8 @@ class Model:
         (B, V_max, hidden) along the mask.
         """
         batch, n = word_ids.shape
-        w = T.take(self.store["embed.word"], word_ids.reshape(-1))
-        g = T.take(self.store["embed.tag"], tag_ids.reshape(-1))
+        w = self.store["embed.word"][word_ids.reshape(-1)]
+        g = self.store["embed.tag"][tag_ids.reshape(-1)]
         x = T.concat([w, g], axis=1)
         inputs = T.linear(x, self.store["enc.in.w"], self.store["enc.in.b"])
         inputs = T.reshape(inputs, (batch, n, self.config.hidden_dim))
@@ -396,9 +383,9 @@ class Model:
         tag_idx = np.tile(np.repeat(np.arange(tcount), 2), batch)
         dir_onehot = np.tile(np.eye(2), (batch * tcount, 1))
         child_in = T.concat([
-            T.take(store["dec.tag"], tag_idx),
+            store["dec.tag"][tag_idx],
             Tensor(dir_onehot),
-            T.take(summary, b_idx),
+            summary[b_idx],
         ], axis=1)
         child = T.mlp(child_in, [(store["dec.child.w1"], store["dec.child.b1"]),
                                  (store["dec.child.w2"], store["dec.child.b2"])])
@@ -409,10 +396,10 @@ class Model:
         dir_onehot = np.tile(np.repeat(np.eye(2), 2, axis=0), (batch * tcount, 1))
         val_onehot = np.tile(np.eye(2), (batch * tcount * 2, 1))
         stop_in = T.concat([
-            T.take(store["dec.tag"], tag_idx),
+            store["dec.tag"][tag_idx],
             Tensor(dir_onehot),
             Tensor(val_onehot),
-            T.take(summary, b_idx),
+            summary[b_idx],
         ], axis=1)
         stop_out = T.mlp(stop_in, [(store["dec.stop.w1"], store["dec.stop.b1"]),
                                    (store["dec.stop.w2"], store["dec.stop.b2"])])
@@ -530,20 +517,19 @@ class Model:
         return T.mul(T.tsum(picked), -1.0 / bsz)
 
     def total_loss(self, batch: SentenceBatch,
-                   lambda_cl: Optional[float] = None) -> tuple[Tensor, float, float]:
+                   lambda_cl: float) -> tuple[Tensor, float, float]:
         """(1 - lambda) * mle + lambda * contrastive, sharing one forward."""
-        lam = self.config.lambda_cl if lambda_cl is None else lambda_cl
-        if not 0.0 <= lam <= 1.0:
-            raise ValueError(f"lambda must be in [0, 1], got {lam}")
+        if not 0.0 <= lambda_cl <= 1.0:
+            raise ValueError(f"lambda must be in [0, 1], got {lambda_cl}")
         nodes = self._pad_nodes(batch.node_sets)
         contexts, summary = self.encode(batch.word_ids, batch.tag_ids, nodes)
         charts = inside_outside(*self.decoder_scores(batch.tag_ids, summary),
-                                need_posteriors=lam > 0.0)
+                                need_posteriors=lambda_cl > 0.0)
         l_mle = T.mul(T.tmean(charts.log_partition), -1.0)
-        if lam == 0.0:
+        if lambda_cl == 0.0:
             return l_mle, l_mle.item(), 0.0
         l_cl = self._contrastive_from(batch, contexts, charts, nodes[0])
-        total = T.add(T.mul(l_mle, 1.0 - lam), T.mul(l_cl, lam))
+        total = T.add(T.mul(l_mle, 1.0 - lambda_cl), T.mul(l_cl, lambda_cl))
         return total, l_mle.item(), l_cl.item()
 
     def harmonic_loss(self, batch: SentenceBatch) -> Tensor:

@@ -9,7 +9,7 @@ fancy indexing, concat/stack, reductions, relu, and ``max_similarity``
 laid one after another, with a sparse argmax backward, for the
 contrastive loss). ``max_similarity`` scores the rows in blocks that
 fit the cache, one matmul per block against all images of one node
-count. Every gather (``getitem``, ``take``) scatters its gradient back
+count. Every gather (``getitem``) scatters its gradient back
 with ``bincount``: one over the flat cells it read, or, when it selects
 whole rows, one per column over the rows it read.
 
@@ -51,7 +51,6 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-GRAD_CLIP_DEFAULT = 5.0
 # float64 scores ``max_similarity`` holds at once: 2 MiB, one core's L2
 _SCORE_BLOCK = 1 << 18
 
@@ -113,9 +112,6 @@ class Tensor:
 
     def numpy(self) -> np.ndarray:
         return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, grad={self.requires_grad})"
@@ -457,13 +453,6 @@ def put_at(values, key, shape: tuple[int, ...]) -> Tensor:
     return _make(out_data, (values,), backward)
 
 
-def take(a, indices, axis: int = 0) -> Tensor:
-    """Gather rows along an axis; the embedding lookup primitive, as
-    ``getitem`` with ``indices`` on that axis."""
-    a = as_tensor(a)
-    return getitem(a, (slice(None),) * (axis % a.ndim) + (np.asarray(indices),))
-
-
 # -- reductions -------------------------------------------------------
 
 
@@ -790,7 +779,7 @@ class ParameterStore:
                 total += float((t.grad * t.grad).sum())
         return math.sqrt(total)
 
-    def clip_gradients(self, max_norm: float = GRAD_CLIP_DEFAULT) -> tuple[float, bool]:
+    def clip_gradients(self, max_norm: float) -> tuple[float, bool]:
         """Scale the gradients to global norm ``max_norm`` when above it
         (0 disables); returns the pre-clip norm and whether it scaled."""
         norm = self.grad_norm()

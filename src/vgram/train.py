@@ -35,6 +35,7 @@ class TrainSettings:
     harmonic_warmup_epochs: int = 1
     grad_clip: float = 5.0
     lambda_cl: float = 0.5
+    max_train_len: int = 20
     seed: int = 0
 
 
@@ -72,7 +73,7 @@ class Trainer:
         self.settings = settings
         self.features = features
         self.dev = list(dev) if dev else []
-        cap = model.config.max_train_len
+        cap = settings.max_train_len
         usable = [s for s in sentences if len(s) <= cap]
         skipped = len(sentences) - len(usable)
         if skipped:
@@ -114,8 +115,7 @@ class Trainer:
         tag_ids = np.stack([[t.pos for t in s.tokens] for s in group])
         return SentenceBatch(word_ids=word_ids, tag_ids=tag_ids,
                              node_sets=node_sets,
-                             sentence_ids=[s.id for s in group],
-                             trees=None)
+                             sentence_ids=[s.id for s in group])
 
     # -- epochs ----------------------------------------------------------
 

@@ -14,7 +14,7 @@ import pytest
 import vgram.tensor as T
 from vgram import chart
 from vgram.chart import DmvScores, enumerate_projective_trees, random_scores
-from vgram.config import resolve, to_model_config, to_synth_config
+from vgram.config import resolve, to_model_config, to_synth_config, to_train_settings
 from vgram.core import (
     SceneGraph,
     SGAttribute,
@@ -34,7 +34,7 @@ from vgram.metrics import (
 )
 from vgram.model import Model, SentenceBatch
 from vgram.align import Similarity, align_sentence, load_rules
-from vgram.train import Trainer, TrainSettings
+from vgram.train import Trainer
 
 pytestmark = pytest.mark.acceptance
 
@@ -252,13 +252,7 @@ def test_criterion_4_synthetic_grammar_recovery():
                          word_dim=synth.embeddings.shape[1],
                          feat_dim=synth.embeddings.shape[1])
     model = Model(mc, synth.vocab, synth.embeddings)
-    settings = TrainSettings(
-        lr=float(cfg["lr"]), batch_size=int(cfg["batch_size"]),
-        epochs=int(cfg["epochs"]),
-        harmonic_warmup_epochs=int(cfg["harmonic_warmup_epochs"]),
-        grad_clip=float(cfg["grad_clip"]), lambda_cl=float(cfg["lambda"]),
-        seed=int(cfg["seed"]))
-    trainer = Trainer(model, synth.train, synth.features, settings)
+    trainer = Trainer(model, synth.train, synth.features, to_train_settings(cfg))
     trainer.train()
     test_dda, _ = trainer.evaluate(synth.test)
     gold = [list(s.heads) for s in synth.test]

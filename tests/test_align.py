@@ -79,7 +79,7 @@ class TestClassifyTypes:
         # "a brown dog": det + amod under the noun head
         s = sent(["a", "brown", "dog"], ["DT", "JJ", "NN"], [3, 3, 0],
                  ["det", "amod", "root"])
-        types, directives, matched, warnings = classify_types(s, rules)
+        types, directives, warnings = classify_types(s, rules)
         assert types[1] is NodeType.ATTRIBUTE
         assert types[2] is NodeType.OBJECT
         assert directives == ["head", "head", "self"]
@@ -88,7 +88,7 @@ class TestClassifyTypes:
     def test_acomp_is_attribute(self, rules):
         s = sent(["the", "dog", "is", "brown"], ["DT", "NN", "VBZ", "JJ"],
                  [2, 3, 0, 3], ["det", "nsubj", "root", "acomp"])
-        types, directives, _, _ = classify_types(s, rules)
+        types, directives, _ = classify_types(s, rules)
         assert types[3] is NodeType.ATTRIBUTE
         assert directives[3] == "subject"
 
@@ -98,7 +98,7 @@ class TestClassifyTypes:
                  ["NNS", "VBG", "IN", "DT", "NN"],
                  [0, 1, 2, 5, 3],
                  ["root", "partmod", "prep", "det", "pobj"])
-        types, _, _, _ = classify_types(s, rules)
+        types, _, _ = classify_types(s, rules)
         assert types[1] is NodeType.RELATIONSHIP
         assert types[2] is NodeType.RELATIONSHIP
         assert types[0] is NodeType.OBJECT
@@ -107,7 +107,7 @@ class TestClassifyTypes:
     def test_every_token_gets_a_type(self, rules):
         s = sent(["x", "mystery", "dog"], ["XX", "YY", "NN"], [3, 3, 0],
                  ["zzz", "qqq", "root"])
-        types, directives, matched, warnings = classify_types(s, rules)
+        types, directives, warnings = classify_types(s, rules)
         assert len(types) == 3
         assert all(t is not None for t in types)
         assert warnings  # unknown labels reported

@@ -7,7 +7,6 @@ from vgram.chart import (
     MAX,
     NEG,
     DmvScores,
-    Semiring,
     arc_posteriors,
     enumerate_projective_trees,
     log_partition,
@@ -247,10 +246,10 @@ def test_one_merge_per_table_per_span_length():
 
         def counting_merge(x):
             shapes.append(x.shape)
-            return MAX.merge(x)
+            return MAX(x)
 
         s = random_scores(n, np.random.default_rng(n))
-        span_recursion(Semiring(merge=counting_merge, cat=MAX.cat),
-                       s.attach[None], s.stop[None], s.cont[None], s.root[None])
+        span_recursion(counting_merge, s.attach[None], s.stop[None], s.cont[None],
+                       s.root[None])
         expected = [(1, length, n - length) for length in range(1, n) for _ in range(4)]
         assert shapes == expected + [(1, n)]

@@ -40,6 +40,8 @@ def test_config_unknown_key():
 def test_config_digest_stable():
     assert digest(resolve()) == digest(resolve())
     assert digest(resolve()) != digest(resolve(overrides={"lr": "0.1"}))
+    # checkpoints carry this digest; a new value restamps every saved default run
+    assert digest(resolve()) == "48897fd49c0159b0"
 
 
 def test_synth_outputs(dataset):
@@ -52,6 +54,8 @@ def test_synth_outputs(dataset):
 def test_usage_error_exit_code():
     assert main(["parse"]) == 1
     assert main(["synth", "--out", "/tmp/x", "--set", "nonsense=1"]) == 1
+    assert main(["synth", "--out", "/tmp/x", "--set", "synth_min_len=20",
+                 "--set", "synth_max_len=5"]) == 1
     assert main(["nosuchcommand"]) == 1
 
 
@@ -202,6 +206,24 @@ def test_eval_pred_equals_gold_is_perfect(dataset, capsys):
 
 def test_eval_without_inputs_is_usage_error(dataset):
     assert main(["eval", "--gold-corpus", str(dataset / "corpus.test.jsonl")]) == 1
+
+
+def test_out_of_range_lambda_is_usage_error(dataset, tmp_path, capsys):
+    rc = main(["train", "--corpus", str(dataset / "corpus.train.jsonl"),
+               "--features", str(dataset / "features.jsonl"),
+               "--embeddings", str(dataset / "embeddings.jsonl"),
+               "--out", str(tmp_path / "run"), "--set", "lambda=1.5"] + DIMS)
+    assert rc == 1
+    assert "usage error: lambda must be in [0, 1]" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_parse_ignores_lambda(dataset, tmp_path):
+    rc = main(["parse", "--corpus", str(dataset / "corpus.test.jsonl"),
+               "--features", str(dataset / "features.jsonl"),
+               "--embeddings", str(dataset / "embeddings.jsonl"),
+               "--out", str(tmp_path / "pred.jsonl"), "--set", "lambda=1.5"] + DIMS)
+    assert rc == 0
 
 
 def test_train_parse_ground_pipeline(dataset, tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import vgram.tensor as T
-from vgram import chart
+from vgram import chart, core
 from vgram.core import (
     NodeType,
     Regions,
@@ -78,10 +78,17 @@ class TestVisualNodes:
         assert len(ns) == 3
         assert kinds.count(NodeType.RELATIONSHIP) == 0
 
-    def test_nodes_built_on_first_read_in_canonical_order(self):
+    def test_nodes_built_on_first_read_in_canonical_order(self, monkeypatch):
+        built = []
+
+        def counting(*args, **kw):
+            built.append(args)
+            return VisualNode(*args, **kw)
+
+        monkeypatch.setattr(core, "VisualNode", counting)
         model, _, vectors = make_model()
         ns = model.build_visual_nodes("img", regions_for(vectors, [0, 1, 2]))
-        assert len(ns) == 13 and ns._nodes is None
+        assert len(ns) == 13 and not built
         assert [nd.id for nd in ns.nodes] == [
             "obj:0", "obj:1", "obj:2", "attr:0", "attr:1", "attr:2",
             "rel:0:1", "rel:0:2", "rel:1:0", "rel:1:2", "rel:2:0", "rel:2:1", "img"]
@@ -155,7 +162,7 @@ class TestVisualNodes:
         regions = regions_for(vectors, [2, 0, 1])
         ns = model.build_visual_nodes("img", regions)
         np.testing.assert_array_equal(ns.rows[:3], regions.feats)
-        assert ns.boxes is regions.boxes
+        assert ns.nodes._boxes is regions.boxes
 
     def test_empty_regions_rejected(self):
         model, _, _ = make_model()
@@ -186,8 +193,8 @@ class TestEncoder:
         feats = Tensor(vectors[0:1])
         mask = np.array([[[0.0, ATTENTION_MASK]]])
         ctx, _ = model.encode(np.array([[1]]), np.array([[0]]), (feats, mask))
-        w = T.take(model.store["embed.word"], np.array([1]))
-        g = T.take(model.store["embed.tag"], np.array([0]))
+        w = model.store["embed.word"][np.array([1])]
+        g = model.store["embed.tag"][np.array([0])]
         inputs = T.linear(T.concat([w, g], axis=1), model.store["enc.in.w"],
                           model.store["enc.in.b"])
         value = T.matmul(Tensor(vectors[0:1]), model.store["enc.attn.v"])
@@ -393,7 +400,7 @@ class TestContrastiveMax:
         batch = random_batch(model, np.random.default_rng(n), n, bsz, regions)
         assert len({len(ns) for ns in batch.node_sets}) > 1
         model.store.zero_grad()
-        loss, _, _ = model.total_loss(batch)
+        loss, _, _ = model.total_loss(batch, 0.5)
         loss.backward()
         return loss.item(), {name: p.grad for name, p in model.store.items()
                              if p.grad is not None}
@@ -454,7 +461,7 @@ class TestContrastiveMax:
         sizes = []
         for bsz in (2, 16):
             batch = random_batch(model, np.random.default_rng(4), 4, bsz, regions=(3, 4))
-            loss, _, _ = model.total_loss(batch)
+            loss, _, _ = model.total_loss(batch, 0.5)
             sizes.append(len(tape_tensors(loss)))
         assert sizes[0] == sizes[1], sizes
 
@@ -465,10 +472,10 @@ class TestContrastiveMax:
         model, _, _ = make_model(vocab_size=12, identity=False, seed=3)
         batch = random_batch(model, np.random.default_rng(3), n, bsz, regions=(4, 7))
         limit = bsz * context_rows(n) * min(len(ns) for ns in batch.node_sets)
-        loss, _, _ = model.total_loss(batch)
+        loss, _, _ = model.total_loss(batch, 0.5)
         assert max(a.size for a in tape_arrays(loss)) < limit
         monkeypatch.setattr(T, "max_similarity", tmax_loop)
-        loss, _, _ = model.total_loss(batch)
+        loss, _, _ = model.total_loss(batch, 0.5)
         assert max(a.size for a in tape_arrays(loss)) >= limit
 
 

@@ -111,7 +111,7 @@ class TestBasicOps:
         rng = np.random.default_rng(6)
         emb = rng.normal(size=(7, 4))
         idx = np.array([1, 3, 3, 0])
-        check_grads(lambda e: T.tsum(T.mul(T.take(e, idx), 2.0)), [emb])
+        check_grads(lambda e: T.tsum(T.mul(e[idx], 2.0)), [emb])
 
     def test_reductions(self):
         rng = np.random.default_rng(7)
@@ -445,10 +445,10 @@ class TestScatterAdd:
 
     def test_take_backward_sums_repeats(self):
         emb = Tensor(np.zeros((4, 2)), requires_grad=True)
-        T.tsum(T.take(emb, [3, 1, 3], axis=0)).backward()
+        T.tsum(emb[np.array([3, 1, 3])]).backward()
         np.testing.assert_array_equal(emb.grad, [[0, 0], [1, 1], [0, 0], [2, 2]])
         col = Tensor(np.zeros((2, 3)), requires_grad=True)
-        T.tsum(T.take(col, [2, 2], axis=-1)).backward()
+        T.tsum(col[:, np.array([2, 2])]).backward()
         np.testing.assert_array_equal(col.grad, [[0, 0, 2], [0, 0, 2]])
 
 
@@ -772,7 +772,7 @@ class TestCheckpoint:
             for _ in range(5):
                 store.zero_grad()
                 T.tsum(T.mul(T.matmul(w, w), 0.1)).backward()
-                store.clip_gradients()
+                store.clip_gradients(5.0)
                 adam_step(store)
             p = os.path.join(tmp_path, f"run{run}.bin")
             T.save_checkpoint(p, store)

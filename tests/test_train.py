@@ -8,7 +8,8 @@ import pytest
 
 import vgram.tensor as T
 from vgram.config import resolve, to_model_config
-from vgram.core import Regions
+from vgram import core
+from vgram.core import Regions, VisualNode
 from vgram.data import SynthConfig, synth_generate
 from vgram.model import Model, SentenceBatch
 from vgram.train import Trainer, TrainSettings
@@ -39,8 +40,7 @@ def settings(**kw):
 class TestTrainer:
     def test_skips_long_sentences(self, tiny):
         model = build_model(tiny)
-        model.config.max_train_len = 3
-        trainer = Trainer(model, tiny.train, tiny.features, settings())
+        trainer = Trainer(model, tiny.train, tiny.features, settings(max_train_len=3))
         assert all(len(s) <= 3 for s in trainer.sentences)
 
     def test_batches_group_by_length(self, tiny):
@@ -50,7 +50,14 @@ class TestTrainer:
             assert len({len(s) for s in group}) == 1
             assert len(group) <= 6
 
-    def test_node_sets_built_once_without_node_metadata(self, tiny):
+    def test_node_sets_built_once_without_node_metadata(self, tiny, monkeypatch):
+        built = []
+
+        def counting(*args, **kw):
+            built.append(args)
+            return VisualNode(*args, **kw)
+
+        monkeypatch.setattr(core, "VisualNode", counting)
         model = build_model(tiny)
         trainer = Trainer(model, tiny.train, tiny.features, settings())
         trainer.run_epoch(warmup=True)
@@ -60,7 +67,7 @@ class TestTrainer:
         assert all(trainer._node_sets[k] is ns for k, ns in cached.items())
         assert set(cached) == {s.image_id for s in trainer.sentences}
         # training reads only the rows; the node objects wait for a parse
-        assert all(ns._nodes is None for ns in cached.values())
+        assert not built
 
     def test_loss_decreases_over_epochs(self, tiny):
         model = build_model(tiny)
@@ -147,9 +154,8 @@ class TestTrainer:
 
     def test_empty_corpus_rejected(self, tiny):
         model = build_model(tiny)
-        model.config.max_train_len = 0
         with pytest.raises(ValueError):
-            Trainer(model, tiny.train, tiny.features, settings())
+            Trainer(model, tiny.train, tiny.features, settings(max_train_len=0))
 
 
 @pytest.fixture(scope="module")
