@@ -37,6 +37,7 @@ large negative sentinel rather than -inf so sums never produce NaN.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -147,21 +148,37 @@ class SpanTables:
     root_arg: np.ndarray    # the root merge's arg
 
 
-def _gathers(first: np.ndarray, length: int):
-    """Flat candidate indices, (length, n - length) each, for one span length,
-    and the end tokens ``left``, ``right`` (1-based, (n - length,)) of its spans.
+def _row_starts(n: int) -> np.ndarray:
+    """Where row L starts in a flat table holding rows 0, 1, ..., n - 1
+    of an n-token chart, row L holding n - L cells."""
+    return np.concatenate([[0], np.cumsum(np.arange(n, 1, -1))])
 
-    ``first[L]`` is where row L starts in a table holding rows 0, 1, ...
-    Candidate k of start i: ``near`` reads row k at start i, ``far`` row
-    length-1-k at start i+k+1; ``arc_r`` reads ir row k+1 at start i and
-    ``arc_l`` il row length-k at start i+k (both tables start at row 1).
+
+# every length of one training step up to 21 tokens, past the default
+# max_train_len; a few hundred KB when a long parse fills it
+@functools.lru_cache(maxsize=20)
+def _gathers(n: int, length: int):
+    """Flat candidate indices, (length, n - length) each, for one span length
+    of an n-token chart, and the end tokens ``left``, ``right`` (1-based,
+    (n - length,)) of its spans.
+
+    With ``first = _row_starts(n)``, candidate k of start i: ``near``
+    reads row k at start i, ``far`` row length-1-k at start i+k+1;
+    ``arc_r`` reads ir row k+1 at start i and ``arc_l`` il row length-k
+    at start i+k (both tables start at row 1). They depend on (n,
+    length) only, so each is built once and kept read-only in a bounded
+    cache: a training step reads them four times per length (the inside
+    pass, the tangent pass, two outside sweeps).
     """
-    n = len(first)
+    first = _row_starts(n)
     k = np.arange(length)[:, None]
     i = np.arange(n - length)
-    return (first[:length, None] + i, first[length - 1::-1, None] + (k + 1 + i),
-            first[1:length + 1, None] + (i - n), first[length:0:-1, None] + (k + i - n),
-            i + 1, i + 1 + length)
+    out = (first[:length, None] + i, first[length - 1::-1, None] + (k + 1 + i),
+           first[1:length + 1, None] + (i - n), first[length:0:-1, None] + (k + i - n),
+           i + 1, i + 1 + length)
+    for index in out:
+        index.flags.writeable = False
+    return out
 
 
 def _root_cones(first: np.ndarray):
@@ -185,7 +202,7 @@ def span_recursion(merge: Callable, attach, stop, cont, root) -> SpanTables:
     n = root.shape[1] - 1
     if n < 1:
         raise ValueError("need at least one token")
-    first = np.concatenate([[0], np.cumsum(np.arange(n, 1, -1))])
+    first = _row_starts(n)
     flat = {"rc": stop[:, 1:, RIGHT, ADJ], "lc": stop[:, 1:, LEFT, ADJ],
             "roc": cont[:, 1:, RIGHT, ADJ], "loc": cont[:, 1:, LEFT, ADJ],
             "ir": attach[:, 0, :0], "il": attach[:, 0, :0]}   # no row 0: empty
@@ -200,7 +217,7 @@ def span_recursion(merge: Callable, attach, stop, cont, root) -> SpanTables:
         flat[name] = np.concatenate([flat[name], row], axis=1)
 
     for length in range(1, n):
-        near, far, arc_r, arc_l, left, right = _gathers(first, length)
+        near, far, arc_r, arc_l, left, right = _gathers(n, length)
         push("ir", merged("ir", flat["roc"][:, near] + flat["lc"][:, far])
              + attach[:, left, right])
         push("il", merged("il", flat["rc"][:, near] + flat["loc"][:, far])

@@ -87,7 +87,7 @@ def outside(tables: SpanTables, top: np.ndarray,
     adj["lc"][..., to_lc] = top
     adj["rc"][..., to_rc] = top
     for length in range(n - 1, 0, -1):
-        near, far, arc_r, arc_l, _, _ = _gathers(first, length)
+        near, far, arc_r, arc_l, _, _ = _gathers(n, length)
         row = slice(first[length], first[length] + n - length)
         # ro/lo row L is closed into rc/lc and extended into roc/loc;
         # it is the last to read ir/il row L (arc_r's last candidate,

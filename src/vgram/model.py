@@ -464,8 +464,9 @@ class Model:
         return T.matmul(rows, T.swapaxes(nodes, -1, -2))
 
     def batch_contexts(self, contexts: Tensor
-                       ) -> tuple[Tensor, Tensor, np.ndarray, np.ndarray]:
-        """Projected token, arc, and second-order contexts plus the
+                       ) -> tuple[list[Tensor], Tensor, np.ndarray, np.ndarray]:
+        """Projected token, arc, and second-order contexts, (B, C_i,
+        match_dim) each and in that order, plus the arc table and the
         ``arc_index`` and ``pattern_index`` rows beyond the first n."""
         n = contexts.shape[1]
         ctx_tok = T.matmul(contexts, self.store["match.ctx"])
@@ -481,7 +482,7 @@ class Model:
                                     (slice(None), pos[:, 1, 0], pos[:, 1, 1]),
                                     self.store["second.w1"], self.store["second.b1"],
                                     self.store["second.w2"], self.store["second.b2"]))
-        return T.concat(parts, axis=1), arc_tbl, pairs, triples
+        return parts, arc_tbl, pairs, triples
 
     def context_weights(self, posteriors: Tensor, n: int,
                         pairs: np.ndarray, triples: np.ndarray) -> Tensor:
@@ -503,18 +504,11 @@ class Model:
     def _contrastive_from(self, batch: SentenceBatch, contexts: Tensor,
                           charts: BatchCharts, feats: Tensor) -> Tensor:
         bsz, n = batch.tag_ids.shape
-        ctx_all, _, pairs, triples = self.batch_contexts(contexts)
+        parts, _, pairs, triples = self.batch_contexts(contexts)
         weights = self.context_weights(charts.posteriors, n, pairs, triples)
-        per_sentence = ctx_all.shape[1]
-        flat_ctx = self._unit(
-            T.reshape(ctx_all, (bsz * per_sentence, self.config.match_dim)))
-        sim_image = T.max_similarity(                             # (B*C, B)
-            flat_ctx, self.node_matrix(feats), [len(ns) for ns in batch.node_sets])
-        sim_plus = T.mul(sim_image, T.reshape(weights, (bsz * per_sentence, 1)))
-        log_probs = T.log_softmax(sim_plus, axis=1)
-        own = np.repeat(np.arange(bsz), per_sentence)
-        picked = log_probs[np.arange(bsz * per_sentence), own]
-        return T.mul(T.tsum(picked), -1.0 / bsz)
+        return T.image_contrastive_nll(parts, self.node_matrix(feats),
+                                       [len(ns) for ns in batch.node_sets], weights,
+                                       -1.0 / bsz, self.config.normalize_sim)
 
     def total_loss(self, batch: SentenceBatch,
                    lambda_cl: float) -> tuple[Tensor, float, float]:

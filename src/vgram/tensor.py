@@ -4,21 +4,28 @@ A Tensor wraps an ndarray and records the operation that produced it;
 ``backward`` replays the tape in reverse topological order. The op set
 is the small closed set the model needs: arithmetic with broadcasting,
 matmul (with leading batch dims), logsumexp/log-softmax, gather and
-fancy indexing, concat/stack, reductions, relu, and ``max_similarity``
-(each row's best dot product per image, over the images' node rows
-laid one after another, with a sparse argmax backward, for the
-contrastive loss). ``max_similarity`` scores the rows in blocks that
-fit the cache, one matmul per block against all images of one node
-count. Every gather (``getitem``) scatters its gradient back
-with ``bincount``: one over the flat cells it read, or, when it selects
-whole rows, one per column over the rows it read.
+fancy indexing, concat/stack, reductions and relu. Every gather
+(``getitem``) scatters its gradient back with ``bincount``: one over
+the flat cells it read, or, when it selects whole rows, one per column
+over the rows it read.
 
-Two fused ops stand for chains that would otherwise keep several
+Three fused ops stand for chains that would otherwise keep several
 copies of the largest rows on the tape, with the same numbers bit for
-bit: ``pair_mlp`` (two gathers, their concat and a two-layer ``mlp``)
-keeps only its rectified hidden rows and its output, and gathers its
-input rows again in backward; ``l2_normalize`` keeps only its output and
-the norms.
+bit. What each keeps until backward:
+
+- ``image_contrastive_nll``, the contrastive loss (the contexts'
+  concat, their normalization, each row's best dot product per image,
+  the weighting, log-softmax and each row's own image): its parts as
+  parents, the row norms, the scores (R, B) and their argmax nodes as
+  int32. It forms the unit rows block by block, in forward and again
+  in backward, and scores them in blocks that fit the cache, one
+  matmul per block against all images of one node count.
+- ``pair_mlp`` (two gathers, their concat and a two-layer ``mlp``): its
+  output and its row indices; backward forms the rectified hidden rows
+  again.
+- ``l2_normalize``: its output and the norms, whose arithmetic it
+  shares with ``image_contrastive_nll``.
+
 Forward results are checked finite after every op, so a NaN trips
 immediately at its source instead of three modules later; the error
 names the op that made it.
@@ -51,7 +58,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-# float64 scores ``max_similarity`` holds at once: 2 MiB, one core's L2
+# float64 values a blocked op holds per block: 2 MiB, one core's L2
 _SCORE_BLOCK = 1 << 18
 
 
@@ -502,68 +509,19 @@ def _row_blocks(count: int, width: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
-def max_similarity(rows, nodes, counts: Sequence[int]) -> Tensor:
-    """Best match per row and image: ``out[r, b] = max_v rows[r] ·
-    nodes[v]`` over image b's node rows, shape (R, B).
-
-    ``nodes`` (V, d) holds the images' node rows one after another:
-    image b owns ``counts[b]`` rows from ``sum(counts[:b])`` on. Equals
-    stacking ``tmax(rows @ block_b.T, axis=-1)`` over the blocks, with
-    the same first-maximum ties, up to the rounding of the matmuls: BLAS
-    may order a product's terms by its shape, so a score can differ in
-    its last bit. The images are grouped by node count; each group's
-    node rows sit side by side in one table, and the rows are scored
-    against it in blocks of about ``_SCORE_BLOCK`` scores, so no score
-    matrix outgrows the cache and each block is reduced while it is
-    still warm. The tape keeps only the argmax node rows; backward
-    gathers through them block by block and scatters onto the nodes one
-    feature column at a time.
-    """
-    rows, nodes = as_tensor(rows), as_tensor(nodes)
-    count, dim = rows.shape
-    if not len(counts) or min(counts) < 1 or sum(counts) != nodes.shape[0]:
-        raise ValueError(f"node counts {list(counts)} do not fit nodes {nodes.shape}")
-    bounds = np.cumsum([0, *counts])
-    out_data = np.empty((count, len(counts)))
-    args = np.empty((count, len(counts)), dtype=np.intp)
-    for v in np.unique(counts):
-        # unpadded: each image's scores are a product over its own v rows
-        images = np.flatnonzero(np.asarray(counts) == v)
-        table = nodes.data[(bounds[images, None] + np.arange(v)).ravel()].T
-        for blk in _row_blocks(count, len(images) * v):
-            scores = (rows.data[blk] @ table).reshape(-1, len(images), v)
-            arg = scores.argmax(axis=-1)   # a NaN is its row's argmax, so it trips below
-            out_data[blk, images] = np.take_along_axis(scores, arg[..., None], -1)[..., 0]
-            args[blk, images] = bounds[images] + arg
-
-    def backward(g):
-        if rows.requires_grad:
-            grad = np.empty_like(rows.data)
-            for blk in _row_blocks(count, len(counts) * dim):
-                grad[blk] = np.einsum("rb,rbk->rk", g[blk], nodes.data[args[blk]])
-            rows.accumulate(grad)
-        if nodes.requires_grad:
-            # scatter-add of the weighted rows onto their argmax nodes, one
-            # column at a time over every (row, image) pair: a node belongs
-            # to one image, so each cell sums its rows in ascending order
-            grad = np.empty(nodes.shape)
-            targets = args.ravel()
-            for k in range(dim):
-                grad[:, k] = np.bincount(targets, (g * rows.data[:, k, None]).ravel(),
-                                         minlength=len(grad))
-            nodes.accumulate(grad)
-
-    return _make(out_data, (rows, nodes), backward)
+def _logsumexp(a: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Log-sum-exp of ``a`` over ``axis``, dims kept, and the softmax
+    weights of its entries."""
+    m = a.max(axis=axis, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    shifted = np.exp(a - m)
+    total = shifted.sum(axis=axis, keepdims=True)
+    return m + np.log(total), shifted / total
 
 
 def logsumexp(a, axis: int, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
-    m = a.data.max(axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    shifted = np.exp(a.data - m)
-    total = shifted.sum(axis=axis, keepdims=True)
-    out_full = m + np.log(total)
-    soft = shifted / total
+    out_full, soft = _logsumexp(a.data, axis)
 
     def backward(g):
         if a.requires_grad:
@@ -582,29 +540,212 @@ def softmax(a, axis: int = -1) -> Tensor:
     return exp(log_softmax(a, axis))
 
 
+def _norm(a: np.ndarray, axis: int = -1, eps: float = 1e-12) -> np.ndarray:
+    """``sqrt(sum(a * a, axis) + eps)``, dims kept."""
+    return np.sqrt((a * a).sum(axis=axis, keepdims=True) + eps)
+
+
+def _normalized_grad(g: np.ndarray, a: np.ndarray, norm: np.ndarray, axis: int = -1,
+                     prior: Optional[np.ndarray] = None) -> np.ndarray:
+    """The gradient ``a`` gets from ``g`` on ``a / norm``, added to
+    ``prior``: the arithmetic of the chain mul, tsum, add, sqrt, div in
+    its tape's order, ``g / norm`` first, then the two ``a * a`` terms,
+    summed in one fresh buffer."""
+    g_norm = (-g * a / (norm * norm)).sum(axis=axis, keepdims=True)
+    square = np.broadcast_to(g_norm * 0.5 / norm, a.shape) * a
+    grad = np.divide(g, norm, order="C")
+    if prior is not None:
+        np.add(prior, grad, out=grad)
+    grad += square
+    grad += square
+    return grad
+
+
 def l2_normalize(a, axis: int = -1, eps: float = 1e-12) -> Tensor:
     """``a / sqrt(sum(a * a, axis) + eps)`` as one op that keeps its
-    output and the norms. Backward replays the arithmetic of the chain
-    mul, tsum, add, sqrt, div in its tape's order: ``a`` gets ``g /
-    norm`` first, then the two ``a * a`` terms."""
+    output and the norms."""
     a = as_tensor(a)
-    norm = np.sqrt((a.data * a.data).sum(axis=axis, keepdims=True) + eps)
+    norm = _norm(a.data, axis, eps)
     if not np.isfinite(norm).all():
         raise FloatingPointError("non-finite values from l2_normalize (norm)")
     out_data = a.data / norm
 
     def backward(g):
-        g_norm = _unbroadcast(-g * a.data / (norm * norm), norm.shape)
-        square = np.broadcast_to(g_norm * 0.5 / norm, a.shape) * a.data
-        # the three terms summed in one fresh buffer, in accumulate's order
-        grad = np.divide(g, norm, order="C")
-        if a.grad is not None:
-            np.add(a.grad, grad, out=grad)
-        grad += square
-        grad += square
-        a.grad = grad
+        a.grad = _normalized_grad(g, a.data, norm, axis, a.grad)
 
     return _make(out_data, (a,), backward)
+
+
+# -- the contrastive loss ---------------------------------------------
+
+
+def _segments(sizes: Sequence[int], lo: int, hi: int):
+    """Rows ``lo:hi`` of parts of ``sizes`` rows per image laid side by
+    side, image after image: row ``b * sum(sizes) + c``. Yields (part,
+    image, its rows in the part, their place in ``lo:hi``)."""
+    width = sum(sizes)
+    for b in range(lo // width, -(-hi // width)):
+        start = b * width
+        for i, size in enumerate(sizes):
+            first, last = max(lo, start), min(hi, start + size)
+            if first < last:
+                yield i, b, slice(first - start, last - start), slice(first - lo, last - lo)
+            start += size
+
+
+def _image_max(rows: Callable[[slice], np.ndarray], count: int, nodes: np.ndarray,
+               counts: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Best match per row and image, (count, B), and the node row that
+    first attains it: ``max_v rows[r] · nodes[v]`` over image b's node
+    rows, ``rows(blk)`` giving the rows of a block.
+
+    The images are grouped by node count; each group's node rows sit
+    side by side in one table, and the rows are scored against it in
+    blocks of about ``_SCORE_BLOCK`` scores, into one buffer per group,
+    so no score matrix outgrows the cache and each block is reduced
+    while it is still warm. A NaN is its row's argmax, so it shows in
+    the maxima.
+    """
+    bounds = np.cumsum([0, *counts])
+    scores = np.empty((count, len(counts)))
+    args = np.empty((count, len(counts)), dtype=np.int32)
+    for v in np.unique(counts):
+        # unpadded: each image's scores are a product over its own v rows
+        images = np.flatnonzero(np.asarray(counts) == v)
+        width = len(images) * v
+        table = nodes[(bounds[images, None] + np.arange(v)).ravel()].T
+        blocks = _row_blocks(count, width)
+        most = max((blk.stop - blk.start for blk in blocks), default=0)
+        buffer = np.empty((most, width))
+        # flat index of each (row, image) run of v scores in the buffer
+        base = np.arange(most)[:, None] * width + np.arange(0, width, v)
+        for blk in blocks:
+            size = blk.stop - blk.start
+            block = np.matmul(rows(blk), table, out=buffer[:size])
+            arg = block.reshape(size, len(images), v).argmax(axis=-1)
+            scores[blk, images] = block.ravel()[base[:size] + arg]
+            args[blk, images] = bounds[images] + arg
+    return scores, args
+
+
+def image_contrastive_nll(parts: Sequence, nodes, counts: Sequence[int], weights,
+                          scale: float, normalize: bool = True) -> Tensor:
+    """``scale * sum_r log_softmax_b(w_r * max_{v in image b} u_r · nodes[v])[b_r]``,
+    the in-batch contrastive loss of context rows against images, as one op.
+
+    ``parts`` are (B, C_i, d) row tensors read side by side: row r = b *
+    C + c, C = sum C_i, is row c of image b's contexts, so its own image
+    b_r is b. ``u_r`` is row r, L2-normalized when ``normalize``, and
+    ``weights`` (B, C) holds each row's w_r. ``nodes`` (V, d) holds the
+    images' node rows one after another: image b owns ``counts[b]`` rows
+    from ``sum(counts[:b])`` on.
+
+    Equal bit for bit to the chain concat, reshape, ``l2_normalize``,
+    the per-image max, mul, ``log_softmax``, the gather of each row's
+    own column, tsum and mul, but the tape keeps only the parts, the row
+    norms, the scores s (R, B) and their argmax nodes (int32). The unit
+    rows are formed again block by block from the parts, in forward and
+    in backward, so no (R, d) copy of the rows is ever whole; backward
+    forms the softmax again from s and w with the same numpy calls, and
+    turns s into its own gradient in place: one graph takes one
+    backward. Each part's gradient is written C-contiguous. A
+    non-finite norm or score raises ``FloatingPointError``.
+    """
+    parts = [as_tensor(p) for p in parts]
+    nodes, weights = as_tensor(nodes), as_tensor(weights)
+    batch, dim = len(counts), nodes.shape[-1]
+    if not batch or min(counts) < 1 or sum(counts) != nodes.shape[0]:
+        raise ValueError(f"node counts {list(counts)} do not fit nodes {nodes.shape}")
+    sizes = [p.shape[1] for p in parts]
+    if any(p.shape != (batch, size, dim) for p, size in zip(parts, sizes)) \
+            or weights.shape != (batch, sum(sizes)):
+        raise ValueError(f"parts {[p.shape for p in parts]} and weights {weights.shape} "
+                         f"do not fit {batch} images of {dim}-dim nodes")
+    per_image = sum(sizes)
+    count = batch * per_image
+    row_blocks = _row_blocks(count, batch * dim)
+
+    def raw(blk: slice) -> np.ndarray:
+        out = np.empty((blk.stop - blk.start, dim))
+        for i, b, src, dst in _segments(sizes, blk.start, blk.stop):
+            out[dst] = parts[i].data[b, src]
+        return out
+
+    norm = np.empty((count, 1)) if normalize else None
+    if normalize:
+        for blk in row_blocks:
+            norm[blk] = _norm(raw(blk))
+        if not np.isfinite(norm).all():
+            raise FloatingPointError("non-finite values from image_contrastive_nll (norm)")
+
+    def unit(blk: slice) -> np.ndarray:
+        rows = raw(blk)
+        return np.divide(rows, norm[blk], out=rows) if normalize else rows
+
+    scores, args = _image_max(unit, count, nodes.data, counts)
+    if not np.isfinite(scores).all():
+        raise FloatingPointError("non-finite values from image_contrastive_nll (scores)")
+    w = weights.data.reshape(-1, 1)
+
+    def own(blk: slice) -> tuple[np.ndarray, np.ndarray]:
+        rows = np.arange(blk.stop - blk.start)
+        return rows, (blk.start + rows) // per_image
+
+    picked = np.empty(count)
+    for blk in row_blocks:
+        logits = scores[blk] * w[blk]
+        lse, _ = _logsumexp(logits, 1)
+        picked[blk] = logits[own(blk)] + (lse * -1.0)[:, 0]
+
+    def backward(g):
+        nonlocal scores
+        g_scores, scores = scores, None
+        if g_scores is None:
+            raise RuntimeError("image_contrastive_nll's scores went to an earlier backward")
+        g_pick = g * scale
+        g_w = np.empty(count)
+        for blk in row_blocks:
+            logits = g_scores[blk] * w[blk]
+            _, soft = _logsumexp(logits, 1)
+            # the chain's sum: the picked cells' gradient, then logsumexp's
+            g_logits = np.zeros(logits.shape)
+            g_logits[own(blk)] = g_pick
+            g_logits += soft * -g_pick
+            g_w[blk] = (g_logits * g_scores[blk]).sum(axis=1)
+            g_scores[blk] = g_logits * w[blk]
+        if weights.requires_grad:
+            weights.accumulate(g_w.reshape(weights.shape))
+        del g_w
+        if nodes.requires_grad:
+            # scatter-add of the weighted unit rows onto their argmax nodes,
+            # one column at a time over every (row, image) pair: a node
+            # belongs to one image, so each cell sums its rows in order
+            grad = np.empty(nodes.shape)
+            targets = args.ravel().astype(np.intp)
+            for k in range(dim):
+                u = np.concatenate([p.data[:, :, k] for p in parts], axis=1).reshape(-1, 1)
+                if normalize:
+                    u /= norm
+                grad[:, k] = np.bincount(targets, (g_scores * u).ravel(), minlength=len(grad))
+            del targets
+            nodes.accumulate(grad)
+        grads = [np.empty(p.shape) if p.requires_grad else None for p in parts]
+        if not any(grad is not None for grad in grads):
+            return
+        for blk in row_blocks:
+            g_rows = np.einsum("rb,rbk->rk", g_scores[blk], nodes.data[args[blk]])
+            if normalize:
+                g_rows = _normalized_grad(g_rows, raw(blk), norm[blk])
+            for i, b, src, dst in _segments(sizes, blk.start, blk.stop):
+                if grads[i] is not None:
+                    grads[i][b, src] = g_rows[dst]
+        for p, grad in zip(parts, grads):
+            if grad is not None:
+                p.accumulate(grad)
+
+    # the chain's parent order, so backward walks the rest of the tape,
+    # and sums each shared gradient, in the chain's order
+    return _make(picked.sum() * scale, (*parts, nodes, weights), backward)
 
 
 # -- layers -----------------------------------------------------------
@@ -635,56 +776,80 @@ def pair_mlp(table, first, second, w1, b1, w2, b2) -> Tensor:
     (w2, b2)])`` as one op, for keys ``first`` and ``second`` into the
     leading axes of ``table``; shape ``table[first].shape[:-1] + (out,)``.
 
-    The two gathers go straight into one C-order buffer, so the (rows,
-    2d) input is a view of it and the layers run the same numpy calls as
-    ``mlp``. The tape keeps only the rectified hidden rows and the
-    output; backward gathers the input rows again for ``w1``'s gradient.
-    Backward replays the unfused chain's arithmetic in its tape's order:
-    b2, w2, the relu mask, b1, w1, then ``table``'s two halves, first
-    then second.
+    The pairs run through the layers in blocks of rows with the numpy
+    calls of ``mlp``, each block's rows taken from the flat table into
+    one (rows, 2d) buffer by row index. The tape keeps only the output
+    and the row indices: backward forms the rectified hidden rows again
+    the same way, then replays the unfused chain's arithmetic in its
+    tape's order: b2, w2, the relu mask, b1, w1, then ``table``'s two
+    halves, first then second, each from its own half of ``w1``. Rows
+    that span several blocks give ``w1`` its gradient one half at a time
+    too, so backward builds no (rows, 2d) array.
     """
     table, w1, b1, w2, b2 = (as_tensor(t) for t in (table, w1, b1, w2, b2))
     width = table.shape[-1]
+    index = np.arange(math.prod(table.shape[:-1])).reshape(table.shape[:-1])
+    lead = index[first].shape
+    # the flat table rows of each pair, first then second
+    pairs = np.stack([index[first].ravel(), index[second].ravel()], axis=1)
+    del index
+    blocks = _row_blocks(len(pairs), 2 * width)
 
-    def gathered() -> np.ndarray:
-        left = table.data[first]
-        rows = np.empty(left.shape[:-1] + (2 * width,))
-        rows[..., :width] = left
-        del left
-        rows[..., width:] = table.data[second]
-        return rows
+    def rectified(blk: slice, out: np.ndarray) -> np.ndarray:
+        rows = np.empty((blk.stop - blk.start, 2 * width))
+        np.take(table.data.reshape(-1, width), pairs[blk].ravel(), axis=0,
+                out=rows.reshape(-1, width), mode="clip")
+        np.matmul(rows, w1.data, out=out)
+        out += b1.data
+        if not np.isfinite(out).all():
+            raise FloatingPointError("non-finite values from pair_mlp (pre-activation)")
+        np.copyto(out, 0.0, where=out <= 0.0)
+        return out
 
-    rows = gathered()
-    lead = rows.shape[:-1]
-    pre = np.matmul(rows.reshape(-1, 2 * width), w1.data)
-    del rows
-    pre += b1.data
-    if not np.isfinite(pre).all():
-        raise FloatingPointError("non-finite values from pair_mlp (pre-activation)")
-    hidden = np.where(pre > 0, pre, 0.0)
-    del pre
-    out = np.matmul(hidden, w2.data)
+    out = np.empty((len(pairs), w2.shape[-1]))
+    hidden = np.empty((max((blk.stop - blk.start for blk in blocks), default=0),
+                       w1.shape[-1]))
+    for blk in blocks:
+        np.matmul(rectified(blk, hidden[:blk.stop - blk.start]), w2.data, out=out[blk])
+    del hidden
     out += b2.data
 
     def backward(g):
         g = g.reshape(-1, g.shape[-1])
         if b2.requires_grad:
             b2.accumulate(_unbroadcast(g, b2.shape))
+        hidden = np.empty((len(g), w1.shape[-1]))
+        for blk in blocks:
+            rectified(blk, hidden[blk])
         if w2.requires_grad:
             w2.accumulate(np.matmul(np.swapaxes(hidden, -1, -2), g))
+        live = hidden > 0
+        del hidden
         g_pre = np.matmul(g, np.swapaxes(w2.data, -1, -2))
-        g_pre *= hidden > 0
+        g_pre *= live
+        del live
         if b1.requires_grad:
             b1.accumulate(_unbroadcast(g_pre, b1.shape))
+        flat = table.data.reshape(-1, width)
+        halves = ((slice(None, width), 0), (slice(width, None), 1))
         if w1.requires_grad:
-            rows = gathered().reshape(-1, 2 * width)
-            w1.accumulate(np.matmul(np.swapaxes(rows, -1, -2), g_pre))
-            del rows
+            grad = np.empty(w1.shape)
+            if len(blocks) == 1:
+                # BLAS may sum a short product in another order when it is
+                # half as tall: rows that fit one block are gathered whole,
+                # as the unfused chain gathers them
+                rows = np.take(flat, pairs.ravel(), axis=0).reshape(len(pairs), -1)
+                np.matmul(np.swapaxes(rows, -1, -2), g_pre, out=grad)
+            else:
+                for half, k in halves:
+                    np.matmul(np.swapaxes(flat[pairs[:, k]], -1, -2), g_pre, out=grad[half])
+            w1.accumulate(grad)
         if table.requires_grad:
-            g_rows = np.matmul(g_pre, np.swapaxes(w1.data, -1, -2)).reshape(lead + (-1,))
-            del g_pre
-            table.accumulate(_scatter_add(table.shape, first, g_rows[..., :width]))
-            table.accumulate(_scatter_add(table.shape, second, g_rows[..., width:]))
+            for half, k in halves:
+                g_rows = np.matmul(g_pre, np.swapaxes(w1.data[half], -1, -2))
+                g_rows = _scatter_add(flat.shape, pairs[:, k], g_rows)
+                table.accumulate(g_rows.reshape(table.shape))
+                del g_rows
 
     return _make(out.reshape(lead + out.shape[-1:]), (table, w1, b1, w2, b2), backward)
 

@@ -7,6 +7,7 @@ from vgram.chart import (
     MAX,
     NEG,
     DmvScores,
+    _gathers,
     arc_posteriors,
     enumerate_projective_trees,
     log_partition,
@@ -113,6 +114,20 @@ class TestInside:
         logz2 = log_partition(shifted)
         assert logz2 == pytest.approx(logz + kappa, abs=1e-9)
         assert viterbi(shifted)[0] == viterbi(s)[0]
+
+
+    def test_gathers_built_once_read_only(self):
+        # the candidate indices depend on (n, length) only: a second chart
+        # of the same length reads the same arrays, which nothing may write
+        _gathers.cache_clear()
+        log_partition(random_scores(5, np.random.default_rng(8)))
+        built = [_gathers(5, length) for length in range(1, 5)]
+        assert _gathers.cache_info().misses == 4
+        viterbi(random_scores(5, np.random.default_rng(9)))
+        assert all(a is b for length in range(1, 5)
+                   for a, b in zip(_gathers(5, length), built[length - 1]))
+        assert not any(index.flags.writeable for arrays in built for index in arrays)
+        assert _gathers.cache_info().misses == 4
 
 
 class TestViterbi:

@@ -218,6 +218,36 @@ def test_out_of_range_lambda_is_usage_error(dataset, tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_identity_init_key_conflict_is_usage_error(dataset, tmp_path, capsys, monkeypatch):
+    # hidden_dim and match_dim are both config keys: their conflict is
+    # found before any input loads
+    loaded = []
+    monkeypatch.setattr(data, "load_corpus", lambda *args: loaded.append(args))
+    rc = main(["train", "--corpus", str(dataset / "corpus.train.jsonl"),
+               "--features", str(dataset / "features.jsonl"),
+               "--embeddings", str(dataset / "embeddings.jsonl"),
+               "--out", str(tmp_path / "run"), "--set", "identity_init=true"]
+              + DIMS + ["--set", "match_dim=4"])
+    assert rc == 1
+    assert "usage error: identity_init needs hidden_dim == match_dim, got 8 and 4" \
+        in capsys.readouterr().err
+    assert not loaded
+    assert not (tmp_path / "run").exists()
+
+
+def test_identity_init_input_dim_conflict_is_data_error(dataset, tmp_path, capsys):
+    # the word and feature dims (8) come from the input files
+    rc = main(["train", "--corpus", str(dataset / "corpus.train.jsonl"),
+               "--features", str(dataset / "features.jsonl"),
+               "--embeddings", str(dataset / "embeddings.jsonl"),
+               "--out", str(tmp_path / "run"), "--set", "identity_init=true"]
+              + DIMS + ["--set", "hidden_dim=16", "--set", "match_dim=16"])
+    assert rc == 2
+    assert "data error: identity_init needs word_dim == hidden_dim == feat_dim == match_dim" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_parse_ignores_lambda(dataset, tmp_path):
     rc = main(["parse", "--corpus", str(dataset / "corpus.test.jsonl"),
                "--features", str(dataset / "features.jsonl"),

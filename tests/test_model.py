@@ -313,10 +313,26 @@ class TestLosses:
 
 def tmax_loop(rows, nodes, counts):
     """The contrastive image column as one dense similarity and one
-    ``tmax`` per image: the reference for ``T.max_similarity``."""
+    ``tmax`` per image."""
     bounds = np.cumsum([0, *counts])
     return T.stack([T.tmax(Model.similarity(rows, nodes[bounds[b]:bounds[b + 1]]), axis=-1)
                     for b in range(len(counts))], axis=1)
+
+
+def contrastive_loop(model, batch, contexts, charts, feats):
+    """The contrastive term as the unfused tape chain: the contexts'
+    concat, ``_unit``, ``tmax_loop``, the weighting, ``log_softmax`` and
+    each row's own column: the reference for ``T.image_contrastive_nll``
+    in ``Model._contrastive_from``."""
+    bsz, n = batch.tag_ids.shape
+    parts, _, pairs, triples = model.batch_contexts(contexts)
+    weights = model.context_weights(charts.posteriors, n, pairs, triples)
+    ctx_all = T.concat(parts, axis=1)
+    flat = model._unit(T.reshape(ctx_all, (-1, model.config.match_dim)))
+    sims = tmax_loop(flat, model.node_matrix(feats), [len(ns) for ns in batch.node_sets])
+    log_probs = T.log_softmax(T.mul(sims, T.reshape(weights, (flat.shape[0], 1))), axis=1)
+    own = np.repeat(np.arange(bsz), ctx_all.shape[1])
+    return T.mul(T.tsum(log_probs[np.arange(len(own)), own]), -1.0 / bsz)
 
 
 def pad_nodes_loop(model, node_sets):
@@ -419,7 +435,8 @@ class TestContrastiveMax:
     @pytest.mark.parametrize("n, bsz, options", CONTRASTIVE_CASES)
     def test_fused_op_matches_tmax_loop(self, monkeypatch, n, bsz, options):
         model, _, _ = make_model(vocab_size=12, identity=False, seed=n, **options)
-        self.assert_same(model, monkeypatch, n, bsz, (T, "max_similarity"), tmax_loop)
+        self.assert_same(model, monkeypatch, n, bsz, (Model, "_contrastive_from"),
+                         contrastive_loop)
 
     @pytest.mark.parametrize("n, bsz, options", CONTRASTIVE_CASES)
     def test_batched_nodes_match_per_image_build(self, monkeypatch, n, bsz, options):
@@ -474,9 +491,29 @@ class TestContrastiveMax:
         limit = bsz * context_rows(n) * min(len(ns) for ns in batch.node_sets)
         loss, _, _ = model.total_loss(batch, 0.5)
         assert max(a.size for a in tape_arrays(loss)) < limit
-        monkeypatch.setattr(T, "max_similarity", tmax_loop)
+        monkeypatch.setattr(Model, "_contrastive_from", contrastive_loop)
         loss, _, _ = model.total_loss(batch, 0.5)
         assert max(a.size for a in tape_arrays(loss)) >= limit
+
+    def test_tape_keeps_scores_not_rows(self, monkeypatch):
+        # B = 16, n = 6: of the (R, B) float arrays the unfused chain keeps
+        # (scores, weighted scores, softmax, log-probabilities) the op keeps
+        # only the scores, and no (R, d) array: neither the concatenated
+        # rows nor their unit copy
+        n, bsz = 6, 16
+        model, _, _ = make_model(vocab_size=12, identity=False, seed=6)
+        batch = random_batch(model, np.random.default_rng(6), n, bsz)
+        rows = bsz * context_rows(n)
+
+        def counts(loss):
+            floats = [a for a in tape_arrays(loss) if a.dtype == np.float64]
+            return (sum(a.size == rows * bsz for a in floats),
+                    sum(a.size == rows * DIM for a in floats))
+
+        assert counts(model.total_loss(batch, 0.5)[0]) == (1, 0)
+        monkeypatch.setattr(Model, "_contrastive_from", contrastive_loop)
+        scores, copies = counts(model.total_loss(batch, 0.5)[0])
+        assert scores >= 4 and copies >= 2
 
 
 def nested_loop_indices(n):

@@ -265,103 +265,170 @@ class TestGradientOwnership:
 
 def tmax_loop(rows, nodes, counts):
     """One dense similarity and one ``tmax`` per image's block of node
-    rows, stacked: the reference ``max_similarity`` must reproduce."""
+    rows, stacked: the per-image max as plain tape ops."""
     bounds = np.cumsum([0, *counts])
     return T.stack([T.tmax(T.matmul(rows, T.swapaxes(nodes[bounds[b]:bounds[b + 1]], -1, -2)),
                            axis=-1) for b in range(len(counts))], axis=1)
 
 
+def max_similarity(rows, nodes, counts):
+    """The per-image max as the one tape op the contrastive loss used
+    before it became one op itself: rows scored in the same cache-sized
+    blocks against each node-count group's table, the argmax kept, and a
+    sparse backward. The reference ``image_contrastive_nll`` must match
+    bit for bit."""
+    count, dim = rows.shape
+    bounds = np.cumsum([0, *counts])
+    out = np.empty((count, len(counts)))
+    args = np.empty((count, len(counts)), dtype=np.intp)
+    for v in np.unique(counts):
+        images = np.flatnonzero(np.asarray(counts) == v)
+        table = nodes.data[(bounds[images, None] + np.arange(v)).ravel()].T
+        for blk in T._row_blocks(count, len(images) * v):
+            scores = (rows.data[blk] @ table).reshape(-1, len(images), v)
+            arg = scores.argmax(axis=-1)
+            out[blk, images] = np.take_along_axis(scores, arg[..., None], -1)[..., 0]
+            args[blk, images] = bounds[images] + arg
+
+    def backward(g):
+        grad = np.empty_like(rows.data)
+        for blk in T._row_blocks(count, len(counts) * dim):
+            grad[blk] = np.einsum("rb,rbk->rk", g[blk], nodes.data[args[blk]])
+        rows.accumulate(grad)
+        grad = np.empty(nodes.shape)
+        for k in range(dim):
+            grad[:, k] = np.bincount(args.ravel(), (g * rows.data[:, k, None]).ravel(),
+                                     minlength=len(grad))
+        nodes.accumulate(grad)
+
+    return T._make(out, (rows, nodes), backward)
+
+
+def contrastive_chain(parts, nodes, counts, weights, scale, normalize=True,
+                      image_max=max_similarity):
+    """The unfused tape chain ``image_contrastive_nll`` stands for: the
+    parts' concat, its (R, d) reshape, ``l2_normalize``, the per-image
+    max, the weighting, ``log_softmax``, each row's own column, tsum and
+    the scale."""
+    rows = T.concat(parts, axis=1)
+    flat = T.reshape(rows, (-1, rows.shape[-1]))
+    if normalize:
+        flat = T.l2_normalize(flat)
+    logits = T.mul(image_max(flat, nodes, counts), T.reshape(weights, (flat.shape[0], 1)))
+    own = np.repeat(np.arange(len(counts)), rows.shape[1])
+    picked = T.log_softmax(logits, axis=1)[np.arange(len(own)), own]
+    return T.mul(T.tsum(picked), scale)
+
+
+def contrastive_inputs(rng, batch, sizes, counts, dim):
+    """Random parts of ``sizes`` rows per image (the second one a strided
+    view, as the model's arc rows are), node matrices and row weights."""
+    parts = [rng.normal(size=(batch, size, dim)) for size in sizes]
+    if len(parts) > 1:
+        parts[1] = np.swapaxes(rng.normal(size=(sizes[1], batch, dim)), 0, 1)
+    node_mats = [rng.normal(size=(v, dim)) for v in counts]
+    return parts, node_mats, rng.uniform(0.0, 1.0, (batch, sum(sizes)))
+
+
+def contrastive_grads(op, parts, node_mats, weights, scale=-0.5, normalize=True, **kw):
+    """The loss of ``op`` (``image_contrastive_nll`` or a chain with its
+    signature) and the gradients of the parts, the nodes and the weights."""
+    ts = [Tensor(x, requires_grad=True) for x in [*parts, np.concatenate(node_mats), weights]]
+    loss = op(ts[:-2], ts[-2], [len(m) for m in node_mats], ts[-1], scale, normalize, **kw)
+    loss.backward()
+    return loss.item(), [t.grad for t in ts]
+
+
 class TestMaxSimilarity:
-    @staticmethod
-    def grads(op, rows, node_mats, weights):
-        ts = [Tensor(rows, requires_grad=True),
-              Tensor(np.concatenate(node_mats), requires_grad=True)]
-        out = op(ts[0], ts[1], [len(m) for m in node_mats])
-        T.tsum(T.mul(out, weights)).backward()
-        return out.data, [t.grad for t in ts]
+    """Each row's best match per image inside ``image_contrastive_nll``."""
 
     def test_matches_tmax_loop(self):
         rng = np.random.default_rng(11)
-        rows = rng.normal(size=(7, 4))
-        node_mats = [rng.normal(size=(v, 4)) for v in (1, 5, 3)]
-        weights = rng.normal(size=(7, 3))
-        out, grads = self.grads(T.max_similarity, rows, node_mats, weights)
-        ref_out, ref_grads = self.grads(tmax_loop, rows, node_mats, weights)
-        np.testing.assert_array_equal(out, ref_out)
+        args = contrastive_inputs(rng, 3, [2, 1], (1, 5, 3), 4)
+        loss, grads = contrastive_grads(T.image_contrastive_nll, *args)
+        ref_loss, ref_grads = contrastive_grads(contrastive_chain, *args, image_max=tmax_loop)
+        assert loss == ref_loss
         for g, ref in zip(grads, ref_grads):
             np.testing.assert_allclose(g, ref, rtol=0, atol=1e-14)
 
     def test_tie_grad_goes_to_first_maximum(self):
+        # row 0 (image 0's) ties on nodes 1 and 2 of the first image, every
+        # row ties in the second
         rows = np.array([[1.0, 0.0],
                          [0.0, 1.0]])
-        # row 0 ties on nodes 1 and 2 of the first image, every row ties in the second
         node_mats = [np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]]),
                      np.array([[1.0, 1.0], [1.0, 1.0]])]
-        weights = np.array([[1.0, -2.0],
-                            [3.0, 4.0]])
-        out, (g_rows, g_nodes) = self.grads(T.max_similarity, rows, node_mats, weights)
-        np.testing.assert_array_equal(out, [[1.0, 1.0], [1.0, 1.0]])
-        np.testing.assert_array_equal(g_rows, [[-1.0, -2.0], [4.0, 7.0]])
-        np.testing.assert_array_equal(g_nodes[:3], [[0.0, 3.0], [1.0, 0.0], [0.0, 0.0]])
-        np.testing.assert_array_equal(g_nodes[3:], [[-2.0, 4.0], [0.0, 0.0]])
-        _, ref_grads = self.grads(tmax_loop, rows, node_mats, weights)
-        for g, ref in zip([g_rows, g_nodes], ref_grads):
+        scores, args = T._image_max(lambda blk: rows[blk], 2, np.concatenate(node_mats), [3, 2])
+        np.testing.assert_array_equal(scores, [[1.0, 1.0], [1.0, 1.0]])
+        np.testing.assert_array_equal(args, [[1, 3], [0, 3]])
+        inputs = [rows.reshape(2, 1, 2)], node_mats, np.array([[1.0], [3.0]])
+        _, grads = contrastive_grads(T.image_contrastive_nll, *inputs, normalize=False)
+        np.testing.assert_array_equal(grads[1][[2, 4]], 0.0)
+        _, ref_grads = contrastive_grads(contrastive_chain, *inputs, normalize=False,
+                                  image_max=tmax_loop)
+        for g, ref in zip(grads, ref_grads):
             np.testing.assert_array_equal(g, ref)
 
     def test_gradcheck(self):
         rng = np.random.default_rng(12)
-        arrays = [rng.normal(size=(5, 3)), rng.normal(size=(6, 3))]
-        weights = rng.normal(size=(5, 2))
-        check_grads(lambda r, m: T.tsum(T.mul(T.max_similarity(r, m, [4, 2]), weights)),
-                    arrays)
+        parts, node_mats, weights = contrastive_inputs(rng, 2, [2, 1], (4, 2), 3)
+        counts = [len(m) for m in node_mats]
+        for normalize in (True, False):
+            check_grads(lambda p, q, m, w: T.image_contrastive_nll([p, q], m, counts, w, -0.7,
+                                                                   normalize),
+                        [*(np.ascontiguousarray(p) for p in parts), np.concatenate(node_mats),
+                         weights])
 
     def test_image_reads_only_its_own_rows(self):
         # the second image's rows score higher for every row, yet the
         # first column reads only the first image's block
         rows = np.array([[1.0, 1.0]])
         nodes = np.concatenate([-np.ones((1, 2)), np.ones((3, 2))])
-        out = T.max_similarity(Tensor(rows), Tensor(nodes), [1, 3])
-        np.testing.assert_array_equal(out.data, [[-2.0, 2.0]])
+        scores, _ = T._image_max(lambda blk: rows[blk], 1, nodes, [1, 3])
+        np.testing.assert_array_equal(scores, [[-2.0, 2.0]])
 
-    @pytest.mark.parametrize("counts, count", [([5, 1, 5, 3, 5], 11), ([1, 4, 1, 4, 4], 13)])
-    def test_blocks_and_count_groups_match_tmax_loop(self, monkeypatch, counts, count):
+    @pytest.mark.parametrize("counts, sizes, first_edge",
+                             [([5, 1, 5, 3, 5], [1, 2], 5), ([1, 4, 1, 4, 4], [2, 1], 3)])
+    def test_blocks_and_count_groups_match_tmax_loop(self, monkeypatch, counts, sizes,
+                                                     first_edge):
         # a count recurs in three non-adjacent images next to 1-node
         # images, two of them in the second case; the repeated count's
-        # rows span several blocks, and in the second case blocks of
-        # _SCORE_BLOCK // 12 = 4 rows would leave one row over
+        # rows span several blocks whose edges fall inside an image's
+        # rows, and in the second case blocks of _SCORE_BLOCK // 12 = 4
+        # rows would leave a ragged tail, so they hold 3 or 4
         monkeypatch.setattr(T, "_SCORE_BLOCK", 4 * sum(counts))
-        width = counts.count(counts[-1]) * counts[-1]
-        assert len(T._row_blocks(count, width)) >= 3
-        assert T._row_blocks(count, width)[0].stop == 3
+        count = len(counts) * sum(sizes)
+        blocks = T._row_blocks(count, counts.count(counts[-1]) * counts[-1])
+        assert len(blocks) >= 3 and blocks[0].stop == first_edge
         rng = np.random.default_rng(13)
-        rows = rng.normal(size=(count, 3))
-        node_mats = [rng.normal(size=(v, 3)) for v in counts]
-        # rows 2 and 3, either side of the first block edge, tie on the
-        # first repeated image's nodes 1 and 3, and on the last one's 0 and 2
+        parts, node_mats, weights = contrastive_inputs(rng, len(counts), sizes, counts, 3)
+        # every row, all positive, ties on the first repeated image's nodes
+        # 1 and 3, and on the last one's 0 and 2
         tied = [b for b, v in enumerate(counts) if v == counts[-1]]
         for b, (first, second) in ((tied[0], (1, 3)), (tied[-1], (0, 2))):
             node_mats[b][first] = node_mats[b][second] = [10.0, 10.0, 10.0]
-        rows[2:4] = np.abs(rows[2:4])
-        weights = rng.normal(size=(count, len(counts)))
-        out, grads = self.grads(T.max_similarity, rows, node_mats, weights)
-        ref_out, ref_grads = self.grads(tmax_loop, rows, node_mats, weights)
+        parts = [np.abs(p) for p in parts]
+        loss, grads = contrastive_grads(T.image_contrastive_nll, parts, node_mats, weights)
+        ref_loss, ref_grads = contrastive_grads(contrastive_chain, parts, node_mats, weights,
+                                         image_max=tmax_loop)
         # equal up to the summation order BLAS picks for each product's shape
-        np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-14)
+        assert loss == pytest.approx(ref_loss, rel=0, abs=1e-13)
         for g, ref in zip(grads, ref_grads):
-            np.testing.assert_allclose(g, ref, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(g, ref, rtol=0, atol=1e-13)
         # the second of each tied pair gets nothing
         bounds = np.cumsum([0, *counts])
-        np.testing.assert_array_equal(grads[1][[bounds[tied[0]] + 3, bounds[tied[-1]] + 2]], 0.0)
+        np.testing.assert_array_equal(
+            grads[len(parts)][[bounds[tied[0]] + 3, bounds[tied[-1]] + 2]], 0.0)
 
     def test_forward_memory_stays_within_one_block(self):
         # one image's dense (R, V_b) scores are 9.6 MB, several blocks' worth
         rng = np.random.default_rng(14)
-        rows, nodes = Tensor(rng.normal(size=(4000, 4))), Tensor(rng.normal(size=(600, 4)))
-        dense = rows.shape[0] * 300 * 8
+        rows, nodes = Tensor(rng.normal(size=(2, 2000, 4))), Tensor(rng.normal(size=(600, 4)))
+        dense = 4000 * 300 * 8
         assert dense > 3 * 8 * T._SCORE_BLOCK
         tracemalloc.start()
         try:
-            T.max_similarity(rows, nodes, [300, 300])
+            T.image_contrastive_nll([rows], nodes, [300, 300], Tensor(np.ones((2, 2000))), 1.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -371,13 +438,21 @@ class TestMaxSimilarity:
         nodes = Tensor(np.ones((6, 2)))
         for counts in ([3, 4], [5], [6, 0], []):
             with pytest.raises(ValueError, match="node counts"):
-                T.max_similarity(Tensor(np.ones((1, 2))), nodes, counts)
+                T.image_contrastive_nll([Tensor(np.ones((max(len(counts), 1), 1, 2)))], nodes,
+                                        counts, Tensor(np.ones((max(len(counts), 1), 1))), 1.0)
+        with pytest.raises(ValueError, match="do not fit 2 images"):
+            T.image_contrastive_nll([Tensor(np.ones((2, 1, 2)))], nodes, [2, 4],
+                                    Tensor(np.ones((2, 2))), 1.0)
 
     def test_nan_row_trips_error(self):
-        rows = Tensor(np.ones((3, 2)))
-        rows.data[1, 0] = np.nan
-        with pytest.raises(FloatingPointError):
-            T.max_similarity(rows, Tensor(np.concatenate([np.eye(2), np.ones((4, 2))])), [2, 4])
+        nodes = Tensor(np.concatenate([np.eye(2), np.ones((4, 2))]))
+        for normalize, what in ((True, "norm"), (False, "scores")):
+            rows = Tensor(np.ones((2, 3, 2)))
+            rows.data[0, 1, 0] = np.nan
+            with pytest.raises(FloatingPointError,
+                               match=f"from image_contrastive_nll \\({what}\\)"):
+                T.image_contrastive_nll([rows], nodes, [2, 4], Tensor(np.ones((2, 3))), 1.0,
+                                        normalize)
 
 
 def add_at(shape, key, g):
@@ -505,7 +580,8 @@ class TestFusedOps:
         return [table, rng.uniform(-0.2, 0.2, (2 * dim, hidden)), rng.normal(size=hidden) * 0.1,
                 rng.uniform(-0.2, 0.2, (hidden, dim)), rng.normal(size=dim) * 0.1]
 
-    @pytest.mark.parametrize("n", [3, 10])
+    # n = 4 is one block whose halves BLAS may sum in another order
+    @pytest.mark.parametrize("n", [3, 4, 10])
     @pytest.mark.parametrize("table_grad", [True, False])
     def test_pair_mlp_bitwise_equals_chain(self, n, table_grad):
         rng = np.random.default_rng(20 + n)
@@ -530,6 +606,32 @@ class TestFusedOps:
         ref_out, ref_grads = self.run(l2_chain, [a], weights)
         np.testing.assert_array_equal(out, ref_out)
         np.testing.assert_array_equal(grads[0], ref_grads[0])
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("n", [3, 10])
+    def test_image_contrastive_nll_bitwise_equals_chain(self, n, normalize):
+        # B = 16 images of 1-5 regions: 3, 7, 13, 21 and 31 nodes
+        rng = np.random.default_rng(30 + n)
+        sizes = [n, n * (n - 1), len(pattern_index(n))]
+        counts = [m * m + m + 1 for m in [1, 2, 3, 4, 5] * 3 + [2]]
+        args = contrastive_inputs(rng, 16, sizes, counts, 32)
+        loss, grads = contrastive_grads(T.image_contrastive_nll, *args, -1 / 16, normalize)
+        ref_loss, ref_grads = contrastive_grads(contrastive_chain, *args, -1 / 16, normalize)
+        assert loss == ref_loss
+        for g, ref in zip(grads, ref_grads):
+            np.testing.assert_array_equal(g, ref)
+
+    def test_backward_spends_the_scores(self):
+        # backward turns the kept scores into their gradients in place, so
+        # it runs once, even when an earlier run was cut short
+        rng = np.random.default_rng(15)
+        parts, node_mats, weights = contrastive_inputs(rng, 2, [2], (2, 3), 3)
+        loss = T.image_contrastive_nll([Tensor(parts[0], requires_grad=True)],
+                                       Tensor(np.concatenate(node_mats)), [2, 3],
+                                       Tensor(weights), 1.0)
+        loss._backward(np.asarray(1.0))
+        with pytest.raises(RuntimeError, match="earlier backward"):
+            loss._backward(np.asarray(1.0))
 
     def test_pair_mlp_gradcheck(self):
         rng = np.random.default_rng(23)
