@@ -135,6 +135,17 @@ class TestTrainer:
         assert f"from {op}" in message
         assert any(repr(s.id) in message for s in tiny.train), message
 
+    def test_overflowing_norm_names_contrastive_op_and_batch(self, tiny):
+        # finite token contexts whose squares overflow in the loss's norm
+        model = build_model(tiny)
+        model.store["match.ctx"].data[:] = 1e200
+        trainer = Trainer(model, tiny.train, tiny.features, settings())
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError) as err:
+            trainer.run_epoch()
+        message = str(err.value)
+        assert "from image_contrastive_nll (norm)" in message
+        assert any(repr(s.id) in message for s in tiny.train), message
+
     def test_overflowing_chart_names_inside_outside_and_batch(self, tiny, monkeypatch):
         # finite attach scores near 1e308 whose chart sums overflow
         model = build_model(tiny)
