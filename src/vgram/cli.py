@@ -248,6 +248,7 @@ def cmd_align(args, cfg) -> int:
 
 
 def cmd_train(args, cfg) -> int:
+    config_mod.check_model_keys(cfg)
     settings = config_mod.to_train_settings(cfg)
     sentences, tagset = data_mod.load_corpus(args.corpus)
     features = data_mod.load_features(args.features)
@@ -268,6 +269,7 @@ def cmd_train(args, cfg) -> int:
 
 
 def cmd_parse(args, cfg) -> int:
+    config_mod.check_model_keys(cfg)
     sentences, tagset = data_mod.load_corpus(args.corpus)
     features = data_mod.load_features(args.features)
     vocab, vectors = data_mod.load_embeddings(args.embeddings)
@@ -292,6 +294,7 @@ def cmd_parse(args, cfg) -> int:
 
 
 def cmd_ground(args, cfg) -> int:
+    config_mod.check_model_keys(cfg)
     sentences, tagset = data_mod.load_corpus(args.corpus)
     features = data_mod.load_features(args.features)
     vocab, vectors = data_mod.load_embeddings(args.embeddings)

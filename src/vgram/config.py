@@ -111,12 +111,17 @@ def resolve(file_path: Optional[str] = None,
             if key not in DEFAULTS:
                 raise ConfigError(f"unknown configuration key {key!r}")
             cfg[key] = _coerce(key, raw) if isinstance(raw, str) else raw
-    # the word and feature dims come from the input files, which the
-    # model checks against these when it is built
+    return cfg
+
+
+def check_model_keys(cfg: dict[str, object]) -> None:
+    """Raise ConfigError on a conflict among the model's config keys
+    alone, for commands that build a model to call before they load any
+    input. The word and feature dims come from the input files, which
+    the model checks against these when it is built."""
     if cfg["identity_init"] and cfg["hidden_dim"] != cfg["match_dim"]:
         raise ConfigError(f"identity_init needs hidden_dim == match_dim, got "
                           f"{cfg['hidden_dim']} and {cfg['match_dim']}")
-    return cfg
 
 
 def digest(cfg: dict[str, object]) -> str:

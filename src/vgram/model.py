@@ -503,12 +503,12 @@ class Model:
 
     def _contrastive_from(self, batch: SentenceBatch, contexts: Tensor,
                           charts: BatchCharts, feats: Tensor) -> Tensor:
-        bsz, n = batch.tag_ids.shape
+        n = batch.tag_ids.shape[1]
         parts, _, pairs, triples = self.batch_contexts(contexts)
         weights = self.context_weights(charts.posteriors, n, pairs, triples)
         return T.image_contrastive_nll(parts, self.node_matrix(feats),
                                        [len(ns) for ns in batch.node_sets], weights,
-                                       -1.0 / bsz, self.config.normalize_sim)
+                                       self.config.normalize_sim)
 
     def total_loss(self, batch: SentenceBatch,
                    lambda_cl: float) -> tuple[Tensor, float, float]:

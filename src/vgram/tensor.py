@@ -629,9 +629,9 @@ def _image_max(rows: Callable[[slice], np.ndarray], count: int, nodes: np.ndarra
 
 
 def image_contrastive_nll(parts: Sequence, nodes, counts: Sequence[int], weights,
-                          scale: float, normalize: bool = True) -> Tensor:
-    """``scale * sum_r log_softmax_b(w_r * max_{v in image b} u_r · nodes[v])[b_r]``,
-    the in-batch contrastive loss of context rows against images, as one op.
+                          normalize: bool) -> Tensor:
+    """``-1/B * sum_r log_softmax_b(w_r * max_{v in image b} u_r · nodes[v])[b_r]``,
+    the in-batch contrastive loss of context rows against B images, as one op.
 
     ``parts`` are (B, C_i, d) row tensors read side by side: row r = b *
     C + c, C = sum C_i, is row c of image b's contexts, so its own image
@@ -663,6 +663,7 @@ def image_contrastive_nll(parts: Sequence, nodes, counts: Sequence[int], weights
                          f"do not fit {batch} images of {dim}-dim nodes")
     per_image = sum(sizes)
     count = batch * per_image
+    scale = -1.0 / batch
     row_blocks = _row_blocks(count, batch * dim)
 
     def raw(blk: slice) -> np.ndarray:
@@ -698,10 +699,7 @@ def image_contrastive_nll(parts: Sequence, nodes, counts: Sequence[int], weights
         picked[blk] = logits[own(blk)] + (lse * -1.0)[:, 0]
 
     def backward(g):
-        nonlocal scores
-        g_scores, scores = scores, None
-        if g_scores is None:
-            raise RuntimeError("image_contrastive_nll's scores went to an earlier backward")
+        g_scores = scores   # s becomes its own gradient, block by block
         g_pick = g * scale
         g_w = np.empty(count)
         for blk in row_blocks:

@@ -218,21 +218,31 @@ def test_out_of_range_lambda_is_usage_error(dataset, tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
-def test_identity_init_key_conflict_is_usage_error(dataset, tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("command", ["train", "parse", "ground"])
+def test_identity_init_key_conflict_is_usage_error(dataset, tmp_path, capsys, monkeypatch,
+                                                   command):
     # hidden_dim and match_dim are both config keys: their conflict is
     # found before any input loads
     loaded = []
     monkeypatch.setattr(data, "load_corpus", lambda *args: loaded.append(args))
-    rc = main(["train", "--corpus", str(dataset / "corpus.train.jsonl"),
+    rc = main([command, "--corpus", str(dataset / "corpus.train.jsonl"),
                "--features", str(dataset / "features.jsonl"),
                "--embeddings", str(dataset / "embeddings.jsonl"),
-               "--out", str(tmp_path / "run"), "--set", "identity_init=true"]
+               "--out", str(tmp_path / "out"), "--set", "identity_init=true"]
               + DIMS + ["--set", "match_dim=4"])
     assert rc == 1
     assert "usage error: identity_init needs hidden_dim == match_dim, got 8 and 4" \
         in capsys.readouterr().err
     assert not loaded
-    assert not (tmp_path / "run").exists()
+    assert not (tmp_path / "out").exists()
+
+
+def test_eval_ignores_identity_init_key_conflict(dataset):
+    # eval builds no model, so the model's keys do not concern it
+    rc = main(["eval", "--gold-corpus", str(dataset / "corpus.test.jsonl"),
+               "--pred-trees", str(dataset / "corpus.test.jsonl"),
+               "--set", "identity_init=true", "--set", "match_dim=4"])
+    assert rc == 0
 
 
 def test_identity_init_input_dim_conflict_is_data_error(dataset, tmp_path, capsys):

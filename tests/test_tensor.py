@@ -304,12 +304,11 @@ def max_similarity(rows, nodes, counts):
     return T._make(out, (rows, nodes), backward)
 
 
-def contrastive_chain(parts, nodes, counts, weights, scale, normalize=True,
-                      image_max=max_similarity):
+def contrastive_chain(parts, nodes, counts, weights, normalize, image_max=max_similarity):
     """The unfused tape chain ``image_contrastive_nll`` stands for: the
     parts' concat, its (R, d) reshape, ``l2_normalize``, the per-image
     max, the weighting, ``log_softmax``, each row's own column, tsum and
-    the scale."""
+    the scale -1/B."""
     rows = T.concat(parts, axis=1)
     flat = T.reshape(rows, (-1, rows.shape[-1]))
     if normalize:
@@ -317,7 +316,7 @@ def contrastive_chain(parts, nodes, counts, weights, scale, normalize=True,
     logits = T.mul(image_max(flat, nodes, counts), T.reshape(weights, (flat.shape[0], 1)))
     own = np.repeat(np.arange(len(counts)), rows.shape[1])
     picked = T.log_softmax(logits, axis=1)[np.arange(len(own)), own]
-    return T.mul(T.tsum(picked), scale)
+    return T.mul(T.tsum(picked), -1.0 / len(counts))
 
 
 def contrastive_inputs(rng, batch, sizes, counts, dim):
@@ -330,11 +329,11 @@ def contrastive_inputs(rng, batch, sizes, counts, dim):
     return parts, node_mats, rng.uniform(0.0, 1.0, (batch, sum(sizes)))
 
 
-def contrastive_grads(op, parts, node_mats, weights, scale=-0.5, normalize=True, **kw):
+def contrastive_grads(op, parts, node_mats, weights, normalize=True, **kw):
     """The loss of ``op`` (``image_contrastive_nll`` or a chain with its
     signature) and the gradients of the parts, the nodes and the weights."""
     ts = [Tensor(x, requires_grad=True) for x in [*parts, np.concatenate(node_mats), weights]]
-    loss = op(ts[:-2], ts[-2], [len(m) for m in node_mats], ts[-1], scale, normalize, **kw)
+    loss = op(ts[:-2], ts[-2], [len(m) for m in node_mats], ts[-1], normalize, **kw)
     loss.backward()
     return loss.item(), [t.grad for t in ts]
 
@@ -374,7 +373,7 @@ class TestMaxSimilarity:
         parts, node_mats, weights = contrastive_inputs(rng, 2, [2, 1], (4, 2), 3)
         counts = [len(m) for m in node_mats]
         for normalize in (True, False):
-            check_grads(lambda p, q, m, w: T.image_contrastive_nll([p, q], m, counts, w, -0.7,
+            check_grads(lambda p, q, m, w: T.image_contrastive_nll([p, q], m, counts, w,
                                                                    normalize),
                         [*(np.ascontiguousarray(p) for p in parts), np.concatenate(node_mats),
                          weights])
@@ -387,36 +386,51 @@ class TestMaxSimilarity:
         scores, _ = T._image_max(lambda blk: rows[blk], 1, nodes, [1, 3])
         np.testing.assert_array_equal(scores, [[-2.0, 2.0]])
 
-    @pytest.mark.parametrize("counts, sizes, first_edge",
-                             [([5, 1, 5, 3, 5], [1, 2], 5), ([1, 4, 1, 4, 4], [2, 1], 3)])
-    def test_blocks_and_count_groups_match_tmax_loop(self, monkeypatch, counts, sizes,
-                                                     first_edge):
+    @pytest.mark.parametrize("counts, count", [([5, 1, 5, 3, 5], 11), ([1, 4, 1, 4, 4], 13)])
+    def test_blocks_and_count_groups_match_tmax_loop(self, monkeypatch, counts, count):
         # a count recurs in three non-adjacent images next to 1-node
         # images, two of them in the second case; the repeated count's
-        # rows span several blocks whose edges fall inside an image's
-        # rows, and in the second case blocks of _SCORE_BLOCK // 12 = 4
-        # rows would leave a ragged tail, so they hold 3 or 4
+        # rows span several blocks, and in the second case blocks of
+        # _SCORE_BLOCK // 12 = 4 rows would leave one row over
         monkeypatch.setattr(T, "_SCORE_BLOCK", 4 * sum(counts))
-        count = len(counts) * sum(sizes)
-        blocks = T._row_blocks(count, counts.count(counts[-1]) * counts[-1])
-        assert len(blocks) >= 3 and blocks[0].stop == first_edge
+        width = counts.count(counts[-1]) * counts[-1]
+        assert len(T._row_blocks(count, width)) >= 3
+        assert T._row_blocks(count, width)[0].stop == 3
         rng = np.random.default_rng(13)
-        parts, node_mats, weights = contrastive_inputs(rng, len(counts), sizes, counts, 3)
-        # every row, all positive, ties on the first repeated image's nodes
-        # 1 and 3, and on the last one's 0 and 2
+        rows = rng.normal(size=(count, 3))
+        node_mats = [rng.normal(size=(v, 3)) for v in counts]
+        # rows 2 and 3, either side of the first block edge, tie on the
+        # first repeated image's nodes 1 and 3, and on the last one's 0 and 2
         tied = [b for b, v in enumerate(counts) if v == counts[-1]]
         for b, (first, second) in ((tied[0], (1, 3)), (tied[-1], (0, 2))):
             node_mats[b][first] = node_mats[b][second] = [10.0, 10.0, 10.0]
+        rows[2:4] = np.abs(rows[2:4])
+        unit = rows / T._norm(rows)
+        nodes = np.concatenate(node_mats)
+        scores, args = T._image_max(lambda blk: unit[blk], count, nodes, counts)
+        # equal up to the summation order BLAS picks for each product's shape
+        np.testing.assert_allclose(scores, tmax_loop(Tensor(unit), Tensor(nodes), counts).data,
+                                   rtol=0, atol=1e-14)
+        bounds = np.cumsum([0, *counts])
+        np.testing.assert_array_equal(args[2:4][:, [tied[0], tied[-1]]],
+                                      [[bounds[tied[0]] + 1, bounds[tied[-1]]]] * 2)
+        # the op over five images with these rows as contexts, the rest of
+        # each image's rows a strided second part: the blocks' edges fall
+        # inside images' rows, and every row ties as rows 2 and 3 do
+        parts, _, weights = contrastive_inputs(rng, len(counts), [2, count - 2], counts, 3)
         parts = [np.abs(p) for p in parts]
+        assert any(blk.stop % count for blk in T._row_blocks(len(counts) * count, width))
         loss, grads = contrastive_grads(T.image_contrastive_nll, parts, node_mats, weights)
         ref_loss, ref_grads = contrastive_grads(contrastive_chain, parts, node_mats, weights,
-                                         image_max=tmax_loop)
-        # equal up to the summation order BLAS picks for each product's shape
-        assert loss == pytest.approx(ref_loss, rel=0, abs=1e-13)
+                                                image_max=tmax_loop)
+        assert loss == pytest.approx(ref_loss, rel=0, abs=1e-14)
         for g, ref in zip(grads, ref_grads):
-            np.testing.assert_allclose(g, ref, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(g, ref, rtol=0, atol=1e-14)
+        chain_loss, chain_grads = contrastive_grads(contrastive_chain, parts, node_mats, weights)
+        assert loss == chain_loss
+        for g, ref in zip(grads, chain_grads):
+            np.testing.assert_array_equal(g, ref)
         # the second of each tied pair gets nothing
-        bounds = np.cumsum([0, *counts])
         np.testing.assert_array_equal(
             grads[len(parts)][[bounds[tied[0]] + 3, bounds[tied[-1]] + 2]], 0.0)
 
@@ -428,7 +442,7 @@ class TestMaxSimilarity:
         assert dense > 3 * 8 * T._SCORE_BLOCK
         tracemalloc.start()
         try:
-            T.image_contrastive_nll([rows], nodes, [300, 300], Tensor(np.ones((2, 2000))), 1.0)
+            T.image_contrastive_nll([rows], nodes, [300, 300], Tensor(np.ones((2, 2000))), True)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -439,10 +453,10 @@ class TestMaxSimilarity:
         for counts in ([3, 4], [5], [6, 0], []):
             with pytest.raises(ValueError, match="node counts"):
                 T.image_contrastive_nll([Tensor(np.ones((max(len(counts), 1), 1, 2)))], nodes,
-                                        counts, Tensor(np.ones((max(len(counts), 1), 1))), 1.0)
+                                        counts, Tensor(np.ones((max(len(counts), 1), 1))), True)
         with pytest.raises(ValueError, match="do not fit 2 images"):
             T.image_contrastive_nll([Tensor(np.ones((2, 1, 2)))], nodes, [2, 4],
-                                    Tensor(np.ones((2, 2))), 1.0)
+                                    Tensor(np.ones((2, 2))), True)
 
     def test_nan_row_trips_error(self):
         nodes = Tensor(np.concatenate([np.eye(2), np.ones((4, 2))]))
@@ -451,8 +465,7 @@ class TestMaxSimilarity:
             rows.data[0, 1, 0] = np.nan
             with pytest.raises(FloatingPointError,
                                match=f"from image_contrastive_nll \\({what}\\)"):
-                T.image_contrastive_nll([rows], nodes, [2, 4], Tensor(np.ones((2, 3))), 1.0,
-                                        normalize)
+                T.image_contrastive_nll([rows], nodes, [2, 4], Tensor(np.ones((2, 3))), normalize)
 
 
 def add_at(shape, key, g):
@@ -615,23 +628,11 @@ class TestFusedOps:
         sizes = [n, n * (n - 1), len(pattern_index(n))]
         counts = [m * m + m + 1 for m in [1, 2, 3, 4, 5] * 3 + [2]]
         args = contrastive_inputs(rng, 16, sizes, counts, 32)
-        loss, grads = contrastive_grads(T.image_contrastive_nll, *args, -1 / 16, normalize)
-        ref_loss, ref_grads = contrastive_grads(contrastive_chain, *args, -1 / 16, normalize)
+        loss, grads = contrastive_grads(T.image_contrastive_nll, *args, normalize)
+        ref_loss, ref_grads = contrastive_grads(contrastive_chain, *args, normalize)
         assert loss == ref_loss
         for g, ref in zip(grads, ref_grads):
             np.testing.assert_array_equal(g, ref)
-
-    def test_backward_spends_the_scores(self):
-        # backward turns the kept scores into their gradients in place, so
-        # it runs once, even when an earlier run was cut short
-        rng = np.random.default_rng(15)
-        parts, node_mats, weights = contrastive_inputs(rng, 2, [2], (2, 3), 3)
-        loss = T.image_contrastive_nll([Tensor(parts[0], requires_grad=True)],
-                                       Tensor(np.concatenate(node_mats)), [2, 3],
-                                       Tensor(weights), 1.0)
-        loss._backward(np.asarray(1.0))
-        with pytest.raises(RuntimeError, match="earlier backward"):
-            loss._backward(np.asarray(1.0))
 
     def test_pair_mlp_gradcheck(self):
         rng = np.random.default_rng(23)
