@@ -188,17 +188,12 @@ def classify_types(sentence: Sentence, rules: RuleSet
         if not known:
             warnings.append(f"{sentence.id}: unknown dependency label {label!r} "
                             f"on token {d}, using default rule")
-        if _is_noun(dep_pos):
-            types.append(NodeType.OBJECT)
-            directives.append("self")
-        else:
-            types.append(NodeType.OBJECT)
-            directives.append("head")
+        types.append(NodeType.OBJECT)
+        directives.append("self" if _is_noun(dep_pos) else "head")
     return types, directives, warnings
 
 
-def identify_parents(sentence: Sentence, types: Sequence[NodeType],
-                     directives: Sequence[str]) -> list[int]:
+def identify_parents(sentence: Sentence, directives: Sequence[str]) -> list[int]:
     """Resolve parent directives to token indices.
 
     Self-parented tokens are the noun-phrase heads; every other token
@@ -244,7 +239,7 @@ def rewrite(sentence: Sentence, rules: Optional[RuleSet] = None) -> Rewritten:
     """Full rewriting stage: type classification + parent identification."""
     rules = load_rules() if rules is None else rules
     types, directives, warnings = classify_types(sentence, rules)
-    parents = identify_parents(sentence, types, directives)
+    parents = identify_parents(sentence, directives)
     return Rewritten(types=tuple(types), parent_of=tuple(parents),
                      warnings=tuple(warnings))
 
@@ -285,8 +280,7 @@ class AlignResult:
 
 
 def align_dt_sg(sentence: Sentence, rewritten: Rewritten, sg: SceneGraph,
-                sim: Similarity, k: int = 1,
-                threshold: float = SIM_THRESHOLD) -> AlignResult:
+                sim: Similarity) -> AlignResult:
     """Ground a rewritten tree onto a labeled scene graph.
 
     Object heads are scored against object labels with a neighborhood
@@ -311,10 +305,10 @@ def align_dt_sg(sentence: Sentence, rewritten: Rewritten, sg: SceneGraph,
     unaligned: list[int] = []
     warnings: list[str] = []
 
-    def ranked(cands: list[tuple[str, float]]) -> list[str]:
-        usable = [(node_id, s) for node_id, s in cands if s >= threshold]
-        usable.sort(key=lambda x: (-x[1], x[0]))
-        return [node_id for node_id, _ in usable[:max(k, 1)]]
+    def best(cands: list[tuple[str, float]]) -> Optional[str]:
+        """The highest usable score's node, the smaller id on ties."""
+        usable = [(-s, node_id) for node_id, s in cands if s >= SIM_THRESHOLD]
+        return min(usable)[1] if usable else None
 
     # object heads first: everything else resolves through them
     order = sorted(range(1, n + 1),
@@ -332,16 +326,16 @@ def align_dt_sg(sentence: Sentence, rewritten: Rewritten, sg: SceneGraph,
             cands = []
             for o in sg.objects:
                 score = sim(lemma[d], o.label)
-                if score >= threshold:  # only a usable score gets the bonus
+                if score >= SIM_THRESHOLD:  # only a usable score gets the bonus
                     bonus = 0.0
                     for r in sg.incident(o.id):
                         for nb in neighbors[d]:
                             bonus = max(bonus, NEIGHBOR_BONUS * sim(lemma[nb], r.label))
                     score += bonus
                 cands.append((o.id, score))
-            top = ranked(cands)
-            if top:
-                zero[d] = top[0]
+            top = best(cands)
+            if top is not None:
+                zero[d] = top
             else:
                 unaligned.append(d)
         elif ntype is NodeType.ATTRIBUTE:
@@ -351,9 +345,9 @@ def align_dt_sg(sentence: Sentence, rewritten: Rewritten, sg: SceneGraph,
                 continue
             cands = [(a.id, sim(lemma[d], a.label))
                      for a in sg.attributes if a.owner == owner]
-            top = ranked(cands)
-            if top:
-                zero[d] = top[0]
+            top = best(cands)
+            if top is not None:
+                zero[d] = top
             else:
                 unaligned.append(d)
 
@@ -364,9 +358,9 @@ def align_dt_sg(sentence: Sentence, rewritten: Rewritten, sg: SceneGraph,
             continue
         cands = [(r.id, sim(lemma[d], r.label)) for r in sg.relationships
                  if r.src in aligned_objects or r.dst in aligned_objects]
-        top = ranked(cands)
-        if top:
-            zero[d] = top[0]
+        top = best(cands)
+        if top is not None:
+            zero[d] = top
         else:
             unaligned.append(d)
 
@@ -398,16 +392,14 @@ def align_dt_sg(sentence: Sentence, rewritten: Rewritten, sg: SceneGraph,
 
     alignment = VLAlignment(
         sentence_id=sentence.id, zero=zero, first=first, second=second,
-        meta={"source": "rule-based", "ruleset": "reconstructed-defaults",
-              "k": k})
+        meta={"source": "rule-based", "ruleset": "reconstructed-defaults"})
     return AlignResult(alignment=alignment, unaligned=sorted(set(unaligned)),
                        warnings=warnings)
 
 
 def align_sentence(sentence: Sentence, sg: SceneGraph, sim: Similarity,
-                   rules: Optional[RuleSet] = None,
-                   k: int = 1) -> tuple[Rewritten, AlignResult]:
+                   rules: Optional[RuleSet] = None) -> tuple[Rewritten, AlignResult]:
     rewritten = rewrite(sentence, rules)
-    result = align_dt_sg(sentence, rewritten, sg, sim, k=k)
+    result = align_dt_sg(sentence, rewritten, sg, sim)
     result.warnings.extend(rewritten.warnings)
     return rewritten, result

@@ -231,7 +231,7 @@ def cmd_align(args, cfg) -> int:
     warned = 0
     for s in sentences:
         rewritten, result = align_mod.align_sentence(
-            s, graphs[s.image_id], sim, rules, k=int(cfg["topk_align"]))
+            s, graphs[s.image_id], sim, rules)
         alignments.append(result.alignment)
         for w in result.warnings:
             warned += 1

@@ -36,12 +36,9 @@ DEFAULTS: dict[str, object] = {
     "second_hidden": 32,
     "dec_tag_dim": 16,
     "dec_hidden": 32,
-    "normalize_sim": True,
     "identity_init": False,
     "finetune_word_emb": False,
     "second_order": True,
-    # alignment
-    "topk_align": 1,
     # evaluation
     "root_undirected": True,
     "exclude_punct": False,
@@ -146,7 +143,6 @@ def to_model_config(cfg: dict[str, object], tag_count: int, word_dim: int,
         match_dim=int(cfg["match_dim"]), arc_hidden=int(cfg["arc_hidden"]),
         second_hidden=int(cfg["second_hidden"]),
         dec_tag_dim=int(cfg["dec_tag_dim"]), dec_hidden=int(cfg["dec_hidden"]),
-        normalize_sim=bool(cfg["normalize_sim"]),
         identity_init=bool(cfg["identity_init"]),
         finetune_word_emb=bool(cfg["finetune_word_emb"]),
         second_order=bool(cfg["second_order"]),

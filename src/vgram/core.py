@@ -222,9 +222,13 @@ class VisualNode:
     owner: Optional[str] = None
 
 
+# the id of the whole-image node, in proposal and gold node sets alike
+IMAGE_ID = "img"
+
+
 def image_node(boxes: Iterable[Optional[Box]]) -> VisualNode:
     """The whole-image node ``img``: an object over the union of ``boxes``."""
-    return VisualNode("img", NodeType.OBJECT, box=union_box(boxes))
+    return VisualNode(IMAGE_ID, NodeType.OBJECT, box=union_box(boxes))
 
 
 class ProposalNodes(Sequence):
@@ -274,7 +278,7 @@ class ProposalNodes(Sequence):
             nums = [int(p) for p in parts]
         except ValueError:
             return None
-        if node_id == "img":
+        if node_id == IMAGE_ID:
             k = size - 1
         elif kind in ("obj", "attr") and len(nums) == 1:
             k = nums[0] + (m if kind == "attr" else 0)

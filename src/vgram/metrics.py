@@ -19,8 +19,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from vgram.core import Box, NodeType, ProposalNodes, SceneGraph, VisualNode
-from vgram.core import DependencyTree, VLAlignment, tree_to_instances
+from vgram.core import IMAGE_ID, Box, NodeType, ProposalNodes, SceneGraph, VisualNode
+from vgram.core import DependencyTree, VLAlignment, image_node, tree_to_instances
 
 IOU_THRESHOLD = 0.5
 
@@ -75,9 +75,13 @@ def dda_uda(pred: Sequence[Sequence[int]], gold: Sequence[Sequence[int]],
 
 def resolve_node(node_id: str, sg: Optional[SceneGraph],
                  regions: Optional[Sequence[Box]] = None) -> Optional[VisualNode]:
-    """The node a grounding names: a gold scene-graph id, or else a
-    proposal id over the region list; None for any other id."""
+    """The node a grounding names: a gold scene-graph id, the graph's
+    image node (``img`` over its object boxes, as a gold node set builds
+    it) where the graph has no node of that id, or else a proposal id
+    over the region list; None for any other id."""
     node = sg.visual_node(node_id) if sg is not None else None
+    if node is None and sg is not None and node_id == IMAGE_ID:
+        node = image_node(o.bbox for o in sg.objects)
     if node is None and regions is not None:
         node = ProposalNodes(regions).find(node_id)
     return node
@@ -149,7 +153,7 @@ def _match_gold_node(node_id: str, sg: SceneGraph,
     first in graph order on ties."""
     if sg.node(node_id) is not None:
         return node_id
-    ref = resolve_node(node_id, None, regions)
+    ref = resolve_node(node_id, sg, regions)
     if ref is None:
         return None
     gold = (sg.visual_node(n.id) for n in sg.nodes())

@@ -53,7 +53,6 @@ class ModelConfig:
     second_hidden: int = 32
     dec_tag_dim: int = 16
     dec_hidden: int = 32
-    normalize_sim: bool = True
     identity_init: bool = False
     finetune_word_emb: bool = False
     second_order: bool = True
@@ -447,21 +446,18 @@ class Model:
         return T.biaffine_features(parent, child, self.store["arc.bi.w1"],
                                    self.store["arc.bi.w2"], self.store["arc.bi.b"])
 
-    def _unit(self, rows: Tensor) -> Tensor:
-        """Rows as the similarity compares them: L2-normalized when
-        ``normalize_sim`` is on."""
-        return T.l2_normalize(rows) if self.config.normalize_sim else rows
-
     def node_matrix(self, feats: Tensor) -> Tensor:
-        """Projected, normalized node rows (V, match_dim) of
-        ``_pad_nodes``' features."""
-        return self._unit(T.matmul(feats, self.store["match.vis"]))
+        """Projected node rows (V, match_dim) of ``_pad_nodes``' features,
+        before normalization: the contrastive op and ``similarity`` each
+        normalize what they compare."""
+        return T.matmul(feats, self.store["match.vis"])
 
     @staticmethod
-    def similarity(rows: Tensor, nodes: Tensor) -> Tensor:
-        """Scores (R, V) of context rows against a node matrix, both
-        already passed through ``_unit``."""
-        return T.matmul(rows, T.swapaxes(nodes, -1, -2))
+    def similarity(rows: np.ndarray, unit_nodes: np.ndarray) -> np.ndarray:
+        """Cosine scores (R, V) of raw context rows against unit node rows
+        (``T.unit_rows`` of ``node_matrix``), by the arithmetic of the
+        contrastive op's scores."""
+        return T.unit_rows(rows) @ unit_nodes.T
 
     def batch_contexts(self, contexts: Tensor
                        ) -> tuple[list[Tensor], Tensor, np.ndarray, np.ndarray]:
@@ -507,8 +503,7 @@ class Model:
         parts, _, pairs, triples = self.batch_contexts(contexts)
         weights = self.context_weights(charts.posteriors, n, pairs, triples)
         return T.image_contrastive_nll(parts, self.node_matrix(feats),
-                                       [len(ns) for ns in batch.node_sets], weights,
-                                       self.config.normalize_sim)
+                                       [len(ns) for ns in batch.node_sets], weights)
 
     def total_loss(self, batch: SentenceBatch,
                    lambda_cl: float) -> tuple[Tensor, float, float]:
@@ -569,18 +564,19 @@ class Model:
                 heads: Optional[Sequence[int]], sentence_id: str
                 ) -> tuple[DependencyTree, VLAlignment]:
         """Encode, decode the Viterbi tree unless ``heads`` is given, and
-        ground its tokens, arcs (on relationship nodes) and patterns. The
-        tree's node types are those of the tokens' argmax nodes, the only
-        nodes read besides one relationship node per arc; building the
-        tree is the one check of its heads."""
+        ground its tokens, arcs (on relationship nodes) and patterns by
+        their ``similarity`` scores, the cosines training scores with,
+        formed in numpy off the tape. The tree's node types are those of
+        the tokens' argmax nodes, the only nodes read besides one
+        relationship node per arc; building the tree is the one check of
+        its heads."""
         tag_ids = np.array([[t.pos for t in tokens]])
         nodes = self._pad_nodes([node_set])
         contexts, summary = self.encode(self.word_ids(tokens)[None], tag_ids, nodes)
         if heads is None:
             heads, _ = chart.viterbi(self.sentence_scores(tag_ids[0], summary))
-        nodes = self.node_matrix(nodes[0])
-        ctx_tok = self._unit(T.matmul(contexts, self.store["match.ctx"])[0])
-        sim_tok = self.similarity(ctx_tok, nodes).numpy()
+        nodes = T.unit_rows(self.node_matrix(nodes[0]).numpy())
+        sim_tok = self.similarity(T.matmul(contexts, self.store["match.ctx"]).numpy()[0], nodes)
         picked = [node_set.nodes[k] for k in sim_tok.argmax(axis=1)]
         # the first node of a repeated id wins, as in the argmax order; only
         # a gold set repeats one (a graph's own "img" next to the image node)
@@ -596,8 +592,8 @@ class Model:
         arc_to_rel: dict[tuple[int, int], VisualNode] = {}
         if len(rel_idx) and inst.first:
             arcs = np.array(inst.first) - 1
-            arc_ctx = self._unit(self.arc_contexts(contexts)[0][arcs[:, 0], arcs[:, 1]])
-            sim_arc = self.similarity(arc_ctx, nodes).numpy()
+            arc_ctx = self.arc_contexts(contexts).numpy()[0][arcs[:, 0], arcs[:, 1]]
+            sim_arc = self.similarity(arc_ctx, nodes)
             for row, arc in enumerate(inst.first):
                 best = rel_idx[int(np.argmax(sim_arc[row][rel_idx]))]
                 node = node_set.nodes[best]

@@ -9,22 +9,22 @@ fancy indexing, concat/stack, reductions and relu. Every gather
 the flat cells it read, or, when it selects whole rows, one per column
 over the rows it read.
 
-Three fused ops stand for chains that would otherwise keep several
+Two fused ops stand for chains that would otherwise keep several
 copies of the largest rows on the tape, with the same numbers bit for
 bit. What each keeps until backward:
 
 - ``image_contrastive_nll``, the contrastive loss (the contexts'
-  concat, their normalization, each row's best dot product per image,
-  the weighting, log-softmax and each row's own image): its parts as
-  parents, the row norms, the scores (R, B) and their argmax nodes as
-  int32. It forms the unit rows block by block, in forward and again
-  in backward, and scores them in blocks that fit the cache, one
-  matmul per block against all images of one node count.
+  concat, the normalization of the rows and of the nodes, each row's
+  best cosine per image, the weighting, log-softmax and each row's own
+  image): its parts and raw nodes as parents, the row and node norms,
+  the unit nodes, the scores (R, B) and their argmax nodes as int32. It
+  forms the unit rows block by block, in forward and again in backward,
+  and scores them in blocks that fit the cache, one matmul per block
+  against all images of one node count. ``unit_rows`` is its
+  normalization, which grounding scores with too.
 - ``pair_mlp`` (two gathers, their concat and a two-layer ``mlp``): its
   output and its row indices; backward forms the rectified hidden rows
   again.
-- ``l2_normalize``: its output and the norms, whose arithmetic it
-  shares with ``image_contrastive_nll``.
 
 Forward results are checked finite after every op, so a NaN trips
 immediately at its source instead of three modules later; the error
@@ -540,40 +540,28 @@ def softmax(a, axis: int = -1) -> Tensor:
     return exp(log_softmax(a, axis))
 
 
-def _norm(a: np.ndarray, axis: int = -1, eps: float = 1e-12) -> np.ndarray:
-    """``sqrt(sum(a * a, axis) + eps)``, dims kept."""
-    return np.sqrt((a * a).sum(axis=axis, keepdims=True) + eps)
+def _norm(a: np.ndarray) -> np.ndarray:
+    """``sqrt(sum(a * a, -1) + 1e-12)``, dims kept."""
+    return np.sqrt((a * a).sum(axis=-1, keepdims=True) + 1e-12)
 
 
-def _normalized_grad(g: np.ndarray, a: np.ndarray, norm: np.ndarray, axis: int = -1,
-                     prior: Optional[np.ndarray] = None) -> np.ndarray:
-    """The gradient ``a`` gets from ``g`` on ``a / norm``, added to
-    ``prior``: the arithmetic of the chain mul, tsum, add, sqrt, div in
-    its tape's order, ``g / norm`` first, then the two ``a * a`` terms,
-    summed in one fresh buffer."""
-    g_norm = (-g * a / (norm * norm)).sum(axis=axis, keepdims=True)
+def unit_rows(a: np.ndarray) -> np.ndarray:
+    """``a / _norm(a)``: rows as the cosine similarity compares them, in
+    training (``image_contrastive_nll``) and in grounding alike."""
+    return a / _norm(a)
+
+
+def _normalized_grad(g: np.ndarray, a: np.ndarray, norm: np.ndarray) -> np.ndarray:
+    """The gradient ``a`` gets from ``g`` on ``a / norm``: the arithmetic
+    of the chain mul, tsum, add, sqrt, div in its tape's order, ``g /
+    norm`` first, then the two ``a * a`` terms, summed in one fresh
+    buffer."""
+    g_norm = (-g * a / (norm * norm)).sum(axis=-1, keepdims=True)
     square = np.broadcast_to(g_norm * 0.5 / norm, a.shape) * a
     grad = np.divide(g, norm, order="C")
-    if prior is not None:
-        np.add(prior, grad, out=grad)
     grad += square
     grad += square
     return grad
-
-
-def l2_normalize(a, axis: int = -1, eps: float = 1e-12) -> Tensor:
-    """``a / sqrt(sum(a * a, axis) + eps)`` as one op that keeps its
-    output and the norms."""
-    a = as_tensor(a)
-    norm = _norm(a.data, axis, eps)
-    if not np.isfinite(norm).all():
-        raise FloatingPointError("non-finite values from l2_normalize (norm)")
-    out_data = a.data / norm
-
-    def backward(g):
-        a.grad = _normalized_grad(g, a.data, norm, axis, a.grad)
-
-    return _make(out_data, (a,), backward)
 
 
 # -- the contrastive loss ---------------------------------------------
@@ -628,28 +616,30 @@ def _image_max(rows: Callable[[slice], np.ndarray], count: int, nodes: np.ndarra
     return scores, args
 
 
-def image_contrastive_nll(parts: Sequence, nodes, counts: Sequence[int], weights,
-                          normalize: bool) -> Tensor:
-    """``-1/B * sum_r log_softmax_b(w_r * max_{v in image b} u_r · nodes[v])[b_r]``,
+def image_contrastive_nll(parts: Sequence, nodes, counts: Sequence[int], weights) -> Tensor:
+    """``-1/B * sum_r log_softmax_b(w_r * max_{v in image b} u_r · n_v)[b_r]``,
     the in-batch contrastive loss of context rows against B images, as one op.
 
     ``parts`` are (B, C_i, d) row tensors read side by side: row r = b *
     C + c, C = sum C_i, is row c of image b's contexts, so its own image
-    b_r is b. ``u_r`` is row r, L2-normalized when ``normalize``, and
-    ``weights`` (B, C) holds each row's w_r. ``nodes`` (V, d) holds the
-    images' node rows one after another: image b owns ``counts[b]`` rows
-    from ``sum(counts[:b])`` on.
+    b_r is b. ``u_r`` is row r and ``n_v`` node row v, each L2-normalized
+    by ``unit_rows``' arithmetic, so every score is a cosine; ``weights``
+    (B, C) holds each row's w_r. ``nodes`` (V, d) holds the images' raw
+    node rows one after another: image b owns ``counts[b]`` rows from
+    ``sum(counts[:b])`` on.
 
-    Equal bit for bit to the chain concat, reshape, ``l2_normalize``,
-    the per-image max, mul, ``log_softmax``, the gather of each row's
-    own column, tsum and mul, but the tape keeps only the parts, the row
-    norms, the scores s (R, B) and their argmax nodes (int32). The unit
+    Equal bit for bit to the chain concat, reshape, the L2 normalization
+    of the rows and of the nodes, the per-image max, mul,
+    ``log_softmax``, the gather of each row's own column, tsum and mul,
+    but the tape keeps only the parts, the row and node norms, the unit
+    nodes, the scores s (R, B) and their argmax nodes (int32). The unit
     rows are formed again block by block from the parts, in forward and
     in backward, so no (R, d) copy of the rows is ever whole; backward
     forms the softmax again from s and w with the same numpy calls, and
     turns s into its own gradient in place: one graph takes one
     backward. Each part's gradient is written C-contiguous. A
-    non-finite norm or score raises ``FloatingPointError``.
+    non-finite norm raises ``FloatingPointError``; a cosine cannot
+    overflow.
     """
     parts = [as_tensor(p) for p in parts]
     nodes, weights = as_tensor(nodes), as_tensor(weights)
@@ -672,20 +662,14 @@ def image_contrastive_nll(parts: Sequence, nodes, counts: Sequence[int], weights
             out[dst] = parts[i].data[b, src]
         return out
 
-    norm = np.empty((count, 1)) if normalize else None
-    if normalize:
-        for blk in row_blocks:
-            norm[blk] = _norm(raw(blk))
-        if not np.isfinite(norm).all():
-            raise FloatingPointError("non-finite values from image_contrastive_nll (norm)")
-
-    def unit(blk: slice) -> np.ndarray:
-        rows = raw(blk)
-        return np.divide(rows, norm[blk], out=rows) if normalize else rows
-
-    scores, args = _image_max(unit, count, nodes.data, counts)
-    if not np.isfinite(scores).all():
-        raise FloatingPointError("non-finite values from image_contrastive_nll (scores)")
+    norm = np.empty((count, 1))
+    for blk in row_blocks:
+        norm[blk] = _norm(raw(blk))
+    node_norm = _norm(nodes.data)
+    if not (np.isfinite(norm).all() and np.isfinite(node_norm).all()):
+        raise FloatingPointError("non-finite values from image_contrastive_nll (norm)")
+    unit_nodes = nodes.data / node_norm
+    scores, args = _image_max(lambda blk: unit_rows(raw(blk)), count, unit_nodes, counts)
     w = weights.data.reshape(-1, 1)
 
     def own(blk: slice) -> tuple[np.ndarray, np.ndarray]:
@@ -715,25 +699,23 @@ def image_contrastive_nll(parts: Sequence, nodes, counts: Sequence[int], weights
             weights.accumulate(g_w.reshape(weights.shape))
         del g_w
         if nodes.requires_grad:
-            # scatter-add of the weighted unit rows onto their argmax nodes,
-            # one column at a time over every (row, image) pair: a node
-            # belongs to one image, so each cell sums its rows in order
+            # scatter-add of the weighted unit rows onto their argmax unit
+            # nodes, one column at a time over every (row, image) pair: a
+            # node belongs to one image, so each cell sums its rows in order
             grad = np.empty(nodes.shape)
             targets = args.ravel().astype(np.intp)
             for k in range(dim):
                 u = np.concatenate([p.data[:, :, k] for p in parts], axis=1).reshape(-1, 1)
-                if normalize:
-                    u /= norm
+                u /= norm
                 grad[:, k] = np.bincount(targets, (g_scores * u).ravel(), minlength=len(grad))
             del targets
-            nodes.accumulate(grad)
+            nodes.accumulate(_normalized_grad(grad, nodes.data, node_norm))
         grads = [np.empty(p.shape) if p.requires_grad else None for p in parts]
         if not any(grad is not None for grad in grads):
             return
         for blk in row_blocks:
-            g_rows = np.einsum("rb,rbk->rk", g_scores[blk], nodes.data[args[blk]])
-            if normalize:
-                g_rows = _normalized_grad(g_rows, raw(blk), norm[blk])
+            g_rows = np.einsum("rb,rbk->rk", g_scores[blk], unit_nodes[args[blk]])
+            g_rows = _normalized_grad(g_rows, raw(blk), norm[blk])
             for i, b, src, dst in _segments(sizes, blk.start, blk.stop):
                 if grads[i] is not None:
                     grads[i][b, src] = g_rows[dst]

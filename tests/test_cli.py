@@ -41,7 +41,7 @@ def test_config_digest_stable():
     assert digest(resolve()) == digest(resolve())
     assert digest(resolve()) != digest(resolve(overrides={"lr": "0.1"}))
     # checkpoints carry this digest; a new value restamps every saved default run
-    assert digest(resolve()) == "48897fd49c0159b0"
+    assert digest(resolve()) == "d42df22fb69f4447"
 
 
 def test_synth_outputs(dataset):
@@ -56,6 +56,9 @@ def test_usage_error_exit_code():
     assert main(["synth", "--out", "/tmp/x", "--set", "nonsense=1"]) == 1
     assert main(["synth", "--out", "/tmp/x", "--set", "synth_min_len=20",
                  "--set", "synth_max_len=5"]) == 1
+    # removed keys are unknown keys
+    assert main(["synth", "--out", "/tmp/x", "--set", "normalize_sim=false"]) == 1
+    assert main(["synth", "--out", "/tmp/x", "--set", "topk_align=2"]) == 1
     assert main(["nosuchcommand"]) == 1
 
 

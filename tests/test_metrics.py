@@ -186,6 +186,20 @@ class TestFirstSecondAA:
         assert first == 0.0
 
 
+    @pytest.mark.parametrize("regions", [None, [(0, 0, 100, 90), (400, 0, 500, 90)]],
+                             ids=["no-regions", "distractor"])
+    def test_img_matches_through_the_graphs_image_node(self, regions):
+        # img over the objects (0, 120) overlaps o1 at 100/120; the regions'
+        # union with the distractor would overlap it at 0.2 only
+        sg = SceneGraph("img0", (SGObject("o1", bbox=(0, 0, 100, 90)),
+                                 SGObject("o2", bbox=(80, 0, 120, 90))),
+                        (), (SGRelationship("r12", src="o1", dst="o2"),))
+        pred = {"s0": align({1: "img", 2: "o2"})}
+        first, _ = first_second_aa(pred, {"s0": [0, 1]}, {"img0": sg}, {"s0": "img0"},
+                                   regions=None if regions is None else {"img0": regions})
+        assert first == 1.0
+
+
 class TestArcLengths:
     def test_all_length_one(self):
         buckets = arc_length_breakdown([[0, 1, 2]], [[0, 1, 2]])
@@ -224,6 +238,16 @@ class TestHelpers:
     def test_report_format(self):
         text = format_report({"dda": 0.5, "uda": 0.75})
         assert text == "dda\t0.5\nuda\t0.75\n"
+
+    @pytest.mark.parametrize("regions", [None, [(0, 0, 100, 90), (200, 0, 300, 90),
+                                                (400, 0, 500, 90)]],
+                             ids=["no-regions", "distractor"])
+    def test_resolve_node_img_is_the_graphs_image_node(self, regions):
+        # the image node a gold node set builds, over the graph's objects,
+        # not over every region
+        ref = resolve_node("img", toy_scene(), regions)
+        assert ref.type is NodeType.OBJECT
+        assert ref.box == (0, 0, 300, 90)
 
     def test_resolve_node_img(self):
         ref = resolve_node("img", None, [(0, 0, 10, 10), (20, 0, 30, 10)])

@@ -24,6 +24,8 @@ from vgram.model import (
 )
 from vgram.tensor import Tensor
 
+from test_tensor import l2_chain
+
 DIM = 8
 
 
@@ -315,21 +317,22 @@ def tmax_loop(rows, nodes, counts):
     """The contrastive image column as one dense similarity and one
     ``tmax`` per image."""
     bounds = np.cumsum([0, *counts])
-    return T.stack([T.tmax(Model.similarity(rows, nodes[bounds[b]:bounds[b + 1]]), axis=-1)
-                    for b in range(len(counts))], axis=1)
+    return T.stack([T.tmax(T.matmul(rows, T.swapaxes(nodes[bounds[b]:bounds[b + 1]], -1, -2)),
+                           axis=-1) for b in range(len(counts))], axis=1)
 
 
 def contrastive_loop(model, batch, contexts, charts, feats):
     """The contrastive term as the unfused tape chain: the contexts'
-    concat, ``_unit``, ``tmax_loop``, the weighting, ``log_softmax`` and
-    each row's own column: the reference for ``T.image_contrastive_nll``
-    in ``Model._contrastive_from``."""
+    concat, ``l2_chain`` of the rows and of the nodes, ``tmax_loop``, the
+    weighting, ``log_softmax`` and each row's own column: the reference
+    for ``T.image_contrastive_nll`` in ``Model._contrastive_from``."""
     bsz, n = batch.tag_ids.shape
     parts, _, pairs, triples = model.batch_contexts(contexts)
     weights = model.context_weights(charts.posteriors, n, pairs, triples)
     ctx_all = T.concat(parts, axis=1)
-    flat = model._unit(T.reshape(ctx_all, (-1, model.config.match_dim)))
-    sims = tmax_loop(flat, model.node_matrix(feats), [len(ns) for ns in batch.node_sets])
+    flat = l2_chain(T.reshape(ctx_all, (-1, model.config.match_dim)))
+    sims = tmax_loop(flat, l2_chain(model.node_matrix(feats)),
+                     [len(ns) for ns in batch.node_sets])
     log_probs = T.log_softmax(T.mul(sims, T.reshape(weights, (flat.shape[0], 1))), axis=1)
     own = np.repeat(np.arange(bsz), ctx_all.shape[1])
     return T.mul(T.tsum(log_probs[np.arange(len(own)), own]), -1.0 / bsz)
@@ -405,7 +408,7 @@ def tape_arrays(loss: Tensor):
 
 CONTRASTIVE_CASES = [
     (10, 16, {}),
-    (5, 4, {"normalize_sim": False}),
+    (5, 4, {}),
     (6, 5, {"second_order": False}),
 ]
 
@@ -533,10 +536,35 @@ class TestMatching:
         model, _, _ = make_model()
         f = np.array([3.0, 4.0] + [0.0] * (DIM - 2))
         ns = model.build_visual_nodes("img", Regions([(0.0, 0.0, 9.0, 9.0)], f[None]))
-        nodes = model.node_matrix(model._pad_nodes([ns])[0])
-        assert np.linalg.norm(nodes.numpy(), axis=1) == pytest.approx(1.0)
-        sim = model.similarity(model._unit(Tensor(f[None])), nodes).numpy()
+        nodes = T.unit_rows(model.node_matrix(model._pad_nodes([ns])[0]).numpy())
+        assert np.linalg.norm(nodes, axis=1) == pytest.approx(1.0)
+        sim = model.similarity(f[None], nodes)
         assert sim[0, 0] == pytest.approx(1.0)
+
+    def test_grounding_scores_as_training_does(self, monkeypatch):
+        # one sentence against one image: the cosines _decode grounds the
+        # tokens with are the contrastive op's scores of the token rows
+        model, vocab, vectors = make_model(identity=False, seed=5)
+        words, tags = [0, 3, 1, 4], [0, 2, 1, 1]
+        batch = toy_batch(model, vectors, [(words, tags)])
+        seen = {}
+
+        def spy(name, fn):
+            def wrapped(*args):
+                seen.setdefault(name, fn(*args))
+                return seen[name]
+            return wrapped
+
+        monkeypatch.setattr(T, "_image_max", spy("train", T._image_max))
+        monkeypatch.setattr(Model, "similarity", staticmethod(spy("ground", Model.similarity)))
+        model.total_loss(batch, 0.5)
+        tokens = [Token(k + 1, vocab[w], t, vocab[w]) for k, (w, t) in enumerate(zip(words, tags))]
+        model.ground(tokens, batch.node_sets[0], heads=[0, 1, 2, 3])
+        scores, args = seen["train"]
+        sim = seen["ground"]
+        assert sim.shape == (len(words), len(batch.node_sets[0]))
+        np.testing.assert_allclose(sim.max(axis=1), scores[:len(words), 0], rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(sim.argmax(axis=1), args[:len(words), 0])
 
     def test_zero_posterior_kills_score(self):
         model, _, _ = make_model()

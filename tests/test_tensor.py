@@ -148,11 +148,11 @@ class TestBasicOps:
         rng = np.random.default_rng(8)
         a = rng.normal(size=(3, 4))
         check_grads(lambda x: T.tsum(T.mul(T.log_softmax(x, axis=-1), 0.5)), [a])
-        check_grads(lambda x: T.tsum(T.mul(T.l2_normalize(x), np.ones((3, 4)))), [a],
-                    rtol=1e-5)
+        # the contrastive op's normalization: unit_rows and its gradient
         weights = rng.normal(size=(3, 4))
-        check_grads(lambda x: T.tsum(T.mul(T.l2_normalize(x, axis=0), weights)), [a],
-                    rtol=1e-5)
+        expected, = central_difference(lambda: (T.unit_rows(a) * weights).sum(), [a])
+        np.testing.assert_allclose(T._normalized_grad(weights, a, T._norm(a)), expected,
+                                   rtol=1e-5, atol=1e-8)
 
     def test_nan_trips_error(self):
         with pytest.raises(FloatingPointError):
@@ -304,16 +304,15 @@ def max_similarity(rows, nodes, counts):
     return T._make(out, (rows, nodes), backward)
 
 
-def contrastive_chain(parts, nodes, counts, weights, normalize, image_max=max_similarity):
+def contrastive_chain(parts, nodes, counts, weights, image_max=max_similarity):
     """The unfused tape chain ``image_contrastive_nll`` stands for: the
-    parts' concat, its (R, d) reshape, ``l2_normalize``, the per-image
-    max, the weighting, ``log_softmax``, each row's own column, tsum and
-    the scale -1/B."""
+    parts' concat, its (R, d) reshape, ``l2_chain`` of the rows and of
+    the nodes, the per-image max, the weighting, ``log_softmax``, each
+    row's own column, tsum and the scale -1/B."""
     rows = T.concat(parts, axis=1)
-    flat = T.reshape(rows, (-1, rows.shape[-1]))
-    if normalize:
-        flat = T.l2_normalize(flat)
-    logits = T.mul(image_max(flat, nodes, counts), T.reshape(weights, (flat.shape[0], 1)))
+    flat = l2_chain(T.reshape(rows, (-1, rows.shape[-1])))
+    logits = T.mul(image_max(flat, l2_chain(nodes), counts),
+                   T.reshape(weights, (flat.shape[0], 1)))
     own = np.repeat(np.arange(len(counts)), rows.shape[1])
     picked = T.log_softmax(logits, axis=1)[np.arange(len(own)), own]
     return T.mul(T.tsum(picked), -1.0 / len(counts))
@@ -329,11 +328,11 @@ def contrastive_inputs(rng, batch, sizes, counts, dim):
     return parts, node_mats, rng.uniform(0.0, 1.0, (batch, sum(sizes)))
 
 
-def contrastive_grads(op, parts, node_mats, weights, normalize=True, **kw):
+def contrastive_grads(op, parts, node_mats, weights, **kw):
     """The loss of ``op`` (``image_contrastive_nll`` or a chain with its
     signature) and the gradients of the parts, the nodes and the weights."""
     ts = [Tensor(x, requires_grad=True) for x in [*parts, np.concatenate(node_mats), weights]]
-    loss = op(ts[:-2], ts[-2], [len(m) for m in node_mats], ts[-1], normalize, **kw)
+    loss = op(ts[:-2], ts[-2], [len(m) for m in node_mats], ts[-1], **kw)
     loss.backward()
     return loss.item(), [t.grad for t in ts]
 
@@ -361,10 +360,9 @@ class TestMaxSimilarity:
         np.testing.assert_array_equal(scores, [[1.0, 1.0], [1.0, 1.0]])
         np.testing.assert_array_equal(args, [[1, 3], [0, 3]])
         inputs = [rows.reshape(2, 1, 2)], node_mats, np.array([[1.0], [3.0]])
-        _, grads = contrastive_grads(T.image_contrastive_nll, *inputs, normalize=False)
+        _, grads = contrastive_grads(T.image_contrastive_nll, *inputs)
         np.testing.assert_array_equal(grads[1][[2, 4]], 0.0)
-        _, ref_grads = contrastive_grads(contrastive_chain, *inputs, normalize=False,
-                                  image_max=tmax_loop)
+        _, ref_grads = contrastive_grads(contrastive_chain, *inputs, image_max=tmax_loop)
         for g, ref in zip(grads, ref_grads):
             np.testing.assert_array_equal(g, ref)
 
@@ -372,11 +370,9 @@ class TestMaxSimilarity:
         rng = np.random.default_rng(12)
         parts, node_mats, weights = contrastive_inputs(rng, 2, [2, 1], (4, 2), 3)
         counts = [len(m) for m in node_mats]
-        for normalize in (True, False):
-            check_grads(lambda p, q, m, w: T.image_contrastive_nll([p, q], m, counts, w,
-                                                                   normalize),
-                        [*(np.ascontiguousarray(p) for p in parts), np.concatenate(node_mats),
-                         weights])
+        check_grads(lambda p, q, m, w: T.image_contrastive_nll([p, q], m, counts, w),
+                    [*(np.ascontiguousarray(p) for p in parts), np.concatenate(node_mats),
+                     weights])
 
     def test_image_reads_only_its_own_rows(self):
         # the second image's rows score higher for every row, yet the
@@ -405,7 +401,7 @@ class TestMaxSimilarity:
         for b, (first, second) in ((tied[0], (1, 3)), (tied[-1], (0, 2))):
             node_mats[b][first] = node_mats[b][second] = [10.0, 10.0, 10.0]
         rows[2:4] = np.abs(rows[2:4])
-        unit = rows / T._norm(rows)
+        unit = T.unit_rows(rows)
         nodes = np.concatenate(node_mats)
         scores, args = T._image_max(lambda blk: unit[blk], count, nodes, counts)
         # equal up to the summation order BLAS picks for each product's shape
@@ -442,7 +438,7 @@ class TestMaxSimilarity:
         assert dense > 3 * 8 * T._SCORE_BLOCK
         tracemalloc.start()
         try:
-            T.image_contrastive_nll([rows], nodes, [300, 300], Tensor(np.ones((2, 2000))), True)
+            T.image_contrastive_nll([rows], nodes, [300, 300], Tensor(np.ones((2, 2000))))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -453,19 +449,17 @@ class TestMaxSimilarity:
         for counts in ([3, 4], [5], [6, 0], []):
             with pytest.raises(ValueError, match="node counts"):
                 T.image_contrastive_nll([Tensor(np.ones((max(len(counts), 1), 1, 2)))], nodes,
-                                        counts, Tensor(np.ones((max(len(counts), 1), 1))), True)
+                                        counts, Tensor(np.ones((max(len(counts), 1), 1))))
         with pytest.raises(ValueError, match="do not fit 2 images"):
             T.image_contrastive_nll([Tensor(np.ones((2, 1, 2)))], nodes, [2, 4],
-                                    Tensor(np.ones((2, 2))), True)
+                                    Tensor(np.ones((2, 2))))
 
     def test_nan_row_trips_error(self):
         nodes = Tensor(np.concatenate([np.eye(2), np.ones((4, 2))]))
-        for normalize, what in ((True, "norm"), (False, "scores")):
-            rows = Tensor(np.ones((2, 3, 2)))
-            rows.data[0, 1, 0] = np.nan
-            with pytest.raises(FloatingPointError,
-                               match=f"from image_contrastive_nll \\({what}\\)"):
-                T.image_contrastive_nll([rows], nodes, [2, 4], Tensor(np.ones((2, 3))), normalize)
+        rows = Tensor(np.ones((2, 3, 2)))
+        rows.data[0, 1, 0] = np.nan
+        with pytest.raises(FloatingPointError, match="from image_contrastive_nll \\(norm\\)"):
+            T.image_contrastive_nll([rows], nodes, [2, 4], Tensor(np.ones((2, 3))))
 
 
 def add_at(shape, key, g):
@@ -564,9 +558,10 @@ def pair_mlp_chain(table, first, second, w1, b1, w2, b2):
     return T.reshape(out, lead + out.shape[-1:])
 
 
-def l2_chain(a, axis=-1, eps=1e-12):
-    """The unfused tape chain ``l2_normalize`` stands for."""
-    norm = T.sqrt(T.add(T.tsum(T.mul(a, a), axis=axis, keepdims=True), eps))
+def l2_chain(a):
+    """The unfused tape chain of the contrastive op's L2 normalization:
+    ``unit_rows`` in forward, ``_normalized_grad`` in backward."""
+    norm = T.sqrt(T.add(T.tsum(T.mul(a, a), axis=-1, keepdims=True), 1e-12))
     return T.div(a, norm)
 
 
@@ -610,26 +605,15 @@ class TestFusedOps:
         for g, ref in zip(grads, ref_grads):
             assert (g is None and ref is None) or np.array_equal(g, ref)
 
-    @pytest.mark.parametrize("rows", [16 * 18, 16 * 1180])   # B * C at n = 3 and n = 10
-    def test_l2_normalize_bitwise_equals_chain(self, rows):
-        rng = np.random.default_rng(rows)
-        a = rng.normal(size=(rows, 32))
-        weights = rng.normal(size=(rows, 32))
-        out, grads = self.run(T.l2_normalize, [a], weights)
-        ref_out, ref_grads = self.run(l2_chain, [a], weights)
-        np.testing.assert_array_equal(out, ref_out)
-        np.testing.assert_array_equal(grads[0], ref_grads[0])
-
-    @pytest.mark.parametrize("normalize", [True, False])
     @pytest.mark.parametrize("n", [3, 10])
-    def test_image_contrastive_nll_bitwise_equals_chain(self, n, normalize):
+    def test_image_contrastive_nll_bitwise_equals_chain(self, n):
         # B = 16 images of 1-5 regions: 3, 7, 13, 21 and 31 nodes
         rng = np.random.default_rng(30 + n)
         sizes = [n, n * (n - 1), len(pattern_index(n))]
         counts = [m * m + m + 1 for m in [1, 2, 3, 4, 5] * 3 + [2]]
         args = contrastive_inputs(rng, 16, sizes, counts, 32)
-        loss, grads = contrastive_grads(T.image_contrastive_nll, *args, normalize)
-        ref_loss, ref_grads = contrastive_grads(contrastive_chain, *args, normalize)
+        loss, grads = contrastive_grads(T.image_contrastive_nll, *args)
+        ref_loss, ref_grads = contrastive_grads(contrastive_chain, *args)
         assert loss == ref_loss
         for g, ref in zip(grads, ref_grads):
             np.testing.assert_array_equal(g, ref)
@@ -654,8 +638,9 @@ class TestFusedOps:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(FloatingPointError, match="from pair_mlp"):
                 T.pair_mlp(*arrays[:1], *pattern_keys(3), *arrays[1:])
-            with pytest.raises(FloatingPointError, match="from l2_normalize"):
-                T.l2_normalize(Tensor([1e200, 1.0]))
+            with pytest.raises(FloatingPointError, match="from image_contrastive_nll \\(norm\\)"):
+                T.image_contrastive_nll([Tensor(np.ones((1, 1, 2)))], Tensor([[1e200, 1.0]]),
+                                        [1], Tensor(np.ones((1, 1))))
             with pytest.raises(FloatingPointError, match="from log"):
                 T.log(Tensor([-1.0, 1.0]))
 
