@@ -305,10 +305,14 @@ def align_dt_sg(sentence: Sentence, rewritten: Rewritten, sg: SceneGraph,
     unaligned: list[int] = []
     warnings: list[str] = []
 
-    def best(cands: list[tuple[str, float]]) -> Optional[str]:
-        """The highest usable score's node, the smaller id on ties."""
+    def assign(d: int, cands: list[tuple[str, float]]) -> None:
+        """Ground token d on its highest usable candidate, the smaller id
+        on ties, or list it unaligned."""
         usable = [(-s, node_id) for node_id, s in cands if s >= SIM_THRESHOLD]
-        return min(usable)[1] if usable else None
+        if usable:
+            zero[d] = min(usable)[1]
+        else:
+            unaligned.append(d)
 
     # object heads first: everything else resolves through them
     order = sorted(range(1, n + 1),
@@ -333,11 +337,7 @@ def align_dt_sg(sentence: Sentence, rewritten: Rewritten, sg: SceneGraph,
                             bonus = max(bonus, NEIGHBOR_BONUS * sim(lemma[nb], r.label))
                     score += bonus
                 cands.append((o.id, score))
-            top = best(cands)
-            if top is not None:
-                zero[d] = top
-            else:
-                unaligned.append(d)
+            assign(d, cands)
         elif ntype is NodeType.ATTRIBUTE:
             owner = zero.get(parent)
             if owner is None:
@@ -345,11 +345,7 @@ def align_dt_sg(sentence: Sentence, rewritten: Rewritten, sg: SceneGraph,
                 continue
             cands = [(a.id, sim(lemma[d], a.label))
                      for a in sg.attributes if a.owner == owner]
-            top = best(cands)
-            if top is not None:
-                zero[d] = top
-            else:
-                unaligned.append(d)
+            assign(d, cands)
 
     aligned_objects = {node for node in zero.values()
                        if isinstance(sg.node(node), SGObject)}
@@ -358,11 +354,7 @@ def align_dt_sg(sentence: Sentence, rewritten: Rewritten, sg: SceneGraph,
             continue
         cands = [(r.id, sim(lemma[d], r.label)) for r in sg.relationships
                  if r.src in aligned_objects or r.dst in aligned_objects]
-        top = best(cands)
-        if top is not None:
-            zero[d] = top
-        else:
-            unaligned.append(d)
+        assign(d, cands)
 
     first: dict[tuple[int, int], FirstAlignment] = {}
     inst = tree_to_instances(sentence.tree())
