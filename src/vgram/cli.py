@@ -11,6 +11,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import logging
 import multiprocessing
 import os
@@ -393,7 +394,39 @@ COMMANDS = {"synth": cmd_synth, "align": cmd_align, "train": cmd_train,
             "parse": cmd_parse, "ground": cmd_ground, "eval": cmd_eval}
 
 
+# mallopt parameters from glibc's malloc.h
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MALLOC_ENV = ("GLIBC_TUNABLES", "MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_")
+
+
+def _keep_freed_memory() -> None:
+    """Fix glibc's mmap and trim thresholds, so freed arrays stay mapped.
+
+    glibc slides its mmap threshold up to the largest chunk freed so far
+    and trims the top of the heap once twice that is free. A long parse
+    or training step frees a tape of multi-MB arrays, so the heap top is
+    handed back to the kernel and the next step faults it in again.
+    Fixing the thresholds where the sliding rule ends on 64-bit (32 MiB,
+    and twice that for trimming) keeps the memory mapped: peak RSS is the
+    same, but RSS stays near its peak until the process exits. Nothing
+    is done off glibc, or when ``GLIBC_TUNABLES`` or either ``MALLOC_*_``
+    threshold variable is set.
+    """
+    if any(name in os.environ for name in _MALLOC_ENV):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    _keep_freed_memory()
     logging.basicConfig(stream=sys.stderr,
                         format="%(levelname)s %(name)s: %(message)s",
                         level=logging.INFO)

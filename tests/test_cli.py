@@ -1,4 +1,9 @@
 import json
+import os
+import pathlib
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +13,7 @@ from vgram.cli import main
 from vgram.core import validate_tree
 from vgram.config import ConfigError, digest, resolve
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 SMALL = ["--set", "synth_sentences=24", "--set", "synth_dev=6",
          "--set", "synth_test=6", "--set", "synth_max_len=5",
          "--set", "synth_min_len=2", "--set", "synth_dim=8"]
@@ -383,3 +389,69 @@ def test_align_and_eval_check_each_tree_once(dataset, tmp_path, monkeypatch):
                  "--gold-align", str(dataset / "alignments.jsonl"),
                  "--scene-graphs", str(dataset / "scene_graphs.jsonl")]) == 0
     assert len(calls) == 2 * len(sentences)
+
+
+# A child process runs one CLI command, then counts the minor page faults
+# of 20 rounds that each allocate, write and free ten 1 MiB arrays (one
+# round first, so the heap has grown once).
+FAULT_PROBE = """
+import resource
+import numpy as np
+from vgram.cli import main
+
+assert main(["parse"]) == 1
+
+def churn():
+    arrays = [np.ones(1 << 17) for _ in range(10)]
+    del arrays
+
+churn()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    churn()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+MALLOC_ENV = ("GLIBC_TUNABLES", "MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_")
+
+
+def _probe_faults(user_env: dict) -> int:
+    env = {k: v for k, v in os.environ.items() if k not in MALLOC_ENV}
+    env.update(user_env, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
+
+
+glibc_only = pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                                reason="the allocator policy is set through glibc's mallopt")
+
+
+@glibc_only
+def test_cli_keeps_freed_memory_mapped():
+    """After ``main`` a freed array is reused, not returned to the kernel
+    and faulted in again (about 51 000 faults with glibc's sliding rule)."""
+    assert _probe_faults({}) < 1000
+
+
+@glibc_only
+@pytest.mark.parametrize("user_env", [
+    {"MALLOC_TRIM_THRESHOLD_": "131072"},
+    {"GLIBC_TUNABLES": "glibc.malloc.trim_threshold=131072"},
+])
+def test_cli_leaves_user_malloc_settings(user_env):
+    """A threshold set in the environment fixes glibc's mmap threshold at
+    its 128 KiB default, and ``main`` does not override it: every 1 MiB
+    array is mapped and unmapped again."""
+    assert _probe_faults(user_env) > 10_000
+
+
+def test_cli_runs_without_mallopt(tmp_path, monkeypatch):
+    """Off glibc there is no ``mallopt``; the CLI runs as usual."""
+    for name in MALLOC_ENV:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setattr("ctypes.CDLL", lambda name: object())
+    assert main(["synth", "--out", str(tmp_path)] + SMALL) == 0
+    assert (tmp_path / "corpus.train.jsonl").is_file()
