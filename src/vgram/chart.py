@@ -27,9 +27,14 @@ table holds one row per span length L, indexed by span start i:
              left side closed; the dependent's right side is attached
              when the item extends the head's cone (il: arc i+L -> i)
 
-Rows are stored back to back in one flat array per table, so each
-merged table takes one gather per operand table and one merge per span
-length.
+Each table is one (B, n, n) buffer indexed [length, start], where only
+start < n - length is a cell (ir/il have no row 0), and a second view of
+the same memory indexed [length, end], end = start + length (stride
+n - 1 on the length axis). Every candidate of one span length is then a
+strided slice of one view (:func:`_reads`), so each merged table costs
+one merge and no gather per span length. Before the recursion each cell
+holds the attach or stop/continue term it pays; its merge is added in
+place.
 
 Everything is log-space double precision. Impossible items carry a
 large negative sentinel rather than -inf so sums never produce NaN.
@@ -37,7 +42,6 @@ large negative sentinel rather than -inf so sums never produce NaN.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -136,55 +140,50 @@ def MAX(x):
     return x.max(axis=1), x.argmax(axis=1)
 
 
+BY_START, BY_END = 0, 1
+
+# merge, in merge order -> the tables its merged row is added into
+_WRITES = {"ir": ("ir",), "il": ("il",), "ro": ("rc", "roc"), "lo": ("lc", "loc")}
+
+
 @dataclass
 class SpanTables:
     """What one run of :func:`span_recursion` leaves behind."""
 
-    flat: dict              # table name -> rows stored back to back, (B, cells)
-    first: np.ndarray       # first[L]: where row L starts (ir/il: first[L] - n)
+    views: dict             # table name -> (by start, by end) views of its (B, n, n) cells
     back: dict[str, list]   # "ir", "il", "ro", "lo" -> merge args by span length
     root_terms: np.ndarray  # (B, n): root r plus both of its closed cones
     total: np.ndarray       # (B,): root_terms merged
     root_arg: np.ndarray    # the root merge's arg
 
 
-def _row_starts(n: int) -> np.ndarray:
-    """Where row L starts in a flat table holding rows 0, 1, ..., n - 1
-    of an n-token chart, row L holding n - L cells."""
-    return np.concatenate([[0], np.cumsum(np.arange(n, 1, -1))])
+def _views(table: np.ndarray) -> tuple:
+    """``table``, C-ordered (..., n, n) cells indexed [length, start], and
+    the same memory indexed [length, end]. The second view reads past
+    its cells where end < length; only end >= length is one."""
+    *lead, row, cell = table.strides
+    return table, np.ndarray(table.shape, table.dtype, table, strides=(*lead, row - cell, cell))
 
 
-# every length of one training step up to 21 tokens, past the default
-# max_train_len; a few hundred KB when a long parse fills it
-@functools.lru_cache(maxsize=20)
-def _gathers(n: int, length: int):
-    """Flat candidate indices, (length, n - length) each, for one span length
-    of an n-token chart, and the end tokens ``left``, ``right`` (1-based,
-    (n - length,)) of its spans.
-
-    With ``first = _row_starts(n)``, candidate k of start i: ``near``
-    reads row k at start i, ``far`` row length-1-k at start i+k+1;
-    ``arc_r`` reads ir row k+1 at start i and ``arc_l`` il row length-k
-    at start i+k (both tables start at row 1). They depend on (n,
-    length) only, so each is built once and kept read-only in a bounded
-    cache: a training step reads them four times per length (the inside
-    pass, the tangent pass, two outside sweeps).
-    """
-    first = _row_starts(n)
-    k = np.arange(length)[:, None]
-    i = np.arange(n - length)
-    out = (first[:length, None] + i, first[length - 1::-1, None] + (k + 1 + i),
-           first[1:length + 1, None] + (i - n), first[length:0:-1, None] + (k + i - n),
-           i + 1, i + 1 + length)
-    for index in out:
-        index.flags.writeable = False
-    return out
+def _reads(n: int, length: int) -> dict:
+    """Merge -> its two operands (table, view, index), (..., length,
+    n - length) slices, at one span length of an n-token chart, in merge
+    order. Candidate k of start i: ``near`` reads length k at start i,
+    ``far`` length - 1 - k at end i + length; the arcs read ir length
+    k + 1 at start i and il length - k at end i + length."""
+    m = n - length
+    near, far = np.s_[..., :length, :m], np.s_[..., length - 1::-1, length:]
+    return {"ir": (("roc", BY_START, near), ("lc", BY_END, far)),
+            "il": (("rc", BY_START, near), ("loc", BY_END, far)),
+            "ro": (("ir", BY_START, np.s_[..., 1:length + 1, :m]), ("rc", BY_END, far)),
+            "lo": (("il", BY_END, np.s_[..., length:0:-1, length:]), ("lc", BY_START, near))}
 
 
-def _root_cones(first: np.ndarray):
-    """Flat indices of root r's closed cones: lc row r-1 and rc row n-r, both
-    spanning to a sentence end."""
-    return first, first[::-1] + np.arange(len(first))
+def _joined(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a + b, (B, K, m), in memory laid out (K, m, B): a merge then sums
+    each item's candidates one after another, never pairwise."""
+    batch, k, m = a.shape
+    return np.add(a, b, out=np.empty((k, m, batch)).transpose(2, 0, 1))
 
 
 def span_recursion(merge: Callable, attach, stop, cont, root) -> SpanTables:
@@ -199,40 +198,36 @@ def span_recursion(merge: Callable, attach, stop, cont, root) -> SpanTables:
     root index. So are the merges: ir, il, ro, lo for each span length,
     shortest first, then the root.
     """
-    n = root.shape[1] - 1
+    batch, n = root.shape[0], root.shape[1] - 1
     if n < 1:
         raise ValueError("need at least one token")
-    first = _row_starts(n)
-    flat = {"rc": stop[:, 1:, RIGHT, ADJ], "lc": stop[:, 1:, LEFT, ADJ],
-            "roc": cont[:, 1:, RIGHT, ADJ], "loc": cont[:, 1:, LEFT, ADJ],
-            "ir": attach[:, 0, :0], "il": attach[:, 0, :0]}   # no row 0: empty
-    back: dict[str, list] = {name: [None] for name in ("ir", "il", "ro", "lo")}
-
-    def merged(name, cands):
-        value, arg = merge(cands)
-        back[name].append(arg)
-        return value
-
-    def push(name, row):
-        flat[name] = np.concatenate([flat[name], row], axis=1)
+    # 1-based end tokens of each [length, start]; past the chart's end
+    # (no cell) clipped to a real token
+    left = np.arange(1, n + 1)
+    right = np.minimum(left + np.arange(n)[:, None], n)
+    by_head = {RIGHT: left[None].repeat(n, axis=0), LEFT: right}
+    flat_attach = attach.reshape(batch, -1)
+    cells = {"ir": np.take(flat_attach, left * (n + 1) + right, axis=1),
+             "il": np.take(flat_attach, right * (n + 1) + left, axis=1)}
+    for name, scores, side in (("rc", stop, RIGHT), ("lc", stop, LEFT),
+                               ("roc", cont, RIGHT), ("loc", cont, LEFT)):
+        cells[name] = np.take(scores[:, :, side, NONADJ], by_head[side], axis=1)
+        cells[name][:, 0] = scores[:, 1:, side, ADJ]
+    views = {name: _views(table) for name, table in cells.items()}
+    back: dict[str, list] = {name: [None] for name in _WRITES}
 
     for length in range(1, n):
-        near, far, arc_r, arc_l, left, right = _gathers(n, length)
-        push("ir", merged("ir", flat["roc"][:, near] + flat["lc"][:, far])
-             + attach[:, left, right])
-        push("il", merged("il", flat["rc"][:, near] + flat["loc"][:, far])
-             + attach[:, right, left])
-        ro = merged("ro", flat["ir"][:, arc_r] + flat["rc"][:, far])
-        lo = merged("lo", flat["il"][:, arc_l] + flat["lc"][:, near])
-        push("rc", ro + stop[:, left, RIGHT, NONADJ])
-        push("lc", lo + stop[:, right, LEFT, NONADJ])
-        push("roc", ro + cont[:, left, RIGHT, NONADJ])
-        push("loc", lo + cont[:, right, LEFT, NONADJ])
+        row = np.s_[:, length, :n - length]
+        for name, ((a, va, ia), (b, vb, ib)) in _reads(n, length).items():
+            value, arg = merge(_joined(views[a][va][ia], views[b][vb][ib]))
+            back[name].append(arg)
+            for table in _WRITES[name]:
+                cells[table][row] += value
 
-    to_lc, to_rc = _root_cones(first)
-    root_terms = (root[:, 1:] + flat["lc"][:, to_lc]) + flat["rc"][:, to_rc]
+    # root r's closed cones: lc length r - 1 from start 0, rc length n - r to the end
+    root_terms = (root[:, 1:] + cells["lc"][:, :, 0]) + views["rc"][BY_END][:, ::-1, n - 1]
     total, root_arg = merge(root_terms)
-    return SpanTables(flat=flat, first=first, back=back, root_terms=root_terms,
+    return SpanTables(views=views, back=back, root_terms=root_terms,
                       total=total, root_arg=root_arg)
 
 

@@ -3,13 +3,14 @@
 The inside pass is :func:`vgram.chart.span_recursion` with the
 plain-numpy :func:`vgram.chart.LOGSUMEXP` merge, which keeps its
 candidates' softmax weights. The outside pass, :func:`outside`, is
-the reverse sweep of that recursion: lengths descending, on the same
-flat tables and the same :func:`vgram.chart._gathers` indices, each
-merge hands both operands of every candidate the merge's adjoint times
-the candidate's weight. Seeded with the root weights, a cell's adjoint is
-its marginal exp(in + out - log Z) (Eisner 2016, "Inside-outside and
-forward-backward algorithms are just backprop"), and the arc cells'
-marginals are the arc posteriors.
+the reverse sweep of that recursion: lengths descending, on adjoint
+tables laid out like the chart's and through the same
+:func:`vgram.chart._reads` slices, each merge adds to both operands of
+every candidate the merge's adjoint times the candidate's weight.
+Seeded with the root weights, a cell's adjoint is its marginal
+exp(in + out - log Z) (Eisner 2016, "Inside-outside and forward-backward
+algorithms are just backprop"), and the arc cells' marginals are the
+arc posteriors.
 
 :func:`inside_outside` puts log Z and the posteriors on the tape as one
 node. The contrastive loss multiplies matching scores by posteriors, so
@@ -29,14 +30,15 @@ length before calling in here.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 import vgram.tensor as T
-from vgram.chart import (LEFT, LOGSUMEXP, RIGHT, SpanTables, _gathers, _root_cones,
-                         span_recursion)
+from vgram.chart import (BY_END, BY_START, LEFT, LOGSUMEXP, RIGHT, SpanTables, _reads,
+                         _views, _WRITES, span_recursion)
 from vgram.tensor import Tensor
 
 
@@ -48,68 +50,56 @@ class BatchCharts:
     posteriors: Optional[Tensor]       # (B, n+1, n+1); row 0 = ROOT arcs
 
 
-def _cone_cells(first: np.ndarray):
-    """Span length and 1-based ends (left, right) of every cell of a cone
-    table, in flat order; the ir/il cells are those from n on."""
-    n = len(first)
-    length = np.repeat(np.arange(n), np.arange(n, 0, -1))
-    left = np.arange(len(length)) - first[length] + 1
-    return length, left, left + length
+def _cone_cells(n: int):
+    """Span length and 1-based ends (left, right) of every cell of an
+    n-token table, by length, then start."""
+    length, start = np.nonzero(np.arange(n) < n - np.arange(n)[:, None])
+    return length, start + 1, start + 1 + length
 
 
 def outside(tables: SpanTables, top: np.ndarray,
             tangent: Optional[SpanTables] = None) -> dict:
-    """Adjoint of every flat cell of a :func:`LOGSUMEXP` run, given
-    ``top``, the adjoint of its root terms: (B, n), or (2, B, n) with a
+    """Adjoint of every cell of a :func:`LOGSUMEXP` run, given ``top``,
+    the adjoint of its root terms: (B, n), or (2, B, n) with a
     ``tangent`` run. Returns table name -> adjoint, shaped like ``top``
-    with the cells last.
+    with the (n, n) cells [length, start] last.
 
     With ``tangent``, ``top`` stacks the marginal seed and the gradient
     seed, and each candidate's gradient share also gets its marginal
     share times its tangent: both operands' tangents less the merge's.
     """
-    flat, first, weights = tables.flat, tables.first, tables.back
-    n = len(first)
-    adj = {name: np.zeros(top.shape[:-1] + t.shape[1:]) for name, t in flat.items()}
-
-    def send(merge, length, up, a, ia, b, ib):
-        """The adjoint ``up`` of merge ``merge``'s row, to its candidates
-        a[ia] + b[ib]; cells are distinct within one merge."""
-        share = up[..., None, :] * weights[merge][length]
-        if tangent is not None:
-            d = tangent.flat
-            share[1] += share[0] * (d[a][:, ia] + d[b][:, ib]
-                                    - tangent.back[merge][length][:, None])
-        adj[a][..., ia] += share
-        adj[b][..., ib] += share
-
-    to_lc, to_rc = _root_cones(first)
-    adj["lc"][..., to_lc] = top
-    adj["rc"][..., to_rc] = top
+    n = top.shape[-1]
+    adj = {name: _views(np.zeros(top.shape[:-1] + (n, n))) for name in tables.views}
+    adj["lc"][BY_START][..., :, 0] = top
+    adj["rc"][BY_END][..., ::-1, n - 1] = top
     for length in range(n - 1, 0, -1):
-        near, far, arc_r, arc_l, _, _ = _gathers(n, length)
-        row = slice(first[length], first[length] + n - length)
-        # ro/lo row L is closed into rc/lc and extended into roc/loc;
-        # it is the last to read ir/il row L (arc_r's last candidate,
-        # arc_l's first), so that row is complete before its own merge
-        send("ro", length, adj["rc"][..., row] + adj["roc"][..., row], "ir", arc_r, "rc", far)
-        send("lo", length, adj["lc"][..., row] + adj["loc"][..., row], "il", arc_l, "lc", near)
-        arcs = slice(first[length] - n, first[length] - length)
-        send("ir", length, adj["ir"][..., arcs], "roc", near, "lc", far)
-        send("il", length, adj["il"][..., arcs], "rc", near, "loc", far)
-    return adj
+        reads, row = _reads(n, length), np.s_[..., length, :n - length]
+        # ro/lo row L is closed into rc/lc and extended into roc/loc; it
+        # is the last to read ir/il row L (ro's last candidate, lo's
+        # first), so that row is complete before its own merge
+        for merge in ("ro", "lo", "ir", "il"):
+            up = functools.reduce(np.add, (adj[table][BY_START][row]
+                                           for table in _WRITES[merge]))
+            share = up[..., None, :] * tables.back[merge][length]
+            if tangent is not None:
+                (a, va, ia), (b, vb, ib) = reads[merge]
+                d = tangent.views
+                share[1] += share[0] * (d[a][va][ia] + d[b][vb][ib]
+                                        - tangent.back[merge][length][:, None])
+            for table, view, index in reads[merge]:
+                adj[table][view][index] += share
+    return {name: cells for name, (cells, _) in adj.items()}
 
 
-def _arc_table(first: np.ndarray, root: np.ndarray, ir: np.ndarray,
-               il: np.ndarray) -> np.ndarray:
+def _arc_table(root: np.ndarray, ir: np.ndarray, il: np.ndarray) -> np.ndarray:
     """(..., n+1, n+1) table of per-arc values: ``root`` (..., n) on row
     0, the ir cells at [left][right], the il cells at [right][left]."""
-    n = len(first)
-    _, left, right = _cone_cells(first)
+    n = root.shape[-1]
+    length, left, right = (a[n:] for a in _cone_cells(n))   # lengths 1 on
     table = np.zeros(root.shape[:-1] + (n + 1, n + 1))
     table[..., 0, 1:] = root
-    table[..., left[n:], right[n:]] = ir
-    table[..., right[n:], left[n:]] = il
+    table[..., left, right] = ir[..., length, left - 1]
+    table[..., right, left] = il[..., length, left - 1]
     return table
 
 
@@ -117,7 +107,7 @@ def posteriors(tables: SpanTables) -> np.ndarray:
     """Arc posteriors (B, n+1, n+1) of a :func:`LOGSUMEXP` run."""
     root = tables.root_arg
     adj = outside(tables, root)
-    return _arc_table(tables.first, root, adj["ir"], adj["il"])
+    return _arc_table(root, adj["ir"], adj["il"])
 
 
 def _tangent(tables: SpanTables, g_mu: np.ndarray) -> SpanTables:
@@ -126,9 +116,9 @@ def _tangent(tables: SpanTables, g_mu: np.ndarray) -> SpanTables:
     (B, n+1, n+1) on the attach leaves, its row 0 on the root leaves and
     nothing on stop/cont: each cell's tangent, d in. A merge's arg is its
     merged tangent, which :func:`outside` subtracts."""
-    n = len(tables.first)
+    n = g_mu.shape[1] - 1
     saved = iter([tables.back[name][length] for length in range(1, n)
-                  for name in ("ir", "il", "ro", "lo")] + [tables.root_arg])
+                  for name in _WRITES] + [tables.root_arg])
 
     def merge(x):
         merged = (next(saved) * x).sum(axis=1)
@@ -138,17 +128,20 @@ def _tangent(tables: SpanTables, g_mu: np.ndarray) -> SpanTables:
     return span_recursion(merge, g_mu, still, still, g_mu[:, 0])
 
 
-def _valence_sums(first: np.ndarray, right_adj: np.ndarray,
-                  left_adj: np.ndarray) -> np.ndarray:
+def _valence_sums(right_adj: np.ndarray, left_adj: np.ndarray) -> np.ndarray:
     """(B, n+1, 2, 2) stop or cont gradient from the adjoints of a right
     and a left cone table: each cell's onto [head][direction][valence]
     of the term it pays (its head's, adjacent at span length 0)."""
-    length, left, right = _cone_cells(first)
-    n, cells = len(first), len(length)
+    n = right_adj.shape[-1]
+    length, left, right = _cone_cells(n)
+    cells = len(length)
     out = np.zeros(right_adj.shape[:1] + (n + 1, 2, 2))
     for direction, heads, adj in ((RIGHT, left, right_adj), (LEFT, right, left_adj)):
         onehot = np.zeros((cells, n + 1, 2))
         onehot[np.arange(cells), heads, np.minimum(length, 1)] = 1.0
+        # C order, cells by length then start: the matmul's summation
+        # order over each head's cells is then fixed
+        adj = np.ascontiguousarray(adj[:, length, left - 1])
         out[:, :, direction] = (adj @ onehot.reshape(cells, -1)).reshape(-1, n + 1, 2)
     return out
 
@@ -184,15 +177,15 @@ def inside_outside(attach: Tensor, stop: Tensor, cont: Tensor, root: Tensor,
         else:
             top = g[:, None] * weights
             adj = outside(tables, top)
-        arcs = _arc_table(tables.first, top, adj["ir"], adj["il"])
+        arcs = _arc_table(top, adj["ir"], adj["il"])
         if attach.requires_grad:
             g_attach = arcs.copy()
             g_attach[:, 0] = 0.0
             attach.accumulate(g_attach)
         if stop.requires_grad:
-            stop.accumulate(_valence_sums(tables.first, adj["rc"], adj["lc"]))
+            stop.accumulate(_valence_sums(adj["rc"], adj["lc"]))
         if cont.requires_grad:
-            cont.accumulate(_valence_sums(tables.first, adj["roc"], adj["loc"]))
+            cont.accumulate(_valence_sums(adj["roc"], adj["loc"]))
         if root.requires_grad:
             root.accumulate(arcs[:, 0])
 

@@ -1,13 +1,21 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import vgram.chart as chart
+import vgram.dmv_graph as dmv_graph
 from vgram.chart import (
+    ADJ,
+    LEFT,
+    LOGSUMEXP,
     MAX,
     NEG,
+    NONADJ,
+    RIGHT,
     DmvScores,
-    _gathers,
+    _views,
     arc_posteriors,
     enumerate_projective_trees,
     log_partition,
@@ -115,19 +123,6 @@ class TestInside:
         assert logz2 == pytest.approx(logz + kappa, abs=1e-9)
         assert viterbi(shifted)[0] == viterbi(s)[0]
 
-
-    def test_gathers_built_once_read_only(self):
-        # the candidate indices depend on (n, length) only: a second chart
-        # of the same length reads the same arrays, which nothing may write
-        _gathers.cache_clear()
-        log_partition(random_scores(5, np.random.default_rng(8)))
-        built = [_gathers(5, length) for length in range(1, 5)]
-        assert _gathers.cache_info().misses == 4
-        viterbi(random_scores(5, np.random.default_rng(9)))
-        assert all(a is b for length in range(1, 5)
-                   for a, b in zip(_gathers(5, length), built[length - 1]))
-        assert not any(index.flags.writeable for arrays in built for index in arrays)
-        assert _gathers.cache_info().misses == 4
 
 
 class TestViterbi:
@@ -268,3 +263,266 @@ def test_one_merge_per_table_per_span_length():
                        s.root[None])
         expected = [(1, length, n - length) for length in range(1, n) for _ in range(4)]
         assert shapes == expected + [(1, n)]
+
+
+def test_by_end_view_reads_the_by_start_cells():
+    # cell (length, start) is (length, start + length) in the by-end view,
+    # in both directions, with leading axes kept
+    n = 6
+    by_start, by_end = _views(np.zeros((2, 3, n, n)))
+    cells = [(length, start) for length in range(n) for start in range(n - length)]
+    for k, (length, start) in enumerate(cells):
+        by_start[:, :, length, start] = k
+    for k, (length, start) in enumerate(cells):
+        assert (by_end[:, :, length, start + length] == k).all()
+        by_end[:, :, length, start + length] = -k
+    assert all((by_start[:, :, length, start] == -k).all()
+               for k, (length, start) in enumerate(cells))
+
+
+def test_long_parse_leaves_no_module_state():
+    # a 60-token chart, past every training length, adds nothing to the
+    # chart modules: no cache, no table kept between calls
+    before = {module: dict(vars(module)) for module in (chart, dmv_graph)}
+    viterbi(random_scores(60, np.random.default_rng(60)))
+    for module, names in before.items():
+        after = vars(module)
+        assert after.keys() == names.keys()
+        assert all(after[name] is value for name, value in names.items())
+        assert not any(hasattr(value, "cache_info") for value in after.values())
+
+
+# -- flat-table reference --------------------------------------------------
+# The chart stored as rows back to back in one flat (B, cells) array per
+# table, every candidate read a fancy-index gather, with the outside sweep
+# and the backward glue over that layout. span_recursion, outside and
+# inside_outside must match it bit for bit.
+
+def flat_row_starts(n):
+    return np.concatenate([[0], np.cumsum(np.arange(n, 1, -1))])
+
+
+def flat_gathers(n, length):
+    first = flat_row_starts(n)
+    k = np.arange(length)[:, None]
+    i = np.arange(n - length)
+    return (first[:length, None] + i, first[length - 1::-1, None] + (k + 1 + i),
+            first[1:length + 1, None] + (i - n), first[length:0:-1, None] + (k + i - n),
+            i + 1, i + 1 + length)
+
+
+def flat_root_cones(first):
+    return first, first[::-1] + np.arange(len(first))
+
+
+def flat_span_recursion(merge, attach, stop, cont, root):
+    n = root.shape[1] - 1
+    first = flat_row_starts(n)
+    flat = {"rc": stop[:, 1:, RIGHT, ADJ], "lc": stop[:, 1:, LEFT, ADJ],
+            "roc": cont[:, 1:, RIGHT, ADJ], "loc": cont[:, 1:, LEFT, ADJ],
+            "ir": attach[:, 0, :0], "il": attach[:, 0, :0]}
+    back = {name: [None] for name in ("ir", "il", "ro", "lo")}
+
+    def merged(name, cands):
+        value, arg = merge(cands)
+        back[name].append(arg)
+        return value
+
+    def push(name, row):
+        flat[name] = np.concatenate([flat[name], row], axis=1)
+
+    for length in range(1, n):
+        near, far, arc_r, arc_l, left, right = flat_gathers(n, length)
+        push("ir", merged("ir", flat["roc"][:, near] + flat["lc"][:, far])
+             + attach[:, left, right])
+        push("il", merged("il", flat["rc"][:, near] + flat["loc"][:, far])
+             + attach[:, right, left])
+        ro = merged("ro", flat["ir"][:, arc_r] + flat["rc"][:, far])
+        lo = merged("lo", flat["il"][:, arc_l] + flat["lc"][:, near])
+        push("rc", ro + stop[:, left, RIGHT, NONADJ])
+        push("lc", lo + stop[:, right, LEFT, NONADJ])
+        push("roc", ro + cont[:, left, RIGHT, NONADJ])
+        push("loc", lo + cont[:, right, LEFT, NONADJ])
+
+    to_lc, to_rc = flat_root_cones(first)
+    root_terms = (root[:, 1:] + flat["lc"][:, to_lc]) + flat["rc"][:, to_rc]
+    total, root_arg = merge(root_terms)
+    return SimpleNamespace(flat=flat, first=first, back=back, root_terms=root_terms,
+                           total=total, root_arg=root_arg)
+
+
+def flat_cone_cells(first):
+    n = len(first)
+    length = np.repeat(np.arange(n), np.arange(n, 0, -1))
+    left = np.arange(len(length)) - first[length] + 1
+    return length, left, left + length
+
+
+def flat_outside(tables, top, tangent=None):
+    flat, first, weights = tables.flat, tables.first, tables.back
+    n = len(first)
+    adj = {name: np.zeros(top.shape[:-1] + t.shape[1:]) for name, t in flat.items()}
+
+    def send(merge, length, up, a, ia, b, ib):
+        share = up[..., None, :] * weights[merge][length]
+        if tangent is not None:
+            d = tangent.flat
+            share[1] += share[0] * (d[a][:, ia] + d[b][:, ib]
+                                    - tangent.back[merge][length][:, None])
+        adj[a][..., ia] += share
+        adj[b][..., ib] += share
+
+    to_lc, to_rc = flat_root_cones(first)
+    adj["lc"][..., to_lc] = top
+    adj["rc"][..., to_rc] = top
+    for length in range(n - 1, 0, -1):
+        near, far, arc_r, arc_l, _, _ = flat_gathers(n, length)
+        row = slice(first[length], first[length] + n - length)
+        send("ro", length, adj["rc"][..., row] + adj["roc"][..., row], "ir", arc_r, "rc", far)
+        send("lo", length, adj["lc"][..., row] + adj["loc"][..., row], "il", arc_l, "lc", near)
+        arcs = slice(first[length] - n, first[length] - length)
+        send("ir", length, adj["ir"][..., arcs], "roc", near, "lc", far)
+        send("il", length, adj["il"][..., arcs], "rc", near, "loc", far)
+    return adj
+
+
+def flat_arc_table(first, root, ir, il):
+    n = len(first)
+    _, left, right = flat_cone_cells(first)
+    table = np.zeros(root.shape[:-1] + (n + 1, n + 1))
+    table[..., 0, 1:] = root
+    table[..., left[n:], right[n:]] = ir
+    table[..., right[n:], left[n:]] = il
+    return table
+
+
+def flat_tangent(tables, g_mu):
+    n = len(tables.first)
+    saved = iter([tables.back[name][length] for length in range(1, n)
+                  for name in ("ir", "il", "ro", "lo")] + [tables.root_arg])
+
+    def merge(x):
+        merged = (next(saved) * x).sum(axis=1)
+        return merged, merged
+
+    still = np.zeros(g_mu.shape[:1] + (n + 1, 2, 2))
+    return flat_span_recursion(merge, g_mu, still, still, g_mu[:, 0])
+
+
+def flat_valence_sums(first, right_adj, left_adj):
+    length, left, right = flat_cone_cells(first)
+    n, cells = len(first), len(length)
+    out = np.zeros(right_adj.shape[:1] + (n + 1, 2, 2))
+    for direction, heads, adj in ((RIGHT, left, right_adj), (LEFT, right, left_adj)):
+        onehot = np.zeros((cells, n + 1, 2))
+        onehot[np.arange(cells), heads, np.minimum(length, 1)] = 1.0
+        out[:, :, direction] = (adj @ onehot.reshape(cells, -1)).reshape(-1, n + 1, 2)
+    return out
+
+
+def flat_inside_outside(scores, g, need_posteriors):
+    """log Z, posteriors (or None) and the attach, stop, cont and root
+    gradients for the upstream gradient ``g`` of the joint output."""
+    tables = flat_span_recursion(LOGSUMEXP, *scores)
+    weights, first = tables.root_arg, tables.first
+    post = None
+    if need_posteriors:
+        adj = flat_outside(tables, weights)
+        post = flat_arc_table(first, weights, adj["ir"], adj["il"])
+        batch, n = weights.shape
+        g_z, g_mu = g[:, 0], g[:, 1:].reshape(batch, n + 1, n + 1)
+        tangent = flat_tangent(tables, g_mu)
+        top = weights * (g_z[:, None] + tangent.root_terms - tangent.total[:, None])
+        adj = {name: a[1] for name, a in
+               flat_outside(tables, np.stack([weights, top]), tangent).items()}
+    else:
+        top = g[:, None] * weights
+        adj = flat_outside(tables, top)
+    arcs = flat_arc_table(first, top, adj["ir"], adj["il"])
+    g_attach = arcs.copy()
+    g_attach[:, 0] = 0.0
+    return tables.total, post, (g_attach, flat_valence_sums(first, adj["rc"], adj["lc"]),
+                                flat_valence_sums(first, adj["roc"], adj["loc"]), arcs[:, 0])
+
+
+def assert_same_bits(got, want, what):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype, what
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes(), \
+        f"{what}: largest difference {np.abs(got - want).max()}"
+
+
+def batch_scores(batch, n, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.normal(size=(batch, n + 1, n + 1)), rng.normal(size=(batch, n + 1, 2, 2)),
+            rng.normal(size=(batch, n + 1, 2, 2)), rng.normal(size=(batch, n + 1)))
+
+
+def flat_cells(table):
+    """A (B, n, n) [length, start] table's cells in the flat layout's order."""
+    length, start = np.nonzero(np.arange(table.shape[-1]) < table.shape[-1]
+                               - np.arange(table.shape[-1])[:, None])
+    return table[:, length, start]
+
+
+def assert_recursion_matches_flat(merge, scores):
+    n = scores[3].shape[1] - 1
+    got, want = span_recursion(merge, *scores), flat_span_recursion(merge, *scores)
+    for name, (cells, _) in got.views.items():
+        arcs = name in ("ir", "il")
+        assert_same_bits(flat_cells(cells)[:, n if arcs else 0:], want.flat[name], name)
+    for name, args in want.back.items():
+        for length in range(1, n):
+            assert_same_bits(got.back[name][length], args[length], f"{name} {length}")
+    for field in ("root_terms", "total", "root_arg"):
+        assert_same_bits(getattr(got, field), getattr(want, field), field)
+
+
+REFERENCE_SHAPES = [(batch, n) for batch in (1, 2, 16)
+                    for n in (*range(1, 13), 20, 40, 60)]
+
+
+@pytest.mark.parametrize("batch,n", REFERENCE_SHAPES)
+def test_recursion_matches_flat_reference_bitwise(batch, n):
+    scores = batch_scores(batch, n, 1000 * batch + n)
+    for merge in (MAX, LOGSUMEXP):
+        assert_recursion_matches_flat(merge, scores)
+
+
+@pytest.mark.parametrize("batch,n", REFERENCE_SHAPES)
+def test_inside_outside_matches_flat_reference_bitwise(batch, n):
+    scores = batch_scores(batch, n, 2000 * batch + n)
+    rng = np.random.default_rng(3000 * batch + n)
+    g = rng.normal(size=(batch, 1 + (n + 1) ** 2))
+    for need_posteriors in (True, False):
+        leaves = [Tensor(a, requires_grad=True) for a in scores]
+        out = inside_outside(*leaves, need_posteriors=need_posteriors)
+        loss = (out.log_partition * Tensor(g[:, 0])).sum()
+        if need_posteriors:
+            mu = Tensor(g[:, 1:].reshape(batch, n + 1, n + 1))
+            loss = loss + (out.posteriors * mu).sum()
+        loss.backward()
+        log_z, post, grads = flat_inside_outside(scores, g if need_posteriors else g[:, 0],
+                                                 need_posteriors)
+        assert_same_bits(out.log_partition.numpy(), log_z, "log Z")
+        if need_posteriors:
+            assert_same_bits(out.posteriors.numpy(), post, "posteriors")
+        for leaf, want, name in zip(leaves, grads, ("attach", "stop", "cont", "root")):
+            assert_same_bits(leaf.grad, want, f"{name} gradient")
+
+
+def test_c_ordered_candidates_break_the_reference(monkeypatch):
+    # with the candidates C-ordered, the K = n - 1 candidates of the last
+    # span length sit side by side in memory and numpy sums them
+    # pairwise instead of one after another: the log partition's il row
+    # at that length moves in its last bits
+    n = 10
+    scores = batch_scores(16, n, 16010)
+    assert_recursion_matches_flat(LOGSUMEXP, scores)
+    monkeypatch.setattr(chart, "_joined", lambda a, b: np.add(a, b, out=np.empty(a.shape)))
+    got = span_recursion(LOGSUMEXP, *scores).views["il"][0][:, n - 1, 0]
+    want = flat_span_recursion(LOGSUMEXP, *scores).flat["il"][:, -1]
+    np.testing.assert_allclose(got, want, rtol=1e-14)
+    assert not np.array_equal(got, want)
+    with pytest.raises(AssertionError):
+        assert_recursion_matches_flat(LOGSUMEXP, scores)
