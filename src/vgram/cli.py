@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import gc
 import logging
 import multiprocessing
 import os
@@ -171,6 +172,8 @@ def _drop_overlong(sentences, cap: int):
     return kept
 
 
+# What the (fork) workers of one parse/ground command read; set and
+# cleared by `_parallel`, so nothing a command loads outlives it.
 _POOL_STATE: dict = {}
 
 
@@ -188,12 +191,19 @@ def _pool_parse(idx: int):
     return alignment
 
 
-def _parallel(indices, workers: int):
-    if workers <= 1:
-        return [_pool_parse(i) for i in indices]
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(workers) as pool:
-        return pool.map(_pool_parse, indices)
+def _parallel(state: dict, workers: int) -> list:
+    """`_pool_parse` on every sentence of ``state``, in order, with
+    ``state`` in `_POOL_STATE` only for the call."""
+    _POOL_STATE.update(state)
+    try:
+        indices = range(len(state["sentences"]))
+        if workers <= 1:
+            return [_pool_parse(i) for i in indices]
+        ctx = multiprocessing.get_context("fork")
+        with ctx.Pool(workers) as pool:
+            return pool.map(_pool_parse, indices)
+    finally:
+        _POOL_STATE.clear()
 
 
 # -- subcommands -------------------------------------------------------
@@ -280,9 +290,9 @@ def cmd_parse(args, cfg) -> int:
     model = _build_model(cfg, tagset, vocab, vectors, _feat_dim(features))
     _load_checkpoint_into(model, args.ckpt, cfg_digest, args.allow_digest_mismatch)
     sentences = _drop_overlong(sentences, int(cfg["max_parse_len"]))
-    _POOL_STATE.update(model=model, sentences=sentences, features=features,
-                       graphs=None, mode="parse", gold_trees=False)
-    results = _parallel(range(len(sentences)), int(cfg["workers"]))
+    results = _parallel(dict(model=model, sentences=sentences, features=features,
+                             graphs=None, mode="parse", gold_trees=False),
+                        int(cfg["workers"]))
     out = []
     for s, (heads, types) in zip(sentences, results):
         out.append(Sentence(id=s.id, image_id=s.image_id, tokens=s.tokens,
@@ -308,9 +318,10 @@ def cmd_ground(args, cfg) -> int:
     model = _build_model(cfg, tagset, vocab, vectors, _feat_dim(features))
     _load_checkpoint_into(model, args.ckpt, cfg_digest, args.allow_digest_mismatch)
     sentences = _drop_overlong(sentences, int(cfg["max_parse_len"]))
-    _POOL_STATE.update(model=model, sentences=sentences, features=features,
-                       graphs=graphs, mode="ground", gold_trees=args.use_gold_trees)
-    alignments = _parallel(range(len(sentences)), int(cfg["workers"]))
+    alignments = _parallel(dict(model=model, sentences=sentences, features=features,
+                                graphs=graphs, mode="ground",
+                                gold_trees=args.use_gold_trees),
+                           int(cfg["workers"]))
     data_mod.save_alignments(args.out, alignments)
     log.info("grounded %d sentences -> %s", len(alignments), args.out)
     return 0
@@ -431,6 +442,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         format="%(levelname)s %(name)s: %(message)s",
                         level=logging.INFO)
     parser = _build_parser()
+    # The loaders, the tape and the decoders make no reference cycles, so
+    # the cyclic collector would only rescan every loaded record. It is
+    # paused for the command and left as the caller had it; the few
+    # hundred cyclic objects argparse makes per call go at its next run.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         args = parser.parse_args(argv)
         cfg = _resolve_config(args)
@@ -443,6 +460,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (DataError, FileNotFoundError, ValueError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import pathlib
@@ -8,10 +9,11 @@ import sys
 import numpy as np
 import pytest
 
-from vgram import core, data
-from vgram.cli import main
+from vgram import cli, core, data
+from vgram.cli import UsageError, main
 from vgram.core import validate_tree
 from vgram.config import ConfigError, digest, resolve
+from vgram.data import DataError
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SMALL = ["--set", "synth_sentences=24", "--set", "synth_dev=6",
@@ -455,3 +457,94 @@ def test_cli_runs_without_mallopt(tmp_path, monkeypatch):
     monkeypatch.setattr("ctypes.CDLL", lambda name: object())
     assert main(["synth", "--out", str(tmp_path)] + SMALL) == 0
     assert (tmp_path / "corpus.train.jsonl").is_file()
+
+
+# -- what a command leaves behind -----------------------------------------
+
+
+def _decode_argv(dataset, tmp_path, command, workers):
+    argv = [command, "--corpus", str(dataset / "corpus.test.jsonl"),
+            "--features", str(dataset / "features.jsonl"),
+            "--embeddings", str(dataset / "embeddings.jsonl"),
+            "--workers", str(workers), "--out", str(tmp_path / "out.jsonl")] + DIMS
+    return argv + ["--use-gold-trees"] if command == "ground" else argv
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("command", ["parse", "ground"])
+def test_no_pool_state_survives_a_command(dataset, tmp_path, monkeypatch, command, workers):
+    """The model, sentences and regions a parse or ground command hands
+    its workers are gone when ``main`` returns."""
+    seen = []
+    pool_parse = cli._pool_parse
+
+    def recording(idx):
+        seen.append(sorted(cli._POOL_STATE))
+        return pool_parse(idx)
+
+    if workers == 1:    # a fork pool pickles the unit by name
+        monkeypatch.setattr(cli, "_pool_parse", recording)
+    assert main(_decode_argv(dataset, tmp_path, command, workers)) == 0
+    if workers == 1:    # each of the six test sentences read the state
+        assert seen == [["features", "gold_trees", "graphs", "mode", "model",
+                         "sentences"]] * 6
+    assert cli._POOL_STATE == {}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_no_pool_state_survives_a_failed_unit(dataset, tmp_path, monkeypatch, capsys, workers):
+    """A data error inside a unit (regions of another dim than the
+    model's ``feat_dim``) is exit 2 and also leaves no state."""
+    monkeypatch.setattr(cli, "_feat_dim", lambda features: 9)
+    assert main(_decode_argv(dataset, tmp_path, "parse", workers)) == 2
+    assert "feature dim 8 != configured 9" in capsys.readouterr().err
+    assert cli._POOL_STATE == {}
+
+
+def _command_that(outcome):
+    def command(args, cfg):
+        assert not gc.isenabled()       # paused while the command runs
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+    return command
+
+
+@pytest.mark.parametrize("outcome, rc", [
+    (0, 0),
+    (UsageError("bad flag"), 1),
+    (DataError("bad record"), 2),
+    (RuntimeError("internal bug"), None),
+], ids=["exit0", "exit1", "exit2", "raises"])
+@pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+def test_main_restores_collector(tmp_path, monkeypatch, outcome, rc, collecting):
+    """``main`` pauses the cyclic collector for the command and leaves
+    it as the caller had it, on every way out."""
+    monkeypatch.setitem(cli.COMMANDS, "synth", _command_that(outcome))
+    argv = ["synth", "--out", str(tmp_path)]
+    was = gc.isenabled()
+    if not collecting:
+        gc.disable()
+    try:
+        if rc is None:
+            with pytest.raises(RuntimeError, match="internal bug"):
+                main(argv)
+        else:
+            assert main(argv) == rc
+        assert gc.isenabled() == collecting
+    finally:
+        if was:
+            gc.enable()
+
+
+def test_import_leaves_collector_alone():
+    """Only the ``vgram`` entry point sets process policy."""
+    code = ("import gc\n"
+            "gc.set_threshold(1234, 5, 6)\n"
+            "import vgram, vgram.cli\n"
+            "print(gc.isenabled(), gc.get_threshold())\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True (1234, 5, 6)"

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from vgram.core import (
     SceneGraph,
     SGAttribute,
     SGObject,
+    SGRelationship,
     Token,
 )
 from vgram.model import (
@@ -750,6 +752,79 @@ class TestPersistence:
         model.save(path, "digest-a")
         with pytest.raises(ValueError, match="digest"):
             model.load(path, expect_digest="digest-b")
+
+
+def cyclic_garbage(work) -> int:
+    """How many objects ``work`` leaves that only the cyclic collector
+    could free: it runs with the collector paused, as under ``vgram``."""
+    gc.collect()
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        work()
+        return gc.collect()
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+
+
+class TestNoReferenceCycles:
+    """A training step, a parse and a grounding free everything they make
+    by reference counting. The CLI pauses the cyclic collector for a
+    command, and backward frees each tape node as it is consumed; both
+    rely on this."""
+
+    @staticmethod
+    def step_parse_ground():
+        model, vocab, _ = make_model(vocab_size=12, identity=False, seed=7)
+        rng = np.random.default_rng(7)
+
+        def work():
+            batch = random_batch(model, rng, 5, 4, regions=(2, 4))
+            model.store.zero_grad()
+            loss, _, _ = model.total_loss(batch, 0.5)
+            loss.backward()
+            T.adam_step(model.store)
+            del loss
+            tokens = [Token(k + 1, vocab[w], t, vocab[w])
+                      for k, (w, t) in enumerate(zip([0, 3, 1, 4], [0, 2, 1, 1]))]
+            model.parse(tokens, batch.node_sets[0], sentence_id="s0")
+            sg = SceneGraph("img", (SGObject("o1", bbox=(0, 0, 9, 9), label=vocab[0]),
+                                    SGObject("o2", bbox=(5, 5, 20, 20), label=vocab[3])),
+                            (SGAttribute("attr1", owner="o1", label=vocab[1]),),
+                            (SGRelationship("r12", src="o1", dst="o2", label=vocab[4]),))
+            regions = Regions([(0.0, 0.0, 9.0, 9.0)], rng.normal(size=(1, DIM)))
+            model.ground(tokens, model.build_visual_nodes_gold(sg, regions),
+                         heads=[2, 0, 2, 3], sentence_id="s1")
+
+        work()      # warm-up: one-time imports and caches
+        return work
+
+    def test_step_parse_ground_leave_no_cycles(self):
+        assert cyclic_garbage(self.step_parse_ground()) == 0
+
+    def test_planted_cycle_is_found(self, monkeypatch):
+        # an op whose backward closes over its own output
+        matmul = T.matmul
+
+        def leaky_matmul(a, b):
+            out = matmul(a, b)
+            inner = out._backward
+
+            def backward(g):
+                assert out.requires_grad
+                inner(g)
+
+            if inner is not None:
+                out._backward = backward
+            return out
+
+        work = self.step_parse_ground()
+        monkeypatch.setattr(T, "matmul", leaky_matmul)
+        assert cyclic_garbage(work) > 0
 
 
 @pytest.mark.acceptance
