@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import functools
 import gc
 import logging
 import multiprocessing
@@ -411,6 +412,22 @@ _M_MMAP_THRESHOLD = -3
 _MALLOC_ENV = ("GLIBC_TUNABLES", "MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_")
 
 
+@functools.cache
+def _mallopt():
+    """glibc's ``mallopt``, looked up once per process; None off glibc.
+
+    Each ``ctypes.CDLL`` makes its own function-pointer class, which
+    only the cyclic collector frees, so the library is opened once.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return None
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return mallopt
+
+
 def _keep_freed_memory() -> None:
     """Fix glibc's mmap and trim thresholds, so freed arrays stay mapped.
 
@@ -426,12 +443,9 @@ def _keep_freed_memory() -> None:
     """
     if any(name in os.environ for name in _MALLOC_ENV):
         return
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, TypeError, AttributeError):
+    mallopt = _mallopt()
+    if mallopt is None:
         return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)
     mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 

@@ -12,7 +12,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -131,7 +131,7 @@ def _box(what: str) -> tuple:
 
 def _number_rows(rows: list, key: str, where: str) -> np.ndarray:
     """``rows``, each a flat list of at least one finite JSON number, all
-    of one length, as one float array: one conversion for a whole record."""
+    of one length, as one float array: one conversion for a whole chunk."""
     try:
         arr = np.asarray(rows)
     except ValueError:   # rows of different lengths or depths
@@ -149,14 +149,17 @@ def _number_rows(rows: list, key: str, where: str) -> np.ndarray:
 
 
 def _objects(table) -> tuple:
-    """A list of JSON objects checked against ``table``, read as one column
-    of values per row of the table."""
+    """A list of JSON objects checked against ``table``: the objects of
+    every record in one column per table row, split back per record."""
     def convert(values: list, key: str, where: str) -> list:
-        return [list(_columns(v, table, where)) for v in values]
+        ends = list(accumulate(map(len, values)))
+        columns = list(_columns(list(chain.from_iterable(values)), table, where))
+        return [[column[start:end] for column in columns]
+                for start, end in zip([0, *ends], ends)]
     return _of(list), lambda k, v: f"{k!r} must be a list", convert
 
 
-def _columns(entries: list, table, where: str) -> Iterator[list]:
+def _columns(entries: Sequence, table, where: str) -> Iterator[list]:
     """Check every entry, a JSON object, against ``table``: one column of
     values per row. A row is ``(key, kind)``, or ``(key, kind, default)``
     where the key may be absent, or null if the default is None."""
@@ -181,16 +184,50 @@ def _columns(entries: list, table, where: str) -> Iterator[list]:
         yield values
 
 
-def _fields(rec, table, where: str) -> tuple:
-    """The values of one record in ``table`` order."""
-    (values,) = zip(*_columns([rec], table, where))
-    return values
+# Records checked together by _records. A chunk's decoded JSON lives
+# until its last record is built, and the heap keeps room for it: on a
+# 2-core x86-64 host, loading a default world's training corpus, features
+# and embeddings left RSS at 45.0 MB one record at a time, 45.1-45.3 MB
+# with 16 and 46.3 MB with 64, and 16 loads each file as fast as 64.
+_CHUNK = 16
 
 
-def _records(path: str, table) -> Iterator[tuple[str, tuple]]:
-    """Each record of the file with its ``path:line``, checked against ``table``."""
-    for where, rec in _read_lines(path):
-        yield where, _fields(rec, table, where)
+def _records(lines: Iterable[tuple[str, object]], table) -> Iterator[tuple[str, tuple]]:
+    """Each ``(path:line, record)`` of ``lines`` with the record's values
+    in ``table`` order.
+
+    Records are checked ``_CHUNK`` at a time, as one column per table row.
+    A chunk at fault is checked again one record at a time, and a fault
+    in ``lines`` (bad JSON) ends its chunk and is raised after the records
+    before it. So the records before the first one at fault are yielded
+    first, and the error names that record and, within it, the first
+    field at fault in table order, as a one-record check would.
+    """
+    lines = iter(lines)
+    while True:
+        chunk: list[tuple[str, object]] = []
+        fault: Optional[DataError] = None
+        try:
+            for line in lines:
+                chunk.append(line)
+                if len(chunk) == _CHUNK:
+                    break
+        except DataError as e:
+            fault = e
+        if chunk:
+            wheres, recs = zip(*chunk)
+            try:
+                columns = list(_columns(recs, table, wheres[0]))
+            except DataError:   # the one-record checks name the first record at fault
+                for where, rec in chunk:
+                    (values,) = zip(*_columns([rec], table, where))
+                    yield where, values
+            else:
+                yield from zip(wheres, zip(*columns))
+        if fault is not None:
+            raise fault
+        if len(chunk) < _CHUNK:
+            return
 
 
 _STRING = (_of(str), lambda k, v: f"{k!r} must be a string, got {v!r}", None)
@@ -228,10 +265,10 @@ def load_corpus(path: str) -> tuple[list[Sentence], list[str]]:
         if type(rec) is dict and "tagset" in rec and "id" not in rec:
             if tagset is not None:
                 raise DataError(f"{where}: duplicate tagset header")
-            (tagset,) = _fields(rec, TAGSET_FIELDS, where)
+            ((tagset,),) = _columns([rec], TAGSET_FIELDS, where)
         else:
             lines.append((where, rec))
-    records = [(where, _fields(rec, SENTENCE_FIELDS, where)) for where, rec in lines]
+    records = list(_records(lines, SENTENCE_FIELDS))
     if tagset is None:
         tagset = sorted({p for _, fields in records for p in fields[2]})
     tag_id = {t: i for i, t in enumerate(tagset)}
@@ -324,7 +361,7 @@ def load_features(path: str) -> dict[str, Regions]:
     float64 matrix of its ``feat`` rows, checked here and nowhere after."""
     out: dict[str, Regions] = {}
     dim: Optional[int] = None
-    for where, (image_id, (raw_boxes, feats), fmt) in _records(path, FEATURES_FIELDS):
+    for where, (image_id, (raw_boxes, feats), fmt) in _records(_read_lines(path), FEATURES_FIELDS):
         if image_id in out:
             raise DataError(f"{where}: duplicate image id {image_id!r}")
         if not raw_boxes:
@@ -370,7 +407,7 @@ SCENE_GRAPH_FIELDS = (
 
 def load_scene_graphs(path: str) -> dict[str, SceneGraph]:
     out: dict[str, SceneGraph] = {}
-    for where, (image_id, nodes, edges, fmt) in _records(path, SCENE_GRAPH_FIELDS):
+    for where, (image_id, nodes, edges, fmt) in _records(_read_lines(path), SCENE_GRAPH_FIELDS):
         if image_id in out:
             raise DataError(f"{where}: duplicate image id {image_id!r}")
         ids, types, bboxes, labels = nodes
@@ -441,7 +478,7 @@ ALIGNMENT_FIELDS = (
 
 def load_alignments(path: str) -> dict[str, VLAlignment]:
     out: dict[str, VLAlignment] = {}
-    for where, (sid, zero, first, second, meta) in _records(path, ALIGNMENT_FIELDS):
+    for where, (sid, zero, first, second, meta) in _records(_read_lines(path), ALIGNMENT_FIELDS):
         if sid in out:
             raise DataError(f"{where}: duplicate sentence id {sid!r}")
         a = VLAlignment(
@@ -480,7 +517,7 @@ EMBEDDING_FIELDS = (("word", _STRING), ("vec", _ROWS))
 
 def load_embeddings(path: str) -> tuple[list[str], np.ndarray]:
     words, rows = [], []
-    for where, (word, vec) in _records(path, EMBEDDING_FIELDS):
+    for where, (word, vec) in _records(_read_lines(path), EMBEDDING_FIELDS):
         if rows and vec.size != rows[0].size:
             raise DataError(f"{where}: embedding dim {vec.size} != {rows[0].size}")
         words.append(word)

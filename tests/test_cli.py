@@ -1,3 +1,4 @@
+import ctypes
 import gc
 import json
 import os
@@ -457,6 +458,29 @@ def test_cli_runs_without_mallopt(tmp_path, monkeypatch):
     monkeypatch.setattr("ctypes.CDLL", lambda name: object())
     assert main(["synth", "--out", str(tmp_path)] + SMALL) == 0
     assert (tmp_path / "corpus.train.jsonl").is_file()
+
+
+@pytest.mark.parametrize("libc", ["process", "no mallopt"])
+def test_mallopt_looked_up_once(monkeypatch, capsys, libc):
+    """Two ``main`` calls in one process open the C library at most once,
+    whether or not it has a ``mallopt``."""
+    for name in MALLOC_ENV:
+        monkeypatch.delenv(name, raising=False)
+    opened = []
+    real = ctypes.CDLL
+
+    def counting(name):
+        opened.append(name)
+        return real(name) if libc == "process" else object()
+
+    monkeypatch.setattr("ctypes.CDLL", counting)
+    cli._mallopt.cache_clear()
+    try:
+        assert main(["parse"]) == 1
+        assert main(["parse"]) == 1
+        assert opened == [None]
+    finally:
+        cli._mallopt.cache_clear()
 
 
 # -- what a command leaves behind -----------------------------------------

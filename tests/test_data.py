@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -537,3 +538,121 @@ def test_field_tables_are_documented():
     for name, table in tables.items():
         for key, *_ in table:
             assert f"`{key}`" in formats, f"{name}: {key!r} is not in FORMATS.md"
+
+
+# -- chunked reading: the same values and errors as one record at a time ------
+
+CHUNKED_SAVERS = {
+    load_corpus: lambda path, s: save_corpus(path, s.train, s.tagset),
+    load_features: lambda path, s: save_features(path, s.features),
+    load_scene_graphs: lambda path, s: save_scene_graphs(path, s.scene_graphs),
+    load_alignments: lambda path, s: save_alignments(path, list(s.alignments.values())),
+    load_embeddings: lambda path, s: save_embeddings(path, s.vocab, s.embeddings),
+}
+# integers numpy keeps as uint64, as float64 next to a negative, or as objects
+BIG_INTEGERS = [2 ** 63, -2 ** 63 - 1, 2 ** 64]
+
+
+@pytest.fixture(scope="module")
+def chunked_records(tmp_path_factory):
+    """One valid file per loader, as its list of JSON records: each spans
+    at least two chunks of the default size."""
+    synth = synth_generate(small_cfg(sentences=70))
+    out = {}
+    for load, save in CHUNKED_SAVERS.items():
+        path = tmp_path_factory.mktemp("records") / "valid.jsonl"
+        save(str(path), synth)
+        load(str(path))
+        out[load] = [json.loads(line) for line in path.read_text().splitlines()]
+        assert len(out[load]) > data_module._CHUNK + 1
+    return out
+
+
+def _same(a, b) -> bool:
+    """``a`` and ``b`` are of one type and equal; arrays bit for bit."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        return (a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+                and a.flags.c_contiguous == b.flags.c_contiguous)
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if dataclasses.is_dataclass(a):
+        return all(_same(getattr(a, f.name), getattr(b, f.name))
+                   for f in dataclasses.fields(a))
+    if isinstance(a, float):
+        return repr(a) == repr(b)
+    return a == b
+
+
+def _outcome(load, path):
+    try:
+        return "loaded", load(path)
+    except DataError as e:
+        return "error", str(e)
+
+
+@settings(derandomize=True, max_examples=150, database=None, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("load", list(CHUNKED_SAVERS), ids=lambda f: f.__name__)
+def test_chunked_reading_agrees_with_one_record_at_a_time(chunked_records, load, data):
+    records = json.loads(json.dumps(chunked_records[load]))
+    lines = [json.dumps(r) for r in records]
+    index = data.draw(st.integers(0, len(records) - 1))
+    path = data.draw(st.sampled_from([()] + list(_paths(records[index]))))
+    replacement = data.draw(st.sampled_from(["drop"] + REPLACEMENTS + BIG_INTEGERS))
+    if not path:    # the whole record: cut short (bad JSON) or replaced
+        lines[index] = lines[index][:-1] if replacement == "drop" else json.dumps(replacement)
+    else:
+        parent = records[index]
+        for step in path[:-1]:
+            parent = parent[step]
+        if replacement == "drop":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = replacement
+        lines[index] = json.dumps(records[index])
+    with tempfile.TemporaryDirectory() as tmp:
+        file = str(Path(tmp) / "mutated.jsonl")
+        Path(file).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        chunked = _outcome(load, file)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data_module, "_CHUNK", 1)
+            single = _outcome(load, file)
+    assert chunked[0] == single[0], (chunked[1], single[1])
+    assert _same(chunked[1], single[1])
+
+
+ALIGNMENT = {"sentence_id": "s1", "zero": [{"t": 1, "node": "o1"}]}
+
+
+@pytest.mark.parametrize("lines, problem", [
+    ([ALIGNMENT, {"sentence_id": "s1"}, {"sentence_id": "s3", "zero": 5}, "{"],
+     "duplicate sentence id 's1'"),
+    ([ALIGNMENT, {"sentence_id": "s2", "zero": 5}, "{"], "'zero' must be a list"),
+], ids=["duplicate-id-field-json", "field-json"])
+def test_first_fault_in_file_order_is_named(tmp_path, lines, problem):
+    """Across kinds of fault, the error names the first record at fault
+    (line 2), whatever the chunk holds after it."""
+    path = tmp_path / "align.jsonl"
+    path.write_text("\n".join(r if type(r) is str else json.dumps(r) for r in lines) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(f"{path}:2: {problem}")):
+        load_alignments(str(path))
+
+
+@pytest.mark.parametrize("load", list(CHUNKED_SAVERS), ids=lambda f: f.__name__)
+def test_fault_opening_the_second_chunk_is_named(chunked_records, tmp_path, load):
+    """A field fault in the first record of the second chunk names that
+    record's line; the corpus's tagset header is a line before the chunks."""
+    records = json.loads(json.dumps(chunked_records[load]))
+    index = data_module._CHUNK + (load is load_corpus)
+    key = next(iter(records[index]))
+    records[index][key] = None
+    path = tmp_path / "records.jsonl"
+    path.write_text("\n".join(json.dumps(r) for r in records) + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(
+            f"{path}:{index + 1}: {key!r} must be a string, got None")):
+        load(str(path))
