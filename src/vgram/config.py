@@ -1,14 +1,17 @@
 """Flat key-value configuration with CLI overrides and digests.
 
 Config files are plain text, one ``key = value`` per line, ``#``
-comments. Every key has a default here and a ``--set key=value`` CLI
-override; precedence is CLI > file > defaults. The digest of the
-resolved configuration is stamped into checkpoints and logs so a run
-can be reproduced from its artifacts.
+comments; precedence is CLI ``--set key=value`` > file > defaults. A
+key that sets a field of ``TrainSettings``, ``ModelConfig`` or
+``SynthConfig`` is named after it (see ``_RENAMED``) and its default is
+the field's; the model's input dims come from the input files and have
+no key. The digest of the resolved configuration is stamped into
+checkpoints and logs so a run can be reproduced from its artifacts.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from typing import Optional
 
@@ -16,44 +19,29 @@ from vgram.data import SynthConfig
 from vgram.model import ModelConfig
 from vgram.train import TrainSettings
 
+# The model fields the input files fix, given to `to_model_config`.
+_INPUT_DIMS = ("tag_count", "word_dim", "feat_dim")
+
+# Keys other than the field's name, ``synth_``-prefixed for SynthConfig.
+_RENAMED = {"lambda_cl": "lambda", "synth_tag_count": "synth_tags",
+            "synth_dev_sentences": "synth_dev",
+            "synth_test_sentences": "synth_test", "synth_seed": "seed"}
+
+# Each settings class with its keys, each key with the field it sets.
+_KEYS: dict[type, dict[str, str]] = {
+    cls: {_RENAMED.get(prefix + f.name, prefix + f.name): f.name
+          for f in dataclasses.fields(cls) if f.name not in skip}
+    for cls, prefix, skip in ((TrainSettings, "", ()),
+                              (ModelConfig, "", _INPUT_DIMS),
+                              (SynthConfig, "synth_", ()))}
+
 DEFAULTS: dict[str, object] = {
-    # optimization
-    "lambda": 0.5,
-    "lr": 1e-3,
-    "batch_size": 16,
-    "epochs": 10,
-    "harmonic_warmup_epochs": 1,
-    "grad_clip": 5.0,
-    "seed": 0,
     "workers": 1,
-    "max_train_len": 20,
-    "max_parse_len": 60,
-    # model
-    "tag_dim": 16,
-    "hidden_dim": 32,
-    "match_dim": 32,
-    "arc_hidden": 32,
-    "second_hidden": 32,
-    "dec_tag_dim": 16,
-    "dec_hidden": 32,
-    "identity_init": False,
-    "finetune_word_emb": False,
-    "second_order": True,
     # evaluation
     "root_undirected": True,
     "exclude_punct": False,
-    # synthetic data
-    "synth_tags": 8,
-    "synth_concentration": 0.05,
-    "synth_sentences": 2000,
-    "synth_dev": 200,
-    "synth_test": 200,
-    "synth_max_len": 10,
-    "synth_min_len": 3,
-    "synth_dim": 32,
-    "synth_sigma": 0.1,
-    "synth_distractors": 2,
-    "synth_words_per_tag": 30,
+    **{key: getattr(cls, name) for cls, keys in _KEYS.items()
+       for key, name in keys.items()},
 }
 
 PUNCT_TAGS = {".", ",", ":", "``", "''", "-LRB-", "-RRB-", "HYPH", "SYM", "PUNCT"}
@@ -122,7 +110,10 @@ def check_model_keys(cfg: dict[str, object]) -> None:
 
 
 def digest(cfg: dict[str, object]) -> str:
-    """Stable short digest of a resolved configuration."""
+    """Stable short digest of a resolved configuration. The worker count
+    changes no model and no output, so it enters at its default and a
+    checkpoint loads at any worker count."""
+    cfg = {**cfg, "workers": DEFAULTS["workers"]}
     canonical = "".join(f"{k}={cfg[k]}\n" for k in sorted(cfg))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
@@ -135,41 +126,28 @@ def file_digest(path: str) -> str:
     return h.hexdigest()[:16]
 
 
+def _build(cls: type, cfg: dict[str, object], **given):
+    """``cls`` with each keyed field from ``cfg``, cast to its default's
+    type, and the other fields from ``given``."""
+    fields = {name: type(DEFAULTS[key])(cfg[key]) for key, name in _KEYS[cls].items()}
+    return cls(**fields, **given)
+
+
 def to_model_config(cfg: dict[str, object], tag_count: int, word_dim: int,
                     feat_dim: int) -> ModelConfig:
-    return ModelConfig(
-        tag_count=tag_count, word_dim=word_dim, feat_dim=feat_dim,
-        tag_dim=int(cfg["tag_dim"]), hidden_dim=int(cfg["hidden_dim"]),
-        match_dim=int(cfg["match_dim"]), arc_hidden=int(cfg["arc_hidden"]),
-        second_hidden=int(cfg["second_hidden"]),
-        dec_tag_dim=int(cfg["dec_tag_dim"]), dec_hidden=int(cfg["dec_hidden"]),
-        identity_init=bool(cfg["identity_init"]),
-        finetune_word_emb=bool(cfg["finetune_word_emb"]),
-        second_order=bool(cfg["second_order"]),
-        max_parse_len=int(cfg["max_parse_len"]), seed=int(cfg["seed"]))
+    return _build(ModelConfig, cfg, tag_count=tag_count, word_dim=word_dim,
+                  feat_dim=feat_dim)
 
 
 def to_train_settings(cfg: dict[str, object]) -> TrainSettings:
-    lam = float(cfg["lambda"])
-    if not 0.0 <= lam <= 1.0:
-        raise ConfigError(f"lambda must be in [0, 1], got {lam}")
-    return TrainSettings(
-        lr=float(cfg["lr"]), batch_size=int(cfg["batch_size"]), epochs=int(cfg["epochs"]),
-        harmonic_warmup_epochs=int(cfg["harmonic_warmup_epochs"]),
-        grad_clip=float(cfg["grad_clip"]), lambda_cl=lam,
-        max_train_len=int(cfg["max_train_len"]), seed=int(cfg["seed"]))
+    settings = _build(TrainSettings, cfg)
+    if not 0.0 <= settings.lambda_cl <= 1.0:
+        raise ConfigError(f"lambda must be in [0, 1], got {settings.lambda_cl}")
+    return settings
 
 
 def to_synth_config(cfg: dict[str, object]) -> SynthConfig:
-    synth = SynthConfig(
-        tag_count=int(cfg["synth_tags"]),
-        concentration=float(cfg["synth_concentration"]),
-        sentences=int(cfg["synth_sentences"]), dev_sentences=int(cfg["synth_dev"]),
-        test_sentences=int(cfg["synth_test"]), max_len=int(cfg["synth_max_len"]),
-        min_len=int(cfg["synth_min_len"]),
-        dim=int(cfg["synth_dim"]), sigma=float(cfg["synth_sigma"]),
-        distractors=int(cfg["synth_distractors"]),
-        words_per_tag=int(cfg["synth_words_per_tag"]), seed=int(cfg["seed"]))
+    synth = _build(SynthConfig, cfg)
     try:
         synth.validate()
     except ValueError as err:

@@ -371,6 +371,8 @@ def load_features(path: str) -> dict[str, Regions]:
         if feats.shape[1] != dim:
             raise DataError(f"{where}: feature dim {feats.shape[1]} != {dim}")
         out[image_id] = Regions(boxes, feats)
+    if not out:
+        raise DataError(f"{path}: empty features file")
     return out
 
 
@@ -549,7 +551,9 @@ def cross_reference(sentences: Sequence[Sentence],
 
 @dataclass
 class SynthConfig:
-    """Knobs for the synthetic world; defaults are the desk-scale set."""
+    """Knobs for the synthetic world; defaults are the desk-scale set, and
+    those of the config keys ``synth_`` + field name or, for ``seed``,
+    ``tag_count`` and ``*_sentences``, the keys in ``config._RENAMED``."""
 
     tag_count: int = 8
     concentration: float = 0.05

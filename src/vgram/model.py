@@ -41,7 +41,8 @@ ATTENTION_MASK = -1.0e30
 
 @dataclass
 class ModelConfig:
-    """Hyperparameters; every field has a flat config-file key."""
+    """Hyperparameters; each field but the input dims (``tag_count``,
+    ``word_dim``, ``feat_dim``) has the config key of its name and default."""
 
     tag_count: int = 8
     word_dim: int = 32
@@ -171,24 +172,22 @@ class Model:
         get("embed.tag", (cfg.tag_count, cfg.tag_dim), self._init_normal())
 
         din = cfg.word_dim + cfg.tag_dim
-        if cfg.identity_init:
-            eye_block = np.concatenate(
-                [np.eye(cfg.word_dim), np.zeros((cfg.tag_dim, cfg.hidden_dim))])
-            get("enc.in.w", (din, cfg.hidden_dim), lambda s: eye_block)
-            get("enc.in.b", (cfg.hidden_dim,), self._init_zeros())
-            get("enc.attn.q", (cfg.hidden_dim, cfg.hidden_dim), self._init_fan_in())
-            get("enc.attn.k", (cfg.feat_dim, cfg.hidden_dim), self._init_fan_in())
-            get("enc.attn.v", (cfg.feat_dim, cfg.hidden_dim), self._init_zeros())
-            get("match.ctx", (cfg.hidden_dim, cfg.match_dim), lambda s: np.eye(cfg.hidden_dim))
-            get("match.vis", (cfg.feat_dim, cfg.match_dim), lambda s: np.eye(cfg.feat_dim))
-        else:
-            get("enc.in.w", (din, cfg.hidden_dim), self._init_fan_in())
-            get("enc.in.b", (cfg.hidden_dim,), self._init_zeros())
-            get("enc.attn.q", (cfg.hidden_dim, cfg.hidden_dim), self._init_fan_in())
-            get("enc.attn.k", (cfg.feat_dim, cfg.hidden_dim), self._init_fan_in())
-            get("enc.attn.v", (cfg.feat_dim, cfg.hidden_dim), self._init_fan_in())
-            get("match.ctx", (cfg.hidden_dim, cfg.match_dim), self._init_fan_in())
-            get("match.vis", (cfg.feat_dim, cfg.match_dim), self._init_fan_in())
+        fan_in, zeros = self._init_fan_in(), self._init_zeros()
+
+        # identity_init starts the encoder as a pass-through of the word
+        # vectors, blind to the image, and the matcher as the identity
+        def eye(shape):
+            return np.eye(*shape)
+
+        for name, shape, init, identity in (
+                ("enc.in.w", (din, cfg.hidden_dim), fan_in, eye),
+                ("enc.in.b", (cfg.hidden_dim,), zeros, zeros),
+                ("enc.attn.q", (cfg.hidden_dim, cfg.hidden_dim), fan_in, fan_in),
+                ("enc.attn.k", (cfg.feat_dim, cfg.hidden_dim), fan_in, fan_in),
+                ("enc.attn.v", (cfg.feat_dim, cfg.hidden_dim), fan_in, zeros),
+                ("match.ctx", (cfg.hidden_dim, cfg.match_dim), fan_in, eye),
+                ("match.vis", (cfg.feat_dim, cfg.match_dim), fan_in, eye)):
+            get(name, shape, identity if cfg.identity_init else init)
 
         get("vis.attr.w1", (cfg.feat_dim, cfg.feat_dim), self._init_fan_in())
         get("vis.attr.b1", (cfg.feat_dim,), self._init_zeros())
@@ -619,10 +618,8 @@ class Model:
     def save(self, path: str, config_digest: str = "") -> None:
         T.save_checkpoint(path, self.store, config_digest)
 
-    def load(self, path: str, expect_digest: Optional[str] = None) -> str:
+    def load(self, path: str) -> str:
+        """Restore the parameters at ``path``; return their config digest."""
         params, digest = T.load_checkpoint(path)
-        if expect_digest is not None and digest != expect_digest:
-            raise ValueError(f"checkpoint digest {digest!r} does not match "
-                             f"config digest {expect_digest!r}")
         self.store.load_values(params)
         return digest

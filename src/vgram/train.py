@@ -29,6 +29,9 @@ log = logging.getLogger("vgram.train")
 
 @dataclass
 class TrainSettings:
+    """Optimization knobs; each default is that of the config key of the
+    field's name (``lambda`` for ``lambda_cl``)."""
+
     lr: float = 1e-3
     batch_size: int = 16
     epochs: int = 10

@@ -1,4 +1,5 @@
 import ctypes
+import dataclasses
 import gc
 import json
 import os
@@ -13,7 +14,8 @@ import pytest
 from vgram import cli, core, data
 from vgram.cli import UsageError, main
 from vgram.core import validate_tree
-from vgram.config import ConfigError, digest, resolve
+from vgram.config import (DEFAULTS, ConfigError, digest, resolve, to_model_config,
+                          to_synth_config, to_train_settings)
 from vgram.data import DataError
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -51,6 +53,58 @@ def test_config_digest_stable():
     assert digest(resolve()) != digest(resolve(overrides={"lr": "0.1"}))
     # checkpoints carry this digest; a new value restamps every saved default run
     assert digest(resolve()) == "d42df22fb69f4447"
+    # the worker count changes no model or output
+    assert digest(resolve(overrides={"workers": "3"})) == "d42df22fb69f4447"
+
+
+# Each key that sets a settings field not of its own name (less the
+# "synth_" prefix for SynthConfig); "seed" sets the seed of all three.
+RENAMED_KEYS = {"lambda": "lambda_cl", "synth_tags": "tag_count",
+                "synth_dev": "dev_sentences", "synth_test": "test_sentences"}
+SETTINGS = ("TrainSettings", "ModelConfig", "SynthConfig")
+INPUT_DIMS = ("tag_count", "word_dim", "feat_dim")
+
+
+def _settings_fields(cfg) -> dict:
+    """Each field of the three settings objects built from ``cfg``,
+    keyed by (class name, field name)."""
+    built = (to_train_settings(cfg), to_synth_config(cfg),
+             to_model_config(cfg, tag_count=8, word_dim=32, feat_dim=32))
+    return {(type(obj).__name__, f.name): getattr(obj, f.name)
+            for obj in built for f in dataclasses.fields(obj)}
+
+
+def _non_default(value):
+    if isinstance(value, bool):
+        return not value
+    return value + 1 if isinstance(value, int) else value / 2
+
+
+def test_every_config_key_reaches_its_field():
+    base = _settings_fields(resolve())
+    reached: dict = {}
+    for key, default in DEFAULTS.items():
+        if key in ("workers", "root_undirected", "exclude_punct"):
+            continue
+        value = _non_default(default)
+        built = _settings_fields(resolve(overrides={key: str(value)}))
+        changed = {f: v for f, v in built.items() if v != base[f]}
+        if key == "seed":
+            want = {(cls, "seed") for cls in SETTINGS}
+        elif key.startswith("synth_"):
+            want = {("SynthConfig", RENAMED_KEYS.get(key, key[len("synth_"):]))}
+        else:
+            name = RENAMED_KEYS.get(key, key)
+            want = {(cls, name) for cls in ("TrainSettings", "ModelConfig")
+                    if (cls, name) in base}
+        assert want and set(changed) == want, key
+        assert all(v == value and type(v) is type(value) for v in changed.values()), key
+        for f in changed:
+            reached.setdefault(f, []).append(key)
+    keyed = set(base) - {("ModelConfig", dim) for dim in INPUT_DIMS}
+    assert set(reached) == keyed
+    assert all(len(keys) == 1 for keys in reached.values()), reached
+    assert not set(INPUT_DIMS) & set(DEFAULTS)
 
 
 def test_synth_outputs(dataset):
@@ -342,13 +396,41 @@ def test_non_finite_checkpoint_is_data_error(dataset, tmp_path, capsys):
 
 
 def test_parse_workers_match_serial(dataset, tmp_path):
+    # the checkpoint is trained at the default worker count, which the
+    # parse at two workers must still load
+    run = tmp_path / "run"
+    assert main(["train", "--corpus", str(dataset / "corpus.train.jsonl"),
+                 "--features", str(dataset / "features.jsonl"),
+                 "--embeddings", str(dataset / "embeddings.jsonl"),
+                 "--out", str(run), "--set", "epochs=1"] + DIMS) == 0
     args = ["--corpus", str(dataset / "corpus.test.jsonl"),
             "--features", str(dataset / "features.jsonl"),
-            "--embeddings", str(dataset / "embeddings.jsonl")]
+            "--embeddings", str(dataset / "embeddings.jsonl"),
+            "--ckpt", str(run / "ckpt_final.bin"), "--set", "epochs=1"]
     out1, out2 = tmp_path / "w1.jsonl", tmp_path / "w2.jsonl"
     assert main(["parse"] + args + ["--out", str(out1)] + DIMS) == 0
     assert main(["parse"] + args + ["--out", str(out2), "--workers", "2"] + DIMS) == 0
     assert out1.read_text() == out2.read_text()
+
+
+@pytest.mark.parametrize("content", ["", "\n  \n"], ids=["empty", "blank"])
+@pytest.mark.parametrize("corpus", ["captions", "none"])
+@pytest.mark.parametrize("command", ["train", "parse", "ground"])
+def test_empty_features_file_is_data_error(dataset, tmp_path, capsys, command, corpus,
+                                           content):
+    features = tmp_path / "features.jsonl"
+    features.write_text(content)
+    captions = tmp_path / "corpus.jsonl"
+    captions.write_text((dataset / "corpus.test.jsonl").read_text() if corpus == "captions"
+                        else "")
+    rc = main([command, "--corpus", str(captions), "--features", str(features),
+               "--embeddings", str(dataset / "embeddings.jsonl"),
+               "--out", str(tmp_path / "out")] + DIMS)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"data error: {features}: empty features file" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_parse_checks_each_tree_at_most_twice(dataset, tmp_path, monkeypatch):

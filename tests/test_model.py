@@ -746,13 +746,6 @@ class TestPersistence:
             np.testing.assert_allclose(model2.store[name].data,
                                        model.store[name].data, atol=1e-6)
 
-    def test_digest_mismatch(self, tmp_path):
-        model, _, _ = make_model()
-        path = str(tmp_path / "m.bin")
-        model.save(path, "digest-a")
-        with pytest.raises(ValueError, match="digest"):
-            model.load(path, expect_digest="digest-b")
-
 
 def cyclic_garbage(work) -> int:
     """How many objects ``work`` leaves that only the cyclic collector
