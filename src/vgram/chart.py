@@ -10,10 +10,9 @@ attach, and stop/continue terms.
 One span-length recursion, :func:`span_recursion`, serves every chart
 computation, on plain arrays. It takes the merge that joins each item's
 candidates: :func:`LOGSUMEXP`, keeping each merge's softmax weights,
-gives the log partition and, through the outside sweep of
-:mod:`vgram.dmv_graph` over those weights, the arc posteriors;
-:func:`MAX` with argmax backpointers gives the Viterbi tree
-(:func:`viterbi`).
+gives the log partition and, through the outside sweep over those
+weights, the arc posteriors and the gradients; :func:`MAX` with argmax
+backpointers gives the Viterbi tree (:func:`viterbi`).
 
 The recursion uses a split-head decomposition: each head owns a left
 and a right cone that grow independently, so it stays O(n^3). Each
@@ -36,16 +35,40 @@ one merge and no gather per span length. Before the recursion each cell
 holds the attach or stop/continue term it pays; its merge is added in
 place.
 
+The outside pass, :func:`outside`, is the reverse sweep of the
+recursion: lengths descending, on adjoint tables laid out like the
+chart's and through the same :func:`_reads` slices, each merge adds to
+both operands of every candidate the merge's adjoint times the
+candidate's weight. Seeded with the root weights, a cell's adjoint is
+its marginal exp(in + out - log Z) (Eisner 2016, "Inside-outside and
+forward-backward algorithms are just backprop"), and the arc cells'
+marginals are the arc posteriors (:func:`posteriors`).
+
+The contrastive loss multiplies matching scores by posteriors, so
+training needs the gradient of the posteriors themselves. For upstream
+gradients (g_Z, g_mu), a score's gradient (:func:`gradients`) is g_Z
+times its expected count plus H g_mu, H the Hessian of log Z: a second
+derivative, given in closed form by the first-order expectation
+semiring (Li & Eisner 2009). g_mu seeds the attach and root leaves of
+one tangent pass (:func:`_tangent`), the recursion replayed linearly
+through the saved weights; one outside sweep then carries, next to each
+cell's marginal m, the gradient g_Z m + dm, where
+dm = m (d in + d out - d log Z) comes from the candidates' shares of
+the tangent.
+
 Everything is log-space double precision. Impossible items carry a
 large negative sentinel rather than -inf so sums never produce NaN.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
+
+from vgram.tensor import logsumexp_softmax
 
 NEG = -1.0e30
 _IMPOSSIBLE = -1.0e25
@@ -126,13 +149,9 @@ def score_tree(scores: DmvScores, heads: Sequence[int]) -> float:
 
 
 def LOGSUMEXP(x):
-    """Log-sum-exp over axis 1 with :func:`vgram.tensor.logsumexp`'s
-    arithmetic, and the candidates' softmax weights."""
-    top = x.max(axis=1, keepdims=True)
-    top = np.where(np.isfinite(top), top, 0.0)
-    shifted = np.exp(x - top)
-    total = shifted.sum(axis=1, keepdims=True)
-    return (top + np.log(total))[:, 0], shifted / total
+    """Log-sum-exp over axis 1, and the candidates' softmax weights."""
+    total, weights = logsumexp_softmax(x, 1)
+    return total[:, 0], weights
 
 
 def MAX(x):
@@ -231,6 +250,125 @@ def span_recursion(merge: Callable, attach, stop, cont, root) -> SpanTables:
                       total=total, root_arg=root_arg)
 
 
+def _cone_cells(n: int):
+    """Span length and 1-based ends (left, right) of every cell of an
+    n-token table, by length, then start."""
+    length, start = np.nonzero(np.arange(n) < n - np.arange(n)[:, None])
+    return length, start + 1, start + 1 + length
+
+
+def outside(tables: SpanTables, top: np.ndarray,
+            tangent: Optional[SpanTables] = None) -> dict:
+    """Adjoint of every cell of a :func:`LOGSUMEXP` run, given ``top``,
+    the adjoint of its root terms: (B, n), or (2, B, n) with a
+    ``tangent`` run. Returns table name -> adjoint, shaped like ``top``
+    with the (n, n) cells [length, start] last.
+
+    With ``tangent``, ``top`` stacks the marginal seed and the gradient
+    seed, and each candidate's gradient share also gets its marginal
+    share times its tangent: both operands' tangents less the merge's.
+    """
+    n = top.shape[-1]
+    adj = {name: _views(np.zeros(top.shape[:-1] + (n, n))) for name in tables.views}
+    adj["lc"][BY_START][..., :, 0] = top
+    adj["rc"][BY_END][..., ::-1, n - 1] = top
+    for length in range(n - 1, 0, -1):
+        reads, row = _reads(n, length), np.s_[..., length, :n - length]
+        # ro/lo row L is closed into rc/lc and extended into roc/loc; it
+        # is the last to read ir/il row L (ro's last candidate, lo's
+        # first), so that row is complete before its own merge
+        for merge in ("ro", "lo", "ir", "il"):
+            up = functools.reduce(np.add, (adj[table][BY_START][row]
+                                           for table in _WRITES[merge]))
+            share = up[..., None, :] * tables.back[merge][length]
+            if tangent is not None:
+                (a, va, ia), (b, vb, ib) = reads[merge]
+                d = tangent.views
+                share[1] += share[0] * (d[a][va][ia] + d[b][vb][ib]
+                                        - tangent.back[merge][length][:, None])
+            for table, view, index in reads[merge]:
+                adj[table][view][index] += share
+    return {name: cells for name, (cells, _) in adj.items()}
+
+
+def _arc_table(root: np.ndarray, ir: np.ndarray, il: np.ndarray) -> np.ndarray:
+    """(..., n+1, n+1) table of per-arc values: ``root`` (..., n) on row
+    0, the ir cells at [left][right], the il cells at [right][left]."""
+    n = root.shape[-1]
+    length, left, right = (a[n:] for a in _cone_cells(n))   # lengths 1 on
+    table = np.zeros(root.shape[:-1] + (n + 1, n + 1))
+    table[..., 0, 1:] = root
+    table[..., left, right] = ir[..., length, left - 1]
+    table[..., right, left] = il[..., length, left - 1]
+    return table
+
+
+def posteriors(tables: SpanTables) -> np.ndarray:
+    """Arc posteriors (B, n+1, n+1) of a :func:`LOGSUMEXP` run; row 0
+    holds the ROOT arcs."""
+    root = tables.root_arg
+    adj = outside(tables, root)
+    return _arc_table(root, adj["ir"], adj["il"])
+
+
+def _tangent(tables: SpanTables, g_mu: np.ndarray) -> SpanTables:
+    """The recursion replayed linearly through ``tables``' softmax
+    weights, in :func:`span_recursion`'s merge order, with ``g_mu``
+    (B, n+1, n+1) on the attach leaves, its row 0 on the root leaves and
+    nothing on stop/cont: each cell's tangent, d in. A merge's arg is its
+    merged tangent, which :func:`outside` subtracts."""
+    n = g_mu.shape[1] - 1
+    saved = iter([tables.back[name][length] for length in range(1, n)
+                  for name in _WRITES] + [tables.root_arg])
+
+    def merge(x):
+        merged = (next(saved) * x).sum(axis=1)
+        return merged, merged
+
+    still = np.zeros(g_mu.shape[:1] + (n + 1, 2, 2))
+    return span_recursion(merge, g_mu, still, still, g_mu[:, 0])
+
+
+def _valence_sums(right_adj: np.ndarray, left_adj: np.ndarray) -> np.ndarray:
+    """(B, n+1, 2, 2) stop or cont gradient from the adjoints of a right
+    and a left cone table: each cell's onto [head][direction][valence]
+    of the term it pays (its head's, adjacent at span length 0)."""
+    n = right_adj.shape[-1]
+    length, left, right = _cone_cells(n)
+    cells = len(length)
+    out = np.zeros(right_adj.shape[:1] + (n + 1, 2, 2))
+    for direction, heads, adj in ((RIGHT, left, right_adj), (LEFT, right, left_adj)):
+        onehot = np.zeros((cells, n + 1, 2))
+        onehot[np.arange(cells), heads, np.minimum(length, 1)] = 1.0
+        # C order, cells by length then start: the matmul's summation
+        # order over each head's cells is then fixed
+        adj = np.ascontiguousarray(adj[:, length, left - 1])
+        out[:, :, direction] = (adj @ onehot.reshape(cells, -1)).reshape(-1, n + 1, 2)
+    return out
+
+
+def gradients(tables: SpanTables, g_z: np.ndarray,
+              g_mu: Optional[np.ndarray] = None) -> tuple:
+    """Gradients of the attach, stop, cont and root scores of a
+    :func:`LOGSUMEXP` run, shaped as :func:`span_recursion` takes them,
+    for the upstream gradient ``g_z`` (B,) of log Z and, when given,
+    ``g_mu`` (B, n+1, n+1) of the posteriors."""
+    weights = tables.root_arg
+    if g_mu is None:
+        top = g_z[:, None] * weights
+        adj = outside(tables, top)
+    else:
+        tangent = _tangent(tables, g_mu)
+        top = weights * (g_z[:, None] + tangent.root_terms - tangent.total[:, None])
+        adj = {name: a[1] for name, a in
+               outside(tables, np.stack([weights, top]), tangent).items()}
+    arcs = _arc_table(top, adj["ir"], adj["il"])
+    attach = arcs.copy()
+    attach[:, 0] = 0.0
+    return (attach, _valence_sums(adj["rc"], adj["lc"]),
+            _valence_sums(adj["roc"], adj["loc"]), arcs[:, 0])
+
+
 def _batch_of_one(scores: DmvScores) -> tuple:
     return tuple(a[None] for a in (scores.attach, scores.stop, scores.cont, scores.root))
 
@@ -243,11 +381,8 @@ def log_partition(scores: DmvScores) -> float:
 def arc_posteriors(scores: DmvScores) -> np.ndarray:
     """Marginal arc probabilities P[h][d] under the chart distribution.
 
-    Row 0 holds ROOT-arc posteriors; columns sum to 1 over heads. This
-    is the outside sweep of :func:`vgram.dmv_graph.inside_outside` on one
-    sentence.
+    Row 0 holds ROOT-arc posteriors; columns sum to 1 over heads.
     """
-    from vgram.dmv_graph import posteriors   # it builds on this module
     return posteriors(span_recursion(LOGSUMEXP, *_batch_of_one(scores)))[0]
 
 

@@ -246,6 +246,11 @@ class ProposalNodes(Sequence):
         m = len(self._boxes)
         return m * m + m + 1 if m else 0
 
+    @property
+    def relationships(self) -> range:
+        """The indices of the relationship nodes."""
+        return range(2 * len(self._boxes), len(self) - 1)
+
     def __getitem__(self, k) -> VisualNode:
         boxes, size = self._boxes, len(self)
         k = operator.index(k)

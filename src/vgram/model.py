@@ -90,13 +90,12 @@ class VisualNodeSet:
     regions: int = 0
 
     def __len__(self) -> int:
-        m = self.regions
-        return m * m + m + 1 if m else len(self.nodes)
+        return len(self.nodes)
 
     def relationship_indices(self) -> np.ndarray:
-        m = self.regions
-        if m:
-            return np.arange(2 * m, m * m + m)
+        if self.regions:
+            rel = self.nodes.relationships
+            return np.arange(rel.start, rel.stop)
         return np.array([k for k, nd in enumerate(self.nodes)
                          if nd.type is NodeType.RELATIONSHIP], dtype=int)
 
@@ -546,10 +545,6 @@ class Model:
               sentence_id: str = "") -> tuple[DependencyTree, VLAlignment]:
         """Best tree under the decoder plus its grounding; token node
         types are read off the grounding argmax."""
-        n = len(tokens)
-        if n > self.config.max_parse_len:
-            raise ValueError(f"sentence length {n} exceeds the inference cap "
-                             f"{self.config.max_parse_len}")
         return self._decode(tokens, node_set, None, sentence_id)
 
     def ground(self, tokens: Sequence[Token], node_set: VisualNodeSet,
@@ -568,7 +563,11 @@ class Model:
         formed in numpy off the tape. The tree's node types are those of
         the tokens' argmax nodes, the only nodes read besides one
         relationship node per arc; building the tree is the one check of
-        its heads."""
+        its heads. A sentence over ``max_parse_len`` tokens raises
+        ``ValueError``."""
+        if len(tokens) > self.config.max_parse_len:
+            raise ValueError(f"sentence length {len(tokens)} exceeds the inference cap "
+                             f"{self.config.max_parse_len}")
         tag_ids = np.array([[t.pos for t in tokens]])
         nodes = self._pad_nodes([node_set])
         contexts, summary = self.encode(self.word_ids(tokens)[None], tag_ids, nodes)

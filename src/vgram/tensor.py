@@ -174,47 +174,10 @@ class Tensor:
         else:
             self.grad = np.add(self.grad, grad, order="C")
 
-    # -- operators ----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0))
-
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
+    # -- indexing -----------------------------------------------------
 
     def __getitem__(self, key):
         return getitem(self, key)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def swapaxes(self, a, b):
-        return swapaxes(self, a, b)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis, keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis, keepdims)
 
 
 def as_tensor(x) -> Tensor:
@@ -291,17 +254,6 @@ def exp(a) -> Tensor:
     def backward(g):
         if a.requires_grad:
             a.accumulate(g * out_data)
-
-    return _make(out_data, (a,), backward)
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.log(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(g / a.data)
 
     return _make(out_data, (a,), backward)
 
@@ -509,7 +461,7 @@ def _row_blocks(count: int, width: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
-def _logsumexp(a: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+def logsumexp_softmax(a: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
     """Log-sum-exp of ``a`` over ``axis``, dims kept, and the softmax
     weights of its entries."""
     m = a.max(axis=axis, keepdims=True)
@@ -521,7 +473,7 @@ def _logsumexp(a: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
 
 def logsumexp(a, axis: int, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
-    out_full, soft = _logsumexp(a.data, axis)
+    out_full, soft = logsumexp_softmax(a.data, axis)
 
     def backward(g):
         if a.requires_grad:
@@ -679,7 +631,7 @@ def image_contrastive_nll(parts: Sequence, nodes, counts: Sequence[int], weights
     picked = np.empty(count)
     for blk in row_blocks:
         logits = scores[blk] * w[blk]
-        lse, _ = _logsumexp(logits, 1)
+        lse, _ = logsumexp_softmax(logits, 1)
         picked[blk] = logits[own(blk)] + (lse * -1.0)[:, 0]
 
     def backward(g):
@@ -688,7 +640,7 @@ def image_contrastive_nll(parts: Sequence, nodes, counts: Sequence[int], weights
         g_w = np.empty(count)
         for blk in row_blocks:
             logits = g_scores[blk] * w[blk]
-            _, soft = _logsumexp(logits, 1)
+            _, soft = logsumexp_softmax(logits, 1)
             # the chain's sum: the picked cells' gradient, then logsumexp's
             g_logits = np.zeros(logits.shape)
             g_logits[own(blk)] = g_pick
@@ -900,9 +852,6 @@ class ParameterStore:
         if t.shape != tuple(shape):
             raise ValueError(f"parameter {name} exists with shape {t.shape}, wanted {shape}")
         return t
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]

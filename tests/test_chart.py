@@ -6,6 +6,7 @@ import pytest
 
 import vgram.chart as chart
 import vgram.dmv_graph as dmv_graph
+import vgram.tensor as T
 from vgram.chart import (
     ADJ,
     LEFT,
@@ -220,7 +221,7 @@ class TestPosteriors:
         s = random_scores(n, rng)
         leaves = [Tensor(a[None], requires_grad=True)
                   for a in (s.attach, s.stop, s.cont, s.root)]
-        inside_outside(*leaves, need_posteriors=False).log_partition.sum().backward()
+        T.tsum(inside_outside(*leaves, need_posteriors=False).log_partition).backward()
         grads = {"stop": leaves[1].grad[0], "cont": leaves[2].grad[0]}
         trees = enumerate_projective_trees(n)
         logs = np.array([score_tree(s, t) for t in trees])
@@ -497,10 +498,10 @@ def test_inside_outside_matches_flat_reference_bitwise(batch, n):
     for need_posteriors in (True, False):
         leaves = [Tensor(a, requires_grad=True) for a in scores]
         out = inside_outside(*leaves, need_posteriors=need_posteriors)
-        loss = (out.log_partition * Tensor(g[:, 0])).sum()
+        loss = T.tsum(T.mul(out.log_partition, Tensor(g[:, 0])))
         if need_posteriors:
             mu = Tensor(g[:, 1:].reshape(batch, n + 1, n + 1))
-            loss = loss + (out.posteriors * mu).sum()
+            loss = T.add(loss, T.tsum(T.mul(out.posteriors, mu)))
         loss.backward()
         log_z, post, grads = flat_inside_outside(scores, g if need_posteriors else g[:, 0],
                                                  need_posteriors)

@@ -2,6 +2,7 @@ import ctypes
 import dataclasses
 import gc
 import json
+import logging
 import os
 import pathlib
 import platform
@@ -605,6 +606,27 @@ def test_no_pool_state_survives_a_failed_unit(dataset, tmp_path, monkeypatch, ca
     assert main(_decode_argv(dataset, tmp_path, "parse", workers)) == 2
     assert "feature dim 8 != configured 9" in capsys.readouterr().err
     assert cli._POOL_STATE == {}
+
+
+@pytest.mark.parametrize("command", ["parse", "ground"])
+def test_sentences_over_the_length_cap_are_skipped(dataset, tmp_path, caplog, command):
+    """Below the longest test sentence, the cap drops the longer ones
+    with a warning; the rest are written in input order."""
+    sentences, _ = data.load_corpus(str(dataset / "corpus.test.jsonl"))
+    cap = max(len(s) for s in sentences) - 1
+    kept = [s.id for s in sentences if len(s) <= cap]
+    assert 0 < len(kept) < len(sentences)
+    argv = _decode_argv(dataset, tmp_path, command, 1) + ["--set", f"max_parse_len={cap}"]
+    with caplog.at_level(logging.WARNING, logger="vgram"):
+        assert main(argv) == 0
+    out = str(tmp_path / "out.jsonl")
+    if command == "parse":
+        written = [s.id for s in data.load_corpus(out)[0]]
+    else:
+        written = list(data.load_alignments(out))
+    assert written == kept
+    assert (f"skipping {len(sentences) - len(kept)} sentences over the inference "
+            f"length cap {cap}") in caplog.text
 
 
 def _command_that(outcome):

@@ -72,7 +72,7 @@ def test_gradient_of_log_partition_is_posterior():
     attach.requires_grad = True
     root.requires_grad = True
     out = inside_outside(attach, stop, cont, root, need_posteriors=False)
-    out.log_partition.sum().backward()
+    T.tsum(out.log_partition).backward()
     ref = inside_outside(*lift(s)).posteriors.numpy()[0]
     np.testing.assert_allclose(ref, enumerated(s)[1], atol=1e-9)
     np.testing.assert_allclose(attach.grad[0][1:, 1:], ref[1:, 1:], atol=1e-9)
@@ -129,7 +129,8 @@ def test_posteriors_are_log_partition_gradient_beyond_enumeration(n):
     attach, stop, cont, root = lift(s)
     attach.requires_grad = True
     root.requires_grad = True
-    inside_outside(attach, stop, cont, root, need_posteriors=False).log_partition.sum().backward()
+    T.tsum(inside_outside(attach, stop, cont, root, need_posteriors=False).log_partition
+           ).backward()
     post = inside_outside(*lift(s)).posteriors.numpy()[0]
     np.testing.assert_allclose(post[1:, 1:], attach.grad[0][1:, 1:], atol=1e-9)
     np.testing.assert_allclose(post[0][1:], root.grad[0][1:], atol=1e-9)

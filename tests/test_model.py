@@ -619,8 +619,9 @@ class TestInference:
         model.config.max_parse_len = 2
         ns = model.build_visual_nodes("img", regions_for(vectors, [0, 1, 2]))
         tokens = [Token(i + 1, "word0", 0, "word0") for i in range(3)]
-        with pytest.raises(ValueError, match="exceeds"):
-            model.parse(tokens, ns)
+        for decode in (model.parse, model.ground):
+            with pytest.raises(ValueError, match="exceeds"):
+                decode(tokens, ns)
 
     def test_oracle_grounding_fixture(self):
         # visual node features equal the token contexts exactly

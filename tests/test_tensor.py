@@ -51,7 +51,7 @@ def check_grads(build_loss, arrays, rtol=1e-6, atol=1e-8):
 class TestBasicOps:
     def test_sum_grad_is_ones(self):
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        x.sum().backward()
+        T.tsum(x).backward()
         np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 
     def test_logsumexp_grad_is_softmax(self):
@@ -88,10 +88,10 @@ class TestBasicOps:
         check_grads(lambda x, y: T.tsum(T.mul(T.add(x, y), T.add(x, y))),
                     [rng.normal(size=(3, 4)), rng.normal(size=(4,))])
 
-    @pytest.mark.parametrize("op", ["relu", "exp", "log", "sqrt"])
+    @pytest.mark.parametrize("op", ["relu", "exp", "sqrt"])
     def test_unary_ops(self, op):
         rng = np.random.default_rng(hash(op) % 1000)
-        a = rng.uniform(0.5, 2.0, size=(5,)) if op in ("log", "sqrt") else rng.normal(size=(5,))
+        a = rng.uniform(0.5, 2.0, size=(5,)) if op == "sqrt" else rng.normal(size=(5,))
         if op == "relu":
             a = a + np.where(np.abs(a) < 0.05, 0.2, 0.0)  # keep away from the kink
         check_grads(lambda x: T.tsum(getattr(T, op)(x)), [a])
@@ -103,7 +103,7 @@ class TestBasicOps:
         def loss(x, y):
             cat = T.concat([x, y], axis=0)
             stk = T.stack([x, y], axis=1)
-            return T.tsum(cat[1:, :2]) + T.tsum(T.mul(stk, stk))
+            return T.add(T.tsum(cat[1:, :2]), T.tsum(T.mul(stk, stk)))
 
         check_grads(loss, [a, b])
 
@@ -641,8 +641,8 @@ class TestFusedOps:
             with pytest.raises(FloatingPointError, match="from image_contrastive_nll \\(norm\\)"):
                 T.image_contrastive_nll([Tensor(np.ones((1, 1, 2)))], Tensor([[1e200, 1.0]]),
                                         [1], Tensor(np.ones((1, 1))))
-            with pytest.raises(FloatingPointError, match="from log"):
-                T.log(Tensor([-1.0, 1.0]))
+            with pytest.raises(FloatingPointError, match="from sqrt"):
+                T.sqrt(Tensor([-1.0, 1.0]))
 
 
 def scalar_biaffine(us, vs, w1, w2, b) -> np.ndarray:
