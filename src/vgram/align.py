@@ -29,7 +29,6 @@ from vgram.core import (
     NodeType,
     SceneGraph,
     SGObject,
-    SGRelationship,
     VLAlignment,
     tree_to_instances,
 )
@@ -362,16 +361,7 @@ def align_dt_sg(sentence: Sentence, rewritten: Rewritten, sg: SceneGraph,
         zh, zd = zero.get(h), zero.get(d)
         if zh is None or zd is None:
             continue
-        nh, nd = sg.node(zh), sg.node(zd)
-        rel: Optional[SGRelationship] = None
-        if isinstance(nh, SGObject) and isinstance(nd, SGObject):
-            rel = sg.relationship(zh, zd)
-            if rel is None:
-                rel = sg.relationship(zd, zh)
-        elif isinstance(nh, SGRelationship) and isinstance(nd, SGObject):
-            rel = nh if zd in (nh.src, nh.dst) else None
-        elif isinstance(nd, SGRelationship) and isinstance(nh, SGObject):
-            rel = nd if zh in (nd.src, nd.dst) else None
+        rel = sg.joining(zh, zd)
         if rel is not None:
             first[(h, d)] = FirstAlignment(relationship=rel.id,
                                            endpoints=(rel.src, rel.dst))

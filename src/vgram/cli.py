@@ -12,21 +12,23 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import dataclasses
 import functools
 import gc
 import logging
 import multiprocessing
 import os
 import sys
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from vgram import align as align_mod
 from vgram import config as config_mod
 from vgram import data as data_mod
 from vgram import metrics as metrics_mod
 from vgram.config import ConfigError
+from vgram.core import Regions, SceneGraph, VLAlignment
 from vgram.data import DataError, Sentence
-from vgram.model import Model, VisualNodeSet
+from vgram.model import Model
 from vgram.train import Trainer
 
 log = logging.getLogger("vgram")
@@ -133,14 +135,45 @@ def _log_run(cfg, paths: Sequence[Optional[str]]) -> str:
     return dig
 
 
-def _build_model(cfg, tagset, vocab, vectors, feat_dim) -> Model:
+class _Inputs(NamedTuple):
+    sentences: list[Sentence]
+    tagset: list[str]
+    features: dict[str, Regions]
+    graphs: Optional[dict[str, SceneGraph]]
+    dev: Optional[list[Sentence]]
+    model: Model
+    digest: str
+
+
+def _load_model_inputs(args, cfg, logged: Sequence[Optional[str]],
+                       scene_graphs: Optional[str] = None,
+                       dev_corpus: Optional[str] = None,
+                       need_heads: bool = False) -> _Inputs:
+    """The inputs of a model command and the model built for them: the
+    corpus, features and embeddings of ``args``, plus the scene graphs
+    and dev corpus at the paths given, checked against each other
+    (``need_heads``: every sentence has heads). The run is logged, with
+    the ``logged`` paths, before the model is built."""
+    config_mod.check_model_keys(cfg)
+    sentences, tagset = data_mod.load_corpus(args.corpus)
+    features = data_mod.load_features(args.features)
+    vocab, vectors = data_mod.load_embeddings(args.embeddings)
+    graphs = data_mod.load_scene_graphs(scene_graphs) if scene_graphs else None
+    data_mod.cross_reference(sentences, features=features, scene_graphs=graphs)
+    if need_heads and any(s.heads is None for s in sentences):
+        raise DataError("--use-gold-trees needs head annotation in the corpus")
+    dev = None
+    if dev_corpus:
+        dev, dev_tagset = data_mod.load_corpus(dev_corpus)
+        if dev_tagset != tagset:
+            raise DataError("dev corpus tagset differs from training tagset")
+        data_mod.cross_reference(dev, features=features)
+    cfg_digest = _log_run(cfg, [args.corpus, args.features, args.embeddings, *logged])
+    feat_dim = next(iter(features.values())).feats.shape[1]
     mc = config_mod.to_model_config(cfg, tag_count=len(tagset),
                                     word_dim=vectors.shape[1], feat_dim=feat_dim)
-    return Model(mc, vocab, vectors)
-
-
-def _feat_dim(features) -> int:
-    return next(iter(features.values())).feats.shape[1]
+    return _Inputs(sentences, tagset, features, graphs, dev,
+                   Model(mc, vocab, vectors), cfg_digest)
 
 
 def _load_checkpoint_into(model: Model, ckpt: Optional[str], cfg_digest: str,
@@ -157,51 +190,33 @@ def _load_checkpoint_into(model: Model, ckpt: Optional[str], cfg_digest: str,
             raise DataError(msg + " (pass --allow-digest-mismatch to proceed)")
 
 
-def _node_set_for(model: Model, sentence: Sentence, features,
-                  scene_graphs=None) -> VisualNodeSet:
-    regions = features[sentence.image_id]
-    if scene_graphs is not None:
-        return model.build_visual_nodes_gold(scene_graphs[sentence.image_id], regions)
-    return model.build_visual_nodes(sentence.image_id, regions)
-
-
-def _drop_overlong(sentences, cap: int):
-    kept = [s for s in sentences if len(s) <= cap]
-    if len(kept) != len(sentences):
-        log.warning("skipping %d sentences over the inference length cap %d",
-                    len(sentences) - len(kept), cap)
-    return kept
-
-
-# What the (fork) workers of one parse/ground command read; set and
-# cleared by `_parallel`, so nothing a command loads outlives it.
+# What the (fork) workers of one parse/ground command read: its
+# per-sentence decode function and the sentences. Set and cleared by
+# `_decode_each`, so nothing a command loads outlives it.
 _POOL_STATE: dict = {}
 
 
 def _pool_parse(idx: int):
-    model, sentences, features, graphs, mode = (
-        _POOL_STATE["model"], _POOL_STATE["sentences"], _POOL_STATE["features"],
-        _POOL_STATE["graphs"], _POOL_STATE["mode"])
-    s = sentences[idx]
-    ns = _node_set_for(model, s, features, graphs)
-    if mode == "parse":
-        tree, alignment = model.parse(s.tokens, ns, sentence_id=s.id)
-        return list(tree.heads), [t.value for t in tree.types]
-    heads = list(s.heads) if _POOL_STATE["gold_trees"] else None
-    alignment = model.ground(s.tokens, ns, heads=heads, sentence_id=s.id)
-    return alignment
+    return _POOL_STATE["decode"](_POOL_STATE["sentences"][idx])
 
 
-def _parallel(state: dict, workers: int) -> list:
-    """`_pool_parse` on every sentence of ``state``, in order, with
-    ``state`` in `_POOL_STATE` only for the call."""
-    _POOL_STATE.update(state)
+def _decode_each(args, cfg, inputs: _Inputs, decode: Callable) -> list:
+    """``decode`` of each sentence within the inference length cap, in
+    order, with the checkpoint ``args.ckpt`` loaded: `_pool_parse` on
+    each, with ``decode`` and the sentences in `_POOL_STATE` only for
+    the call."""
+    model = inputs.model
+    _load_checkpoint_into(model, args.ckpt, inputs.digest, args.allow_digest_mismatch)
+    sentences = model.within_cap(inputs.sentences)
+    if len(sentences) != len(inputs.sentences):
+        log.warning("skipping %d sentences over the inference length cap %d",
+                    len(inputs.sentences) - len(sentences), model.config.max_parse_len)
+    _POOL_STATE.update(decode=decode, sentences=sentences)
     try:
-        indices = range(len(state["sentences"]))
+        indices, workers = range(len(sentences)), int(cfg["workers"])
         if workers <= 1:
             return [_pool_parse(i) for i in indices]
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers) as pool:
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
             return pool.map(_pool_parse, indices)
     finally:
         _POOL_STATE.clear()
@@ -248,9 +263,7 @@ def cmd_align(args, cfg) -> int:
         for w in result.warnings:
             warned += 1
             log.warning("%s", w)
-        rewritten_sentences.append(Sentence(
-            id=s.id, image_id=s.image_id, tokens=s.tokens, pos_tags=s.pos_tags,
-            heads=s.heads, types=rewritten.types, dep_labels=s.dep_labels))
+        rewritten_sentences.append(dataclasses.replace(s, types=rewritten.types))
     data_mod.save_alignments(args.out, alignments)
     if args.rewritten_out:
         data_mod.save_corpus(args.rewritten_out, rewritten_sentences, tagset)
@@ -260,69 +273,46 @@ def cmd_align(args, cfg) -> int:
 
 
 def cmd_train(args, cfg) -> int:
-    config_mod.check_model_keys(cfg)
     settings = config_mod.to_train_settings(cfg)
-    sentences, tagset = data_mod.load_corpus(args.corpus)
-    features = data_mod.load_features(args.features)
-    vocab, vectors = data_mod.load_embeddings(args.embeddings)
-    data_mod.cross_reference(sentences, features=features)
-    dev = None
-    if args.dev_corpus:
-        dev, dev_tagset = data_mod.load_corpus(args.dev_corpus)
-        if dev_tagset != tagset:
-            raise DataError("dev corpus tagset differs from training tagset")
-        data_mod.cross_reference(dev, features=features)
-    cfg_digest = _log_run(cfg, [args.corpus, args.features, args.embeddings,
-                                args.dev_corpus])
-    model = _build_model(cfg, tagset, vocab, vectors, _feat_dim(features))
-    trainer = Trainer(model, sentences, features, settings, dev=dev)
-    trainer.train(out_dir=args.out, config_digest=cfg_digest)
+    inputs = _load_model_inputs(args, cfg, [args.dev_corpus],
+                                dev_corpus=args.dev_corpus)
+    trainer = Trainer(inputs.model, inputs.sentences, inputs.features, settings,
+                      dev=inputs.dev)
+    trainer.train(out_dir=args.out, config_digest=inputs.digest)
     return 0
 
 
 def cmd_parse(args, cfg) -> int:
-    config_mod.check_model_keys(cfg)
-    sentences, tagset = data_mod.load_corpus(args.corpus)
-    features = data_mod.load_features(args.features)
-    vocab, vectors = data_mod.load_embeddings(args.embeddings)
-    data_mod.cross_reference(sentences, features=features)
-    cfg_digest = _log_run(cfg, [args.corpus, args.features, args.embeddings,
-                                args.ckpt])
-    model = _build_model(cfg, tagset, vocab, vectors, _feat_dim(features))
-    _load_checkpoint_into(model, args.ckpt, cfg_digest, args.allow_digest_mismatch)
-    sentences = _drop_overlong(sentences, int(cfg["max_parse_len"]))
-    results = _parallel(dict(model=model, sentences=sentences, features=features,
-                             graphs=None, mode="parse", gold_trees=False),
-                        int(cfg["workers"]))
-    out = []
-    for s, (heads, types) in zip(sentences, results):
-        out.append(Sentence(id=s.id, image_id=s.image_id, tokens=s.tokens,
-                            pos_tags=s.pos_tags, heads=tuple(heads),
-                            types=tuple(data_mod.NodeType(t) for t in types),
-                            dep_labels=s.dep_labels))
-    data_mod.save_corpus(args.out, out, tagset)
+    inputs = _load_model_inputs(args, cfg, [args.ckpt])
+    model, features = inputs.model, inputs.features
+
+    def decode(s: Sentence) -> Sentence:
+        nodes = model.build_visual_nodes(s.image_id, features[s.image_id])
+        tree, _ = model.parse(s.tokens, nodes, sentence_id=s.id)
+        return dataclasses.replace(s, heads=tree.heads, types=tree.types)
+
+    out = _decode_each(args, cfg, inputs, decode)
+    data_mod.save_corpus(args.out, out, inputs.tagset)
     log.info("parsed %d sentences -> %s", len(out), args.out)
     return 0
 
 
 def cmd_ground(args, cfg) -> int:
-    config_mod.check_model_keys(cfg)
-    sentences, tagset = data_mod.load_corpus(args.corpus)
-    features = data_mod.load_features(args.features)
-    vocab, vectors = data_mod.load_embeddings(args.embeddings)
-    graphs = data_mod.load_scene_graphs(args.scene_graphs) if args.scene_graphs else None
-    data_mod.cross_reference(sentences, features=features, scene_graphs=graphs)
-    if args.use_gold_trees and any(s.heads is None for s in sentences):
-        raise DataError("--use-gold-trees needs head annotation in the corpus")
-    cfg_digest = _log_run(cfg, [args.corpus, args.features, args.embeddings,
-                                args.ckpt, args.scene_graphs])
-    model = _build_model(cfg, tagset, vocab, vectors, _feat_dim(features))
-    _load_checkpoint_into(model, args.ckpt, cfg_digest, args.allow_digest_mismatch)
-    sentences = _drop_overlong(sentences, int(cfg["max_parse_len"]))
-    alignments = _parallel(dict(model=model, sentences=sentences, features=features,
-                                graphs=graphs, mode="ground",
-                                gold_trees=args.use_gold_trees),
-                           int(cfg["workers"]))
+    inputs = _load_model_inputs(args, cfg, [args.ckpt, args.scene_graphs],
+                                scene_graphs=args.scene_graphs,
+                                need_heads=args.use_gold_trees)
+    model, features, graphs = inputs.model, inputs.features, inputs.graphs
+
+    def decode(s: Sentence) -> VLAlignment:
+        regions = features[s.image_id]
+        if graphs is None:
+            nodes = model.build_visual_nodes(s.image_id, regions)
+        else:
+            nodes = model.build_visual_nodes_gold(graphs[s.image_id], regions)
+        return model.ground(s.tokens, nodes, sentence_id=s.id,
+                            heads=s.heads if args.use_gold_trees else None)
+
+    alignments = _decode_each(args, cfg, inputs, decode)
     data_mod.save_alignments(args.out, alignments)
     log.info("grounded %d sentences -> %s", len(alignments), args.out)
     return 0

@@ -408,26 +408,35 @@ class SceneGraph:
         n = self.node(node_id)
         return n.bbox if isinstance(n, SGObject) else None
 
-    def adjacent(self, a: str, b: str) -> bool:
-        """Structural adjacency between two nodes.
+    def image_node(self) -> VisualNode:
+        """The image node ``img`` over the graph's object boxes, as a gold
+        node set holds it."""
+        return image_node(o.bbox for o in self.objects)
 
-        Holds when one node is a relationship incident to the other,
-        when an attribute meets its owner object, or when two objects
-        are connected through one relationship node.
-        """
+    def joining(self, a: str, b: str) -> Optional[SGRelationship]:
+        """The relationship that joins nodes ``a`` and ``b``, or None:
+        either node itself when it is a relationship incident to the
+        other, an object; for two objects, the first relationship between
+        them from ``a`` to ``b``, else from ``b`` to ``a``."""
         na, nb = self.node(a), self.node(b)
-        if na is None or nb is None or a == b:
-            return False
-        for x, y in ((na, nb), (nb, na)):
-            if isinstance(x, SGRelationship) and isinstance(y, SGObject):
-                if y.id in (x.src, x.dst):
-                    return True
-            if isinstance(x, SGAttribute) and isinstance(y, SGObject):
-                if x.owner == y.id:
-                    return True
         if isinstance(na, SGObject) and isinstance(nb, SGObject):
-            return (a, b) in self._by_pair or (b, a) in self._by_pair
-        return False
+            return self.relationship(a, b) or self.relationship(b, a)
+        for x, y in ((na, nb), (nb, na)):
+            if isinstance(x, SGRelationship) and isinstance(y, SGObject) \
+                    and y.id in (x.src, x.dst):
+                return x
+        return None
+
+    def adjacent(self, a: str, b: str) -> bool:
+        """Structural adjacency between two distinct nodes: a relationship
+        joins them, or one is the attribute of the other, an object."""
+        if a == b:
+            return False
+        if self.joining(a, b) is not None:
+            return True
+        na, nb = self.node(a), self.node(b)
+        return any(isinstance(x, SGAttribute) and isinstance(y, SGObject)
+                   and x.owner == y.id for x, y in ((na, nb), (nb, na)))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from vgram.core import IMAGE_ID, Box, NodeType, ProposalNodes, SceneGraph, VisualNode
-from vgram.core import DependencyTree, VLAlignment, image_node, tree_to_instances
+from vgram.core import DependencyTree, VLAlignment, tree_to_instances
 
 IOU_THRESHOLD = 0.5
 
@@ -81,7 +81,7 @@ def resolve_node(node_id: str, sg: Optional[SceneGraph],
     over the region list; None for any other id."""
     node = sg.visual_node(node_id) if sg is not None else None
     if node is None and sg is not None and node_id == IMAGE_ID:
-        node = image_node(o.bbox for o in sg.objects)
+        node = sg.image_node()
     if node is None and regions is not None:
         node = ProposalNodes(regions).find(node_id)
     return node

@@ -29,7 +29,6 @@ from vgram.core import (
     Token,
     VisualNode,
     VLAlignment,
-    image_node,
     second_order_arcs,
     tree_to_instances,
 )
@@ -272,7 +271,7 @@ class Model:
             raise ValueError(f"{sg.image_id}: gold feature dim {mat.shape[1]} != "
                              f"configured {self.config.feat_dim}")
         dummy = mat[:len(sg.objects)].mean(axis=0, keepdims=True)
-        nodes.append(image_node(o.bbox for o in sg.objects))
+        nodes.append(sg.image_node())
         return VisualNodeSet(sg.image_id, np.concatenate([mat, dummy]), nodes)
 
     def _pad_nodes(self, node_sets: list[VisualNodeSet]
@@ -540,6 +539,11 @@ class Model:
         return T.mul(T.tmean(expected), -1.0)
 
     # -- inference ---------------------------------------------------------
+
+    def within_cap(self, sentences: Sequence) -> list:
+        """The sentences `parse` and `ground` take, in order: those of at
+        most ``max_parse_len`` tokens."""
+        return [s for s in sentences if len(s) <= self.config.max_parse_len]
 
     def parse(self, tokens: Sequence[Token], node_set: VisualNodeSet,
               sentence_id: str = "") -> tuple[DependencyTree, VLAlignment]:

@@ -163,8 +163,7 @@ class Trainer:
         return mle_sum / count, cl_sum / count, norms
 
     def evaluate(self, sentences: Sequence[Sentence]) -> tuple[Optional[float], Optional[float]]:
-        usable = [s for s in sentences
-                  if s.heads is not None and len(s) <= self.model.config.max_parse_len]
+        usable = [s for s in self.model.within_cap(sentences) if s.heads is not None]
         if not usable:
             return None, None
         preds = []

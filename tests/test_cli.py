@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from vgram import cli, core, data
+from vgram import model as model_mod
 from vgram.cli import UsageError, main
 from vgram.core import validate_tree
 from vgram.config import (DEFAULTS, ConfigError, digest, resolve, to_model_config,
@@ -414,6 +415,21 @@ def test_parse_workers_match_serial(dataset, tmp_path):
     assert out1.read_text() == out2.read_text()
 
 
+def test_ground_workers_match_serial(dataset, tmp_path):
+    """Over the gold scene graphs and the corpus trees, ground writes the
+    same file at two workers as at one."""
+    args = ["ground", "--corpus", str(dataset / "corpus.test.jsonl"),
+            "--features", str(dataset / "features.jsonl"),
+            "--embeddings", str(dataset / "embeddings.jsonl"),
+            "--scene-graphs", str(dataset / "scene_graphs.jsonl"),
+            "--use-gold-trees"] + DIMS
+    out1, out2 = tmp_path / "w1.jsonl", tmp_path / "w2.jsonl"
+    assert main(args + ["--out", str(out1)]) == 0
+    assert main(args + ["--out", str(out2), "--workers", "2"]) == 0
+    assert len(data.load_alignments(str(out1))) == 6
+    assert out1.read_text() == out2.read_text()
+
+
 @pytest.mark.parametrize("content", ["", "\n  \n"], ids=["empty", "blank"])
 @pytest.mark.parametrize("corpus", ["captions", "none"])
 @pytest.mark.parametrize("command", ["train", "parse", "ground"])
@@ -580,8 +596,9 @@ def _decode_argv(dataset, tmp_path, command, workers):
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("command", ["parse", "ground"])
 def test_no_pool_state_survives_a_command(dataset, tmp_path, monkeypatch, command, workers):
-    """The model, sentences and regions a parse or ground command hands
-    its workers are gone when ``main`` returns."""
+    """The decode function (with the model and regions it reads) and the
+    sentences a parse or ground command hands its workers are gone when
+    ``main`` returns."""
     seen = []
     pool_parse = cli._pool_parse
 
@@ -593,18 +610,20 @@ def test_no_pool_state_survives_a_command(dataset, tmp_path, monkeypatch, comman
         monkeypatch.setattr(cli, "_pool_parse", recording)
     assert main(_decode_argv(dataset, tmp_path, command, workers)) == 0
     if workers == 1:    # each of the six test sentences read the state
-        assert seen == [["features", "gold_trees", "graphs", "mode", "model",
-                         "sentences"]] * 6
+        assert seen == [["decode", "sentences"]] * 6
     assert cli._POOL_STATE == {}
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_no_pool_state_survives_a_failed_unit(dataset, tmp_path, monkeypatch, capsys, workers):
-    """A data error inside a unit (regions of another dim than the
-    model's ``feat_dim``) is exit 2 and also leaves no state."""
-    monkeypatch.setattr(cli, "_feat_dim", lambda features: 9)
+    """A data error inside a unit (a node set the model refuses to
+    build) is exit 2 and also leaves no state."""
+    def refuse(model, image_id, regions):
+        raise DataError(f"{image_id}: refused")
+
+    monkeypatch.setattr(model_mod.Model, "build_visual_nodes", refuse)
     assert main(_decode_argv(dataset, tmp_path, "parse", workers)) == 2
-    assert "feature dim 8 != configured 9" in capsys.readouterr().err
+    assert ": refused" in capsys.readouterr().err
     assert cli._POOL_STATE == {}
 
 

@@ -273,6 +273,19 @@ def scan_adjacent(sg, a, b):
     return False
 
 
+def scan_joining(sg, a, b):
+    """The arc mapping `align.align_dt_sg` made before `SceneGraph.joining`."""
+    na, nb = sg.node(a), sg.node(b)
+    if isinstance(na, SGObject) and isinstance(nb, SGObject):
+        rel = sg.relationship(a, b)
+        return rel if rel is not None else sg.relationship(b, a)
+    if isinstance(na, SGRelationship) and isinstance(nb, SGObject):
+        return na if b in (na.src, na.dst) else None
+    if isinstance(nb, SGRelationship) and isinstance(na, SGObject):
+        return nb if a in (nb.src, nb.dst) else None
+    return None
+
+
 @settings(max_examples=80, deadline=None)
 @given(loose_graphs())
 def test_relationship_indexes_agree_with_a_scan(sg):
@@ -281,5 +294,6 @@ def test_relationship_indexes_agree_with_a_scan(sg):
         assert sg.incident(a) == tuple(r for r in sg.relationships if a in (r.src, r.dst))
         for b in ids:
             assert sg.adjacent(a, b) == scan_adjacent(sg, a, b)
+            assert sg.joining(a, b) is scan_joining(sg, a, b)
             assert sg.relationship(a, b) is next(
                 (r for r in sg.relationships if (r.src, r.dst) == (a, b)), None)

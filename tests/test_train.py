@@ -168,6 +168,21 @@ class TestTrainer:
         with pytest.raises(ValueError):
             Trainer(model, tiny.train, tiny.features, settings(max_train_len=0))
 
+    def test_evaluate_skips_sentences_over_the_inference_cap(self, tiny):
+        """A dev sentence over ``max_parse_len``, which `Model.parse`
+        refuses, is left out of the dev score instead of raising."""
+        longest = max(tiny.dev, key=len)
+        within = [s for s in tiny.dev if len(s) < len(longest)]
+        assert within
+        model = build_model(tiny)
+        model.config.max_parse_len = len(longest) - 1
+        trainer = Trainer(model, tiny.train, tiny.features, settings())
+        with pytest.raises(ValueError, match="exceeds the inference cap"):
+            model.parse(longest.tokens, trainer._node_set(longest.image_id))
+        dda, uda = trainer.evaluate(within + [longest])
+        assert dda is not None and uda is not None
+        assert (dda, uda) == trainer.evaluate(within)
+
 
 @pytest.fixture(scope="module")
 def desk():
